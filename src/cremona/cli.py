@@ -11,6 +11,7 @@ import json
 import sys
 
 from .action import DiagonalAction, InvariantHypersurface
+from .coeffs import is_prime
 from .lang import ParseError, ProblemSpec, parse_input
 from .pipeline import MonomialBasis, RationalMap, cremona_step, hnf_basis_for, \
     search_basis
@@ -48,7 +49,8 @@ def _chart_index(spec: ProblemSpec, action: DiagonalAction) -> int:
 def _pick_prime(spec: ProblemSpec, action: DiagonalAction, degree: int | None) -> int:
     if spec.primes:
         return spec.primes[0]
-    return default_prime([e for e, _ in action.generators], degree)
+    orders = [e for e, _ in action.generators] + [spec.effective_zeta_order() or 1]
+    return default_prime(orders, degree)
 
 
 def _pick_map(spec: ProblemSpec, name: str | None) -> RationalMap:
@@ -376,6 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "prime", None) is not None and not is_prime(args.prime):
+        ap.error(f"argument --prime: {args.prime} is not a prime")
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -85,22 +85,34 @@ def euler_phi(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reductions(e: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^k mod Phi_e for k = phi(e) .. 2*phi(e)-2, as coefficient vectors."""
+def _power_reductions(e: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_e^k in the basis 1, zeta, ..., zeta^{phi-1} for k = phi(e) .. e-1,
+    as integer vectors (Phi_e is monic with integer coefficients)."""
     phi = euler_phi(e)
     mod = cyclotomic_polynomial(e)
     # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})  since Phi_e is monic
-    cur = [Fraction(-c) for c in mod[:phi]]
-    rows = [tuple(cur)]
-    for _ in range(phi - 2):
-        nxt = [Fraction(0)] + cur[:-1]
+    cur = [-c for c in mod[:phi]]
+    rows = []
+    for _ in range(phi, e):
+        rows.append(tuple(cur))
         top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
             for j in range(phi):
-                nxt[j] += top * Fraction(-mod[j])
-        cur = nxt
-        rows.append(tuple(cur))
+                cur[j] -= top * mod[j]
     return tuple(rows)
+
+
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply; one is returned for n = 0."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return one if result is None else result
+        base = base * base
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +140,9 @@ class Cyclotomic:
     def zeta(order: int, power: int = 1) -> Cyclotomic:
         """zeta_e^power, reduced."""
         power %= order
-        phi = euler_phi(order)
-        raw = [Fraction(0)] * (power + 1)
+        raw = [Fraction(0)] * max(power + 1, euler_phi(order))
         raw[power] = Fraction(1)
-        return Cyclotomic(order, _reduce_vector(order, raw, phi))
+        return Cyclotomic(order, _reduce_vector(order, raw))
 
     # -- coercion -----------------------------------------------------------
 
@@ -182,7 +193,7 @@ class Cyclotomic:
             for j, b in enumerate(o.coeffs):
                 if b:
                     conv[i + j] += a * b
-        return Cyclotomic(self.order, _reduce_vector(self.order, conv, phi))
+        return Cyclotomic(self.order, _reduce_vector(self.order, conv))
 
     __rmul__ = __mul__
 
@@ -210,14 +221,7 @@ class Cyclotomic:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = Cyclotomic.from_rational(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Cyclotomic.from_rational(self.order, 1))
 
     # -- predicates ----------------------------------------------------------
 
@@ -248,16 +252,21 @@ class Cyclotomic:
         return f"Cyclotomic({self.order}, {self.coeffs})"
 
 
-def _reduce_vector(order: int, conv: list[Fraction], phi: int) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in conv[:phi]] + [Fraction(0)] * max(0, phi - len(conv))
-    if len(conv) > phi:
-        rows = _power_reductions(order)
-        for k in range(phi, len(conv)):
-            c = conv[k]
-            if c:
-                row = rows[k - phi]
-                for j in range(phi):
-                    out[j] += c * row[j]
+def _reduce_vector(order: int, conv) -> tuple:
+    """Fold sum_k conv[k] * zeta^k, of any length, into the power basis
+    1, zeta, ..., zeta^{phi-1}.  Works on Fraction or int entries."""
+    phi = euler_phi(order)
+    out = list(conv[:phi]) + [0] * (phi - len(conv))
+    rows = _power_reductions(order)
+    for k in range(phi, len(conv)):
+        c = conv[k]
+        if c:
+            k %= order  # zeta^order = 1
+            if k < phi:
+                out[k] += c
+            else:
+                for j, r in enumerate(rows[k - phi]):
+                    out[j] += c * r
     return tuple(out)
 
 
@@ -561,14 +570,7 @@ class ParamCoeff:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers of parameter expressions")
-        result = ParamCoeff.const(self.symbols, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, ParamCoeff.const(self.symbols, 1))
 
     # -- predicates -------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from .coeffs import Cyclotomic, ParamCoeff, is_prime
 from .poly import LaurentPoly, poly_str
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, line: int, col: int, message: str, expected: tuple[str, ...] = ()):
         self.line = line
         self.col = col
@@ -160,7 +160,10 @@ def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
     if t is not None and t.text == "^":
         cur.next()
         exp = _parse_signed_int(cur)
-        atom = atom ** exp
+        try:
+            atom = atom ** exp
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ParseError(t.line, t.col, f"cannot take power {exp}: {exc}") from None
     return atom if sign == 1 else -atom
 
 
@@ -187,6 +190,8 @@ def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
     if t.kind == "rational":
         cur.next()
         num, den = t.text.split("/")
+        if int(den) == 0:
+            raise ParseError(t.line, t.col, f"zero denominator in {t.text}")
         return LaurentPoly.constant(ctx.variables, Fraction(int(num), int(den)))
     if t.kind == "int":
         cur.next()

@@ -11,8 +11,10 @@ Canonical term order is graded lexicographic, largest first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
-from .coeffs import Cyclotomic, FpElem, ParamCoeff, specialize, to_prime_field
+from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, euler_phi, power, \
+    specialize, to_prime_field
 
 
 def term_key(exps: tuple[int, ...]):
@@ -162,16 +164,9 @@ class LaurentPoly:
         if n < 0:
             if len(self.terms) == 1:
                 (e, c), = self.terms.items()
-                return LaurentPoly(self.vars, {tuple(n * x for x in e): _coeff_pow(c, n)})
+                return LaurentPoly(self.vars, {tuple(n * x for x in e): c ** n})
             raise ValueError("negative powers only for monomials")
-        result = LaurentPoly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, LaurentPoly.one(self.vars))
 
     # -- degrees -----------------------------------------------------------------
 
@@ -282,11 +277,8 @@ class LaurentPoly:
         return acc
 
     def substitute(self, images: dict[str, LaurentPoly]) -> LaurentPoly:
-        """Substitute polynomials for variables.
-
-        Negative exponents are only supported when the corresponding image is
-        a single monomial.
-        """
+        """Substitute polynomials for variables (the one exact expansion, see
+        ``_expand``); negative exponents need single-monomial images."""
         target_vars = None
         for img in images.values():
             if target_vars is None:
@@ -295,34 +287,189 @@ class LaurentPoly:
                 raise ValueError("substitution images live in different ambients")
         if target_vars is None:
             raise ValueError("empty substitution")
-        pow_cache: dict[tuple[str, int], LaurentPoly] = {}
+        return _expand(self, images, target_vars)
 
-        def img_pow(name, k):
-            key = (name, k)
-            if key not in pow_cache:
-                img = images[name]
-                if k < 0 and len(img.terms) != 1:
+
+# ---------------------------------------------------------------------------
+# exact expansion on packed integer keys
+# ---------------------------------------------------------------------------
+
+def _domain(scalars):
+    """(cyclotomic order, prime, parameter symbols) shared by the scalars,
+    each None when absent."""
+    inner = [a for c in scalars
+             for a in ([a for _, a in c.terms] if isinstance(c, ParamCoeff) else [c])]
+    orders = {a.order for a in inner if isinstance(a, Cyclotomic)}
+    primes = {a.p for a in inner if isinstance(a, FpElem)}
+    symbols = {c.symbols for c in scalars if isinstance(c, ParamCoeff)}
+    for what, found in (("cyclotomic order", orders), ("prime field", primes),
+                        ("parameter symbol", symbols)):
+        if len(found) > 1:
+            raise ValueError(f"{what} mismatch: {sorted(found)}")
+    if primes and not all(isinstance(a, FpElem) for a in inner):
+        raise TypeError(f"F_{min(primes)} coefficients mixed with exact ones")
+    return (min(orders, default=None), min(primes, default=None),
+            min(symbols, default=None))
+
+
+def _coeff_parts(c, n_params: int):
+    """[(parameter exponents + (zeta power,), rational or int value)] of a scalar."""
+    if isinstance(c, ParamCoeff):
+        return [(pe + z, v) for pe, a in c.terms for z, v in _coeff_parts(a, 0)]
+    pad = (0,) * n_params
+    if isinstance(c, Cyclotomic):
+        return [(pad + (j,), v) for j, v in enumerate(c.coeffs) if v]
+    return [(pad + (0,), c.value if isinstance(c, FpElem) else c)]
+
+
+def _box(parts):
+    """Per-slot minimum and maximum over the slot tuples of some parts."""
+    cols = list(zip(*(s for s, _ in parts)))
+    return [min(col) for col in cols], [max(col) for col in cols]
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            s = get(k, 0) + va * vb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
+    """Sum over the terms c*x^e of F of c * prod_i images[x_i]^e_i, exactly.
+
+    Monomial images fold into the term scalars by coefficient arithmetic,
+    negative powers included; zero images kill their terms.  The others are
+    multiplied out on Kronecker-packed integer keys (Monagan & Pearce, Maple
+    14, 2009): one slot per target variable, parameter symbol and the zeta
+    power, each with a radix spanning the exponent range the expansion can
+    reach, so Laurent exponents decode exactly.  Denominators are cleared per
+    image into the term scalars, which share one denominator.  Only keys that
+    survive the sum are zeta-folded and decoded.  The result's coefficients
+    lie in the inputs' common domain: Q, Q(zeta_e), parameters over either,
+    or F_p.
+    """
+    n = len(target_vars)
+    terms = []  # (scalar, exponent shift, [(name, k) of non-monomial images])
+    for e, c in F.terms.items():
+        scalar, shift, factors, dead = c, (0,) * n, [], False
+        for name, k in zip(F.vars, e):
+            if not k:
+                continue
+            if name not in images:
+                raise ValueError(f"no image given for variable {name}")
+            img = images[name]
+            if len(img.terms) != 1:
+                if k < 0:
                     raise ValueError(f"negative power of non-monomial image for {name}")
-                pow_cache[key] = img ** k
-            return pow_cache[key]
+                dead = dead or not img.terms
+                factors.append((name, k))
+            else:
+                (m, cm), = img.terms.items()
+                scalar = scalar * cm ** k
+                shift = tuple(a + k * b for a, b in zip(shift, m))
+        if not dead:
+            terms.append((scalar, shift, factors))
+    if not terms:
+        return LaurentPoly.zero(target_vars)
+    used = list(dict.fromkeys(name for _, _, factors in terms for name, _ in factors))
+    order, prime, symbols = _domain(
+        [s for s, _, _ in terms] + [c for name in used for c in images[name].terms.values()])
+    n_params = len(symbols or ())
 
-        acc = LaurentPoly.zero(target_vars)
-        for e, c in self.terms.items():
-            t = LaurentPoly.constant(target_vars, c)
-            for i, k in enumerate(e):
-                if k:
-                    name = self.vars[i]
-                    if name not in images:
-                        raise ValueError(f"no image given for variable {name}")
-                    t = t * img_pow(name, k)
-            acc = acc + t
-        return acc
+    # images with cleared denominators, term scalars still rational, and the
+    # exponent box each term can reach
+    image_ints, scale, image_box = {}, {}, {}
+    for name in used:
+        parts = [(ex + s, v) for ex, c in images[name].terms.items()
+                 for s, v in _coeff_parts(c, n_params)]
+        d = scale[name] = lcm(*(v.denominator for _, v in parts))
+        image_ints[name] = [(s, v.numerator * (d // v.denominator)) for s, v in parts]
+        image_box[name] = _box(parts)
+    scalars, lo, hi = [], None, None
+    for scalar, shift, factors in terms:
+        s_scale = prod(scale[name] ** k for name, k in factors)
+        parts = [(shift + s, Fraction(v) / s_scale) for s, v in _coeff_parts(scalar, n_params)]
+        scalars.append(parts)
+        t_lo, t_hi = _box(parts)
+        for name, k in factors:
+            i_lo, i_hi = image_box[name]
+            t_lo = [a + k * b for a, b in zip(t_lo, i_lo)]
+            t_hi = [a + k * b for a, b in zip(t_hi, i_hi)]
+        lo = t_lo if lo is None else list(map(min, lo, t_lo))
+        hi = t_hi if hi is None else list(map(max, hi, t_hi))
+    radices = [b - a + 1 for a, b in zip(lo, hi)]
+    weights = [prod(radices[:j]) for j in range(len(radices))]
 
+    def key(s):
+        return sum(x * w for x, w in zip(s, weights))
 
-def _coeff_pow(c, n):
-    if n >= 0:
-        return c ** n
-    return (1 / c) ** (-n)
+    den = lcm(*(v.denominator for parts in scalars for _, v in parts))
+    packed = {name: {key(s): v for s, v in ps} for name, ps in image_ints.items()}
+    powers = {name: [p] for name, p in packed.items()}  # powers[name][k - 1]
+
+    total: dict[int, int] = {}
+    for parts, (_, _, factors) in zip(scalars, terms):
+        product = {0: 1}
+        for j, (name, k) in enumerate(factors):
+            pows = powers[name]
+            while len(pows) < k:
+                pows.append(_pmul(pows[-1], pows[0]))
+            product = pows[k - 1] if not j else _pmul(product, pows[k - 1])
+        for s, v in parts:
+            sk = key(s)
+            sv = v.numerator * (den // v.denominator)
+            for k, pv in product.items():
+                k += sk
+                t = total.get(k, 0) + sv * pv
+                if t:
+                    total[k] = t
+                else:
+                    del total[k]
+
+    # fold the zeta power (the top slot) of the surviving keys
+    off, wz = key(lo), weights[-1]
+    reduced: dict[int, int] = {}
+    for k, v in total.items():
+        z, rest = divmod(k - off, wz)
+        vec = (v,) if order is None else \
+            _reduce_vector(order, [0] * ((z + lo[-1]) % order) + [v])
+        for j, c in enumerate(vec):
+            if c:
+                t = reduced.get(rest + j * wz, 0) + c
+                if t:
+                    reduced[rest + j * wz] = t
+                else:
+                    del reduced[rest + j * wz]
+
+    # decode: monomial -> parameter exponents -> zeta power vector
+    phi = euler_phi(order) if order is not None else 1
+    out: dict = {}
+    for k, v in reduced.items():
+        digits = []
+        for r, a in zip(radices[:-1], lo):
+            k, d = divmod(k, r)
+            digits.append(d + a)
+        by_param = out.setdefault(tuple(digits[:n]), {})
+        by_param.setdefault(tuple(digits[n:]), [0] * phi)[k] = v  # k: the zeta power
+
+    def scalar_of(vec):
+        if prime is not None:
+            return FpElem(prime, vec[0])
+        vals = tuple(Fraction(x, den) for x in vec)
+        return vals[0] if order is None else Cyclotomic(order, vals)
+
+    return LaurentPoly(target_vars, {
+        mono: scalar_of(by_param[()]) if symbols is None else
+        ParamCoeff._make(symbols, {pe: scalar_of(vec) for pe, vec in by_param.items()})
+        for mono, by_param in out.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Finite-field verification: smoothness scans, exact on-variety identities,
 fiber-degree histograms, and quotient-fiber checks.
 
-Scans are evidence, not proofs: an empty singular list means "no F_q-rational
+``on_variety`` is exact: it runs the engine's single expansion,
+``LaurentPoly.substitute``, and holds no arithmetic of its own.  Scans are
+evidence, not proofs: an empty singular list means "no F_q-rational
 singular point found".  Exact smoothness is only decided in closed form for
 diagonal (sum of scaled powers) equations.  Prime fields only; the default
 prime is the smallest p >= 7 with every needed root order dividing p - 1.
@@ -11,12 +13,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 from .action import InvariantHypersurface
-from .coeffs import Cyclotomic, cyclotomic_polynomial, euler_phi, is_prime, \
-    root_embed, to_prime_field
+from .coeffs import is_prime, root_embed, to_prime_field
 from .pipeline import CremonaStep, RationalMap
 from .poly import LaurentPoly
 
@@ -44,6 +43,12 @@ def proj_points(n_coords: int, p: int):
 
 def proj_point_count(n_coords: int, p: int) -> int:
     return (p ** n_coords - 1) // (p - 1)
+
+
+def _check_enumeration_guard(n_coords: int, p: int) -> None:
+    total = proj_point_count(n_coords, p)
+    if total > ENUMERATION_GUARD:
+        raise ValueError(f"enumeration guard exceeded: |P^{n_coords - 1}(F_{p})| = {total}")
 
 
 def normalize_point(pt: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -110,6 +115,7 @@ def smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
         raise ValueError(f"bad characteristic {p} for degree {d}")
     t0 = time.perf_counter()
     n = F.n_vars
+    _check_enumeration_guard(n, p)
     partials = [compile_mod(F.partial_deriv(i), p) for i in range(n)]
     f_mod = compile_mod(F, p)
     singular = []
@@ -147,182 +153,11 @@ def diagonal_form_smooth(F: LaurentPoly) -> bool:
 
 def on_variety(rmap: RationalMap, F_target: LaurentPoly) -> bool:
     """True iff F_target composed with the map is the identically-zero
-    polynomial (exact symbolic expansion)."""
+    polynomial, decided by the exact expansion ``LaurentPoly.substitute``."""
     if len(rmap.components) != F_target.n_vars:
         raise ValueError(
             f"map has {len(rmap.components)} components, target expects {F_target.n_vars}")
-    fast = _try_packed_expansion(rmap, F_target)
-    if fast is not None:
-        return fast
-    images = {name: rmap.components[i] for i, name in enumerate(F_target.vars)}
-    return not F_target.substitute(images)
-
-
-def _scalar_parts(c):
-    """(rational numerator vector over zeta powers, lcm denominator, order)."""
-    if isinstance(c, int):
-        return [Fraction(c)], None
-    if isinstance(c, Fraction):
-        return [c], None
-    if isinstance(c, Cyclotomic):
-        return list(c.coeffs), c.order
-    return None
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _try_packed_expansion(rmap: RationalMap, F_target: LaurentPoly):
-    """Fast exact zero test using integer-packed exponent keys.
-
-    Works when every coefficient is rational or cyclotomic of one common
-    order.  Denominators are cleared by one global scale for the target and
-    one for the components (the latter only when the target is homogeneous,
-    where a uniform rescaling of the components preserves vanishing);
-    exponent vectors plus the zeta power are packed into single integers so
-    the hot multiply loop is pure int arithmetic.  Returns None when not
-    applicable.
-    """
-    polys = list(rmap.components) + [F_target]
-    order = None
-    for poly in polys:
-        for c in poly.terms.values():
-            parts = _scalar_parts(c)
-            if parts is None:
-                return None
-            _, o = parts
-            if o is not None:
-                if order is None:
-                    order = o
-                elif order != o:
-                    return None
-    if order is None:
-        order = 1
-    phi = euler_phi(order)
-
-    comp_scale = 1
-    for comp in rmap.components:
-        for c in comp.terms.values():
-            for fr in _scalar_parts(c)[0]:
-                comp_scale = _lcm(comp_scale, fr.denominator)
-    if comp_scale != 1 and F_target.homogeneous_degree() is None:
-        return None
-    target_scale = 1
-    for c in F_target.terms.values():
-        for fr in _scalar_parts(c)[0]:
-            target_scale = _lcm(target_scale, fr.denominator)
-
-    deg_map = rmap.degree()
-    deg_f = F_target.total_degree()
-    nsrc = len(rmap.source_vars)
-    var_bound = deg_map * deg_f + 1
-    zeta_bound = phi * (deg_f + 2) + 1
-    base = max(var_bound, zeta_bound)
-
-    def pack_poly(poly: LaurentPoly, scale: int):
-        """dict: packed key -> int coeff (times scale), zeta power on top."""
-        out: dict[int, int] = {}
-        for e, c in poly.terms.items():
-            key0 = 0
-            for i, k in enumerate(e):
-                if k < 0:
-                    return None
-                key0 += k * base ** i
-            for zpow, fr in enumerate(_scalar_parts(c)[0]):
-                if fr:
-                    n = fr.numerator * (scale // fr.denominator)
-                    key = key0 + zpow * base ** nsrc
-                    out[key] = out.get(key, 0) + n
-        return {k: v for k, v in out.items() if v}
-
-    packed_comps = []
-    for comp in rmap.components:
-        pc = pack_poly(comp, comp_scale)
-        if pc is None:
-            return None
-        packed_comps.append(pc)
-
-    def pmul(a, b):
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, va in a.items():
-            for kb, vb in b.items():
-                k = ka + kb
-                s = get(k, 0) + va * vb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return out
-
-    pow_cache: list[dict[int, dict[int, int]]] = [dict() for _ in packed_comps]
-
-    def ppow(i, k):
-        cache = pow_cache[i]
-        if k not in cache:
-            if k == 0:
-                cache[k] = {0: 1}
-            elif k == 1:
-                cache[k] = packed_comps[i]
-            else:
-                cache[k] = pmul(ppow(i, k - 1), packed_comps[i])
-        return cache[k]
-
-    total: dict[int, int] = {}
-    for e, c in F_target.terms.items():
-        term: dict[int, int] | None = None
-        for i, k in enumerate(e):
-            if k < 0:
-                return None
-            if k:
-                term = ppow(i, k) if term is None else pmul(term, ppow(i, k))
-        if term is None:
-            term = {0: 1}
-        for zpow, fr in enumerate(_scalar_parts(c)[0]):
-            if not fr:
-                continue
-            n = fr.numerator * (target_scale // fr.denominator)
-            shift = zpow * base ** nsrc
-            for k, v in term.items():
-                key = k + shift
-                s = total.get(key, 0) + n * v
-                if s:
-                    total[key] = s
-                else:
-                    del total[key]
-    if not total:
-        return True
-    # fold zeta powers modulo the cyclotomic polynomial and re-test
-    if phi == 1 and order == 1:
-        return not total
-    mod = cyclotomic_polynomial(order)
-    reduced: dict[tuple[int, int], int] = {}
-    for key, v in total.items():
-        zpow, rest = divmod(key, base ** nsrc)
-        vec = [0] * (zpow + 1)
-        vec[zpow] = v
-        vec = _fold_zeta(vec, mod, phi)
-        for j, c in enumerate(vec):
-            if c:
-                k2 = (rest, j)
-                s = reduced.get(k2, 0) + c
-                if s:
-                    reduced[k2] = s
-                else:
-                    del reduced[k2]
-    return not reduced
-
-
-def _fold_zeta(vec, mod, phi):
-    vec = list(vec)
-    for k in range(len(vec) - 1, phi - 1, -1):
-        c = vec[k]
-        if c:
-            vec[k] = 0
-            for j in range(phi):
-                vec[k - phi + j] -= c * mod[j]
-    return vec[:phi] + [0] * max(0, phi - len(vec))
+    return not F_target.substitute(dict(zip(F_target.vars, rmap.components)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +188,7 @@ def fiber_histogram(rmap: RationalMap, p: int) -> FiberHistogram:
     irrational points but never gain extra ones outside the special loci."""
     t0 = time.perf_counter()
     n = len(rmap.source_vars)
-    total = proj_point_count(n, p)
-    if total > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration guard exceeded: |P^{n - 1}(F_{p})| = {total}")
+    _check_enumeration_guard(n, p)
     comps = [compile_mod(c, p) for c in rmap.components]
     fibers: dict[tuple[int, ...], int] = {}
     indet = 0
@@ -432,8 +265,7 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
         if (p - 1) % order != 0:
             raise ValueError(f"root of order {order} unavailable in F_{p}")
     n = action.n_vars
-    if proj_point_count(n, p) > ENUMERATION_GUARD:
-        raise ValueError("enumeration guard exceeded")
+    _check_enumeration_guard(n, p)
     f_mod = compile_mod(F, p)
     target_mod = compile_mod(target, p)
     comps = [compile_mod(c, p) for c in forward.components]

@@ -89,6 +89,21 @@ class TestVerify:
         assert main(["verify", "map-degree", str(f)]) == 0
         assert "inferred degree: 2" in capsys.readouterr().out
 
+    def test_map_degree_default_prime_embeds_declared_zeta(self, tmp_path, capsys):
+        f = tmp_path / "zeta5.crm"
+        f.write_text("vars x1 x2\nzeta e=5\npoly A = x1^2\npoly B = zeta*x2^2\n"
+                     "map M = A, B\n")
+        assert main(["--json", "verify", "map-degree", str(f)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prime"] == 11
+        assert payload["inferred_degree"] == 2
+
+    def test_non_prime_option_is_usage_error(self, fermat_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "smooth", fermat_file, "--prime", "8"])
+        assert exc.value.code == 2
+        assert "is not a prime" in capsys.readouterr().err
+
 
 class TestScenarios:
     def test_list_contains_registry(self, capsys):
@@ -128,6 +143,13 @@ class TestErrors:
         f.write_text("vars x1\npoly F = x1 +\n")
         assert main(["transform", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["1/0*x1", "(x1 + x2)^-1"])
+    def test_arithmetic_input_error_exit_code(self, tmp_path, capsys, expr):
+        f = tmp_path / "arith.crm"
+        f.write_text(f"vars x1 x2\npoly F = {expr}\n")
+        assert main(["transform", str(f)]) == 2
+        assert "parse error: line 2" in capsys.readouterr().err
 
     def test_engine_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "nochart.crm"

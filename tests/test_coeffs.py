@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona.coeffs import (Cyclotomic, FpElem, ParamCoeff, cyclotomic_polynomial,
-                            euler_phi, is_prime, root_embed, specialize,
-                            to_prime_field)
+from cremona.coeffs import (Cyclotomic, FpElem, ParamCoeff, _reduce_vector,
+                            cyclotomic_polynomial, euler_phi, is_prime, root_embed,
+                            specialize, to_prime_field)
 
 
 def z3(k=1):
@@ -59,6 +59,17 @@ class TestCyclotomicArithmetic:
         assert Cyclotomic.from_rational(3, Fraction(2, 3)) == Fraction(2, 3)
         assert z3() * 0 == 0
         assert not (z3() - z3())
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6, 7, 9, 12])
+def test_reduce_vector_any_length(e):
+    phi = euler_phi(e)
+    # the e-th roots of unity sum to zero (e > 1)
+    assert _reduce_vector(e, [1] * e) == ((1,) if e == 1 else (0,) * phi)
+    for k in range(3 * e):
+        fold = _reduce_vector(e, [0] * k + [1])
+        assert fold == _reduce_vector(e, [0] * (k % e) + [1])
+        assert Cyclotomic(e, tuple(Fraction(c) for c in fold)) == Cyclotomic.zeta(e) ** k
 
 
 small_fractions = st.fractions(

@@ -93,6 +93,16 @@ class TestExpressions:
         with pytest.raises(ValueError):
             parse_poly("(x1 + x2)^-1", ("x1", "x2"))
 
+    def test_negative_power_of_sum_is_positioned(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("(x1 + x2)^-1", ("x1", "x2"))
+        assert (exc.value.line, exc.value.col) == (1, 10)  # the "^"
+
+    def test_zero_denominator_is_positioned(self):
+        with pytest.raises(ParseError) as exc:
+            parse_input("vars x1\npoly F = x1 + 1/0*x1\n")
+        assert (exc.value.line, exc.value.col) == (2, 15)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_poly("x1 + ", ("x1",))

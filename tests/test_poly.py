@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona.coeffs import FpElem
+from cremona.coeffs import Cyclotomic, FpElem
 from cremona.lang import parse_poly
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
+from helpers_reference import reference_substitute
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -39,6 +41,10 @@ class TestArithmetic:
 
     def test_zero_terms_dropped(self):
         assert not (P("x1", V2) - P("x1", V2)).terms
+
+    def test_prime_field_power(self):
+        f = P("x1 + 2*x2", V2)
+        assert f.reduce_mod(7) ** 3 == (f ** 3).reduce_mod(7)
 
 
 class TestCharts:
@@ -265,3 +271,151 @@ class TestGcd:
         b = c * P("x1 + x2", V2, zeta_order=3)
         g = poly_gcd(a, b)
         assert divide_exact(g, c) is not None and g.total_degree() == 1
+
+
+U2 = ("u1", "u2")
+
+# (label, target over V3, images of x1, x2, x3 over U2, parameters, zeta order)
+SUBSTITUTE_CASES = [
+    ("Q", "x1^3 + 2/3*x1*x2 - x3^2 + 5",
+     ("1/2*u1 + u2", "u1 - 3*u2^2", "u1*u2 + 1/3"), (), None),
+    ("Q(zeta3)", "zeta*x1^2*x2 + x3^3 - x1*x2*x3",
+     ("u1 + zeta*u2", "zeta^2*u1 - u2", "u1^2 + 1/2*zeta*u2"), (), 3),
+    ("Q(zeta5)", "zeta^3*x1^3 + zeta*x2^2*x3 + x3^2",
+     ("zeta*u1 + zeta^4*u2", "u1 - zeta^2*u2", "zeta^3*u1*u2 + 1"), (), 5),
+    ("Q(zeta5), zeta in every coefficient", "zeta^2*x1^2 + zeta*x2*x3",
+     ("zeta^3*u1 + zeta^3*u2", "zeta*u1 - zeta^4*u2", "zeta^2*u2 + zeta*u1"), (), 5),
+    ("params over Q", "t1*x1^2 + (t1 + t2)*x2*x3 - x3^2",
+     ("t2*u1 + u2", "u1 - 1/2*t1*u2", "t1*t2*u1 + u2"), ("t1", "t2"), None),
+    ("params over Q(zeta3)", "t1*x1^2*x2 + zeta*x3^3",
+     ("zeta*t1*u1 + u2", "u1 - t2*u2", "u1 + zeta^2*u2"), ("t1", "t2"), 3),
+    ("Laurent monomial images", "x1^-2*x2 + 3*x1*x3^-1 + x2^2",
+     ("1/2*u1^-1*u2", "u1 + u2^-1", "zeta*u2^3"), (), 3),
+    ("zero image", "x1^2*x2 + x3 + x2*x3^2", ("u1 + u2", "0", "u1 - u2"), (), None),
+    ("inhomogeneous, fractional images", "3*x1 - x3 + 9*x1^2 - x3^2 + 1",
+     ("1/3*u1 + 1/5*u2", "u2", "1/2*u1 - u2"), (), None),
+]
+
+
+def substitute_case(target, image_texts, params, order):
+    F = parse_poly(target, V3, params, order)
+    images = {v: parse_poly(t, U2, params, order) for v, t in zip(V3, image_texts)}
+    return F, images
+
+
+class TestSubstitute:
+    @pytest.mark.parametrize("label,target,image_texts,params,order", SUBSTITUTE_CASES,
+                             ids=[c[0] for c in SUBSTITUTE_CASES])
+    def test_matches_reference(self, label, target, image_texts, params, order):
+        F, images = substitute_case(target, image_texts, params, order)
+        got = F.substitute(images)
+        want = reference_substitute(F, images)
+        assert got == want
+        assert poly_str(got) == poly_str(want)
+
+    def test_prime_field(self):
+        F, images = substitute_case(*SUBSTITUTE_CASES[0][1:])
+        F = F.reduce_mod(7)
+        images = {v: img.reduce_mod(7) for v, img in images.items()}
+        got = F.substitute(images)
+        assert got == reference_substitute(F, images)
+        assert all(isinstance(c, FpElem) for c in got.terms.values())
+
+    def test_cancellation_to_zero(self):
+        # s^3 + (zeta*s)^3 - 2*s^3 vanishes only once zeta^3 is folded to 1
+        F = P("x1^3 + x2^3 - 2*x3^3", V3)
+        s = P("u1 + u2", U2, zeta_order=3)
+        images = {"x1": s, "x2": P("zeta", U2, zeta_order=3) * s, "x3": s}
+        assert not F.substitute(images)
+
+    def test_errors(self):
+        F = P("x1^2 + x2", V2)
+        with pytest.raises(ValueError, match="different ambients"):
+            F.substitute({"x1": P("u1", U2), "x2": P("x1", V3)})
+        with pytest.raises(ValueError, match="empty substitution"):
+            F.substitute({})
+        with pytest.raises(ValueError, match="no image given for variable x2"):
+            F.substitute({"x1": P("u1", U2)})
+        with pytest.raises(ValueError, match="negative power of non-monomial"):
+            P("x1^-1", V2).substitute({"x1": P("u1 + u2", U2)})
+        with pytest.raises(ValueError, match="negative power of non-monomial"):
+            P("x1^-1", V2).substitute({"x1": P("0", U2)})
+        with pytest.raises(ValueError, match="cyclotomic order mismatch"):
+            P("zeta*x1", V2, zeta_order=3).substitute(
+                {"x1": P("u1 + zeta*u2", U2, zeta_order=5)})
+        with pytest.raises(ValueError, match="prime field mismatch"):
+            P("x1", V2).reduce_mod(7).substitute({"x1": P("u1 + u2", U2).reduce_mod(11)})
+        with pytest.raises(ValueError, match="parameter symbol mismatch"):
+            P("t1*x1", V2, ("t1",)).substitute({"x1": P("t2*u1 + u2", U2, ("t2",))})
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would keep the packed powers alive until the cyclic
+        # collector runs, so repeated expansions would pile up in memory
+        F, images = substitute_case(*SUBSTITUTE_CASES[1][1:])
+        gc.collect()
+        gc.disable()
+        try:
+            F.substitute(images)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_unused_variables_need_no_image(self):
+        F = P("x1^2 + 1", V2)
+        assert F.substitute({"x1": P("u1 - u2", U2)}) == P("u1^2 - 2*u1*u2 + u2^2 + 1", U2)
+        assert LaurentPoly.zero(V2).substitute({"x1": P("u1", U2)}) == LaurentPoly.zero(U2)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+RANDOM_COEFFS = {
+    "Q": small_fractions,
+    "Q(zeta5)": st.lists(small_fractions, min_size=4, max_size=4).map(
+        lambda cs: Cyclotomic(5, tuple(cs))),
+}
+
+
+@pytest.mark.parametrize("domain", RANDOM_COEFFS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_reference_random(domain, data):
+    # images range over zero, monomials and general Laurent polynomials; a
+    # negative power of a non-monomial image must be rejected by both
+    polys = st.dictionaries(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                            RANDOM_COEFFS[domain], max_size=4)
+    F = LaurentPoly(V2, data.draw(polys))
+    images = {"x1": LaurentPoly(U2, data.draw(polys)), "x2": LaurentPoly(U2, data.draw(polys))}
+    try:
+        want = reference_substitute(F, images)
+    except ValueError:
+        with pytest.raises(ValueError):
+            F.substitute(images)
+        return
+    assert F.substitute(images) == want
+
+
+def test_substitute_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs, us = sympy.symbols("x1 x2 x3"), sympy.symbols("u1 u2")
+
+    def to_sympy(p, symbols):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[s ** k for s, k in zip(symbols, e)])
+                           for e, c in p.terms.items()])
+
+    def random_poly(rng, n, lo, hi, n_terms):
+        return {tuple(rng.randint(lo, hi) for _ in range(n)):
+                Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n_terms)}
+
+    rng = random.Random(20250806)
+    for _ in range(25):
+        F = LaurentPoly(V3, random_poly(rng, 3, 0, 3, rng.randint(1, 5)))
+        images = {}
+        for v in V3:
+            if rng.random() < 0.3:  # a Laurent monomial
+                images[v] = LaurentPoly(U2, random_poly(rng, 2, -2, 2, 1))
+            else:
+                images[v] = LaurentPoly(U2, random_poly(rng, 2, 0, 2, rng.randint(1, 3)))
+        got = F.substitute(images)
+        want = to_sympy(F, xs).subs({x: to_sympy(images[v], us) for x, v in zip(xs, V3)},
+                                    simultaneous=True)
+        assert sympy.expand(want - to_sympy(got, us)) == 0

@@ -1,7 +1,6 @@
 import pytest
 
 from cremona.action import DiagonalAction, InvariantHypersurface
-from cremona.coeffs import Cyclotomic
 from cremona.lang import parse_poly
 from cremona.pipeline import (MonomialBasis, RationalMap, cremona_step,
                               parametrize_linear)
@@ -9,6 +8,7 @@ from cremona.scenarios import EX3_BASIS, PAIR_ACTION, ex3_family
 from cremona.verify import (default_prime, diagonal_form_smooth, fiber_histogram,
                             on_variety, proj_point_count, proj_points,
                             quotient_fiber_check, smooth_scan)
+from helpers_reference import reference_substitute
 
 V3 = ("x1", "x2", "x3")
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -53,6 +53,15 @@ class TestSmoothScan:
         with pytest.raises(ValueError):
             smooth_scan(P("x1^7 + x2^7 + x3^7"), 7)
 
+    def test_guard(self, monkeypatch):
+        # |P^4(F_101)| is about 1.05e8: refused before any point is evaluated
+        def no_evaluation(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr("cremona.verify.eval_compiled", no_evaluation)
+        with pytest.raises(ValueError, match="enumeration guard"):
+            smooth_scan(FERMAT, 101)
+
     def test_diagonal_closed_form(self):
         assert diagonal_form_smooth(FERMAT)
         assert not diagonal_form_smooth(P("x1^3 + x2^3 + x3^3"))
@@ -69,15 +78,14 @@ class TestOnVariety:
         assert not on_variety(RationalMap.identity(V5), FERMAT)
 
     def test_packed_and_generic_paths_agree(self):
-        z = Cyclotomic.zeta(3)
+        # the packed expansion against the naive ring-operator reference
         comps = [P("x1^2 + zeta*x2*x3", V3, zeta_order=3),
                  P("x2^2 - x1*x3", V3, zeta_order=3),
                  P("x3^2 + x1*x2", V3, zeta_order=3)]
         rmap = RationalMap(comps)
         target = P("x1^3 + zeta*x2^3 - x1*x2*x3", V3, zeta_order=3)
         images = {name: comps[i] for i, name in enumerate(V3)}
-        generic = not target.substitute(images)
-        assert on_variety(rmap, target) == generic
+        assert on_variety(rmap, target) == (not reference_substitute(target, images))
 
     def test_symbolic_coefficients_use_generic_path(self):
         X = InvariantHypersurface(ex3_family(), PAIR_ACTION)
@@ -104,11 +112,12 @@ class TestOnVariety:
         assert on_variety(rmap, P("x1*x2 - 1/2*x2*x3", V3))
 
     def test_inhomogeneous_target_with_fractional_components(self):
-        # falls back to the generic substitution path
+        # denominators are cleared per image, so no homogeneity is needed
         rmap = RationalMap([P("1/3*x1", V3), P("x2", V3), P("x1", V3)])
         target = P("3*x1 - x3 + 9*x1^2 - x3^2", V3)
         images = {name: rmap.components[i] for i, name in enumerate(V3)}
-        assert on_variety(rmap, target) == (not target.substitute(images))
+        assert on_variety(rmap, target)
+        assert on_variety(rmap, target) == (not reference_substitute(target, images))
 
     def test_agrees_with_pointwise_evaluation(self):
         from cremona.verify import compile_mod, eval_compiled
