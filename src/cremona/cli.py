@@ -333,31 +333,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact quotient-to-hypersurface transformations and their "
                     "finite-field verification")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
+    # --json is accepted after the subcommand too; SUPPRESS keeps the
+    # subcommand's copy from overwriting a --json given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariants", help="print the invariant lattice and group order")
+    p = sub.add_parser("invariants", parents=[common],
+                       help="print the invariant lattice and group order")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_invariants)
 
-    p = sub.add_parser("transform", help="run one transformation step")
+    p = sub.add_parser("transform", parents=[common], help="run one transformation step")
     p.add_argument("file")
     p.add_argument("--poly")
     p.add_argument("--no-search", dest="search", action="store_false",
                    help="use the HNF basis instead of searching when none is given")
     p.set_defaults(fn=_cmd_transform)
 
-    p = sub.add_parser("chain", help="run several steps, feeding images forward")
+    p = sub.add_parser("chain", parents=[common],
+                       help="run several steps, feeding images forward")
     p.add_argument("files", nargs="+")
     p.set_defaults(fn=_cmd_chain)
 
-    p = sub.add_parser("search-basis", help="beam-search a basis minimizing the degree")
+    p = sub.add_parser("search-basis", parents=[common],
+                       help="beam-search a basis minimizing the degree")
     p.add_argument("file")
     p.add_argument("--poly")
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--depth", type=int, default=6)
     p.set_defaults(fn=_cmd_search_basis)
 
-    p = sub.add_parser("verify", help="finite-field and symbolic checks")
+    p = sub.add_parser("verify", parents=[common], help="finite-field and symbolic checks")
     p.add_argument("what", choices=["smooth", "map-degree", "identity"])
     p.add_argument("file")
     p.add_argument("--poly")
@@ -366,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("reproduce", help="run registered scenarios")
+    p = sub.add_parser("reproduce", parents=[common], help="run registered scenarios")
     p.add_argument("names", nargs="*")
     p.set_defaults(fn=_cmd_reproduce)
 
-    p = sub.add_parser("list-scenarios", help="list registered scenarios")
+    p = sub.add_parser("list-scenarios", parents=[common], help="list registered scenarios")
     p.set_defaults(fn=_cmd_list_scenarios)
     return ap
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +199,20 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> Cyclotomic:
+        """1/a = (product of the other Galois conjugates of a) / N(a): the
+        product of all conjugates sigma_k(a), k coprime to e, is the norm."""
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_mod_inverse(list(self.coeffs), mod)
-        phi = euler_phi(self.order)
-        inv = inv + [Fraction(0)] * (phi - len(inv))
-        return Cyclotomic(self.order, tuple(inv[:phi]))
+        e = self.order
+        conj = Cyclotomic.from_rational(e, 1)
+        for k in range(2, e):
+            if gcd(k, e) == 1:
+                raw = [0] * ((len(self.coeffs) - 1) * k + 1)
+                for j, c in enumerate(self.coeffs):
+                    raw[j * k] = c
+                conj = conj * Cyclotomic(e, _reduce_vector(e, raw))
+        norm = (self * conj).coeffs[0]
+        return Cyclotomic(e, tuple(c / norm for c in conj.coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -268,48 +276,6 @@ def _reduce_vector(order: int, conv) -> tuple:
                 for j, r in enumerate(rows[k - phi]):
                     out[j] += c * r
     return tuple(out)
-
-
-def _poly_mod_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo the irreducible polynomial mod, over Q."""
-
-    def trim(p):
-        while p and not p[-1]:
-            p.pop()
-        return p
-
-    def polydiv(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-        for i in range(len(q) - 1, -1, -1):
-            c = num[i + len(den) - 1] / den[-1]
-            q[i] = c
-            if c:
-                for j, dj in enumerate(den):
-                    num[i + j] -= c * dj
-        return q, trim(num)
-
-    r0, r1 = list(mod), trim(list(a))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = polydiv(r0, r1)
-        # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    prod[i + j] += qi * sj
-        s_next = [
-            (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
-            for i in range(max(len(s0), len(prod)))
-        ]
-        r0, r1 = r1, r
-        s0, s1 = s1, trim(s_next)
-    # r0 = gcd, a unit (constant) since mod is irreducible and a != 0
-    if len(r0) != 1:
-        raise ArithmeticError("element not invertible modulo the cyclotomic polynomial")
-    c = r0[0]
-    return [si / c for si in s0]
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +563,8 @@ class ParamCoeff:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.symbols, self.terms))
 
     def __repr__(self):
@@ -625,24 +593,16 @@ def specialize(c, assignment: dict):
     if missing:
         raise ValueError(f"assignment missing symbols: {missing}")
 
-    if p is not None:
-        acc = FpElem(p, 0)
-        for e, coeff in c.terms:
-            t = to_prime_field(coeff, p)
-            for i, k in enumerate(e):
-                if k:
-                    t = t * to_prime_field(assignment[c.symbols[i]], p) ** k
-            acc = acc + t
-        return acc
+    def lift(x):
+        if p is not None:
+            return to_prime_field(x, p)
+        return Fraction(x) if isinstance(x, int) else x
 
-    acc = None
+    acc = lift(0)
     for e, coeff in c.terms:
-        t = coeff
+        t = lift(coeff)
         for i, k in enumerate(e):
             if k:
-                v = assignment[c.symbols[i]]
-                if isinstance(v, int):
-                    v = Fraction(v)
-                t = t * v ** k
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else Fraction(0)
+                t = t * lift(assignment[c.symbols[i]]) ** k
+        acc = acc + t
+    return acc

@@ -17,6 +17,7 @@ spec and reparsing it is the identity.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -244,12 +245,7 @@ class ProblemSpec:
     def effective_zeta_order(self) -> int | None:
         if self.zeta_order is not None:
             return self.zeta_order
-        acc = 1
-        for e, _ in self.generators:
-            g = acc
-            while g % e:
-                g += acc
-            acc = g  # lcm
+        acc = math.lcm(*(e for e, _ in self.generators))
         return acc if acc > 1 else None
 
     def chart_index(self) -> int | None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import lattice
 from .action import DiagonalAction, InvariantHypersurface, subgroup_index
 from .coeffs import ParamCoeff
-from .poly import LaurentPoly, divide_exact, poly_gcd
+from .poly import LaurentPoly, divide_exact, poly_gcd, poly_str
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +44,8 @@ class MonomialBasis:
         return len(self.rows)
 
     def monomial_strs(self, variables: tuple[str, ...], chart: int) -> list[str]:
-        names = [v for i, v in enumerate(variables) if i != chart]
-        out = []
-        for row in self.rows:
-            parts = [f"{names[i]}" if k == 1 else f"{names[i]}^{k}"
-                     for i, k in enumerate(row) if k]
-            out.append("*".join(parts) if parts else "1")
-        return out
+        names = tuple(v for i, v in enumerate(variables) if i != chart)
+        return [poly_str(LaurentPoly.monomial(names, row)) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -240,7 +235,8 @@ def _relabel_to_output(p_u: LaurentPoly, variables: tuple[str, ...], chart: int)
 
 
 def forward_monomial_map(variables: tuple[str, ...], chart: int, basis: MonomialBasis) -> RationalMap:
-    """The induced monomial map, cleared to a common homogeneous degree."""
+    """The induced monomial map; RationalMap clears it to a common
+    homogeneous degree."""
     n = len(variables)
     slots = [i for i in range(n) if i != chart]
     rows = []
@@ -254,10 +250,7 @@ def forward_monomial_map(variables: tuple[str, ...], chart: int, basis: Monomial
     for j, w in enumerate(rows):
         out_rows[slots[j]] = w
     out_rows[chart] = [0] * n
-    mins = [min(w[j] for w in out_rows) for j in range(n)]
-    comps = [LaurentPoly.monomial(variables, tuple(a - b for a, b in zip(w, mins)), Fraction(1))
-             for w in out_rows]
-    return RationalMap(comps)
+    return RationalMap([LaurentPoly.monomial(variables, w) for w in out_rows])
 
 
 def residual_action(parent: DiagonalAction, sub: DiagonalAction,
@@ -458,23 +451,30 @@ def chain_parametrization(chain: CremonaChain, model: RationalMap,
 # basis search
 # ---------------------------------------------------------------------------
 
+SEARCH_ENTRY_BOUND = 16
+
+
 def search_basis(X: InvariantHypersurface, chart: int,
-                 width: int = 8, depth: int = 6,
-                 entry_bound: int = 16) -> tuple[MonomialBasis, CremonaStep]:
+                 width: int = 8, depth: int = 6) -> tuple[MonomialBasis, CremonaStep]:
     """Deterministic beam search for a basis minimizing the output degree.
 
     Starts from the HNF basis and explores elementary unimodular row
-    operations (row +/- row, row negation) with bounded entries; candidates
-    are ranked by (degree, term count of p, matrix lex order).
+    operations (row +/- row, row negation) with entries bounded by
+    SEARCH_ENTRY_BOUND.  Candidates are ranked by (total degree of the
+    rewritten chart equation p, matrix lex order); that degree is the output
+    degree, and only the winner's step is built.
     """
     start = hnf_basis_for(X.action, chart)
+    cremona_step(X, chart, start)  # validates the chart, F and the start basis once
+    f = X.F.dehomogenize(chart)
 
+    # The moves keep every row invariant and |det| equal to the group order,
+    # so every candidate is a valid basis and its rewrite cannot fail.
     def score(basis):
-        step = cremona_step(X, chart, basis)
         flat = tuple(x for row in basis.rows for x in row)
-        return (step.degree, len(step.p.terms), flat), step
+        return rewrite_invariant(f, chart, basis)[0].total_degree(), flat
 
-    best_score, best_step = score(start)
+    best_score = score(start)
     best_basis = start
     beam = [(best_score, start)]
     seen = {start.rows}
@@ -492,7 +492,7 @@ def search_basis(X: InvariantHypersurface, chart: int,
                         continue
                     for sign in (1, -1):
                         new_row = tuple(a + sign * b for a, b in zip(rows[i], rows[j]))
-                        if max(abs(x) for x in new_row) > entry_bound:
+                        if max(abs(x) for x in new_row) > SEARCH_ENTRY_BOUND:
                             continue
                         neighbors.append(tuple(new_row if k == i else r
                                                for k, r in enumerate(rows)))
@@ -501,15 +501,11 @@ def search_basis(X: InvariantHypersurface, chart: int,
                     continue
                 seen.add(rows2)
                 cand = MonomialBasis(rows2)
-                try:
-                    sc, step = score(cand)
-                except (ValueError, ArithmeticError):
-                    continue
-                candidates.append((sc, cand, step))
+                candidates.append((score(cand), cand))
         if not candidates:
             break
         candidates.sort(key=lambda t: t[0])
-        beam = [(sc, cand) for sc, cand, _ in candidates[:width]]
+        beam = candidates[:width]
         if candidates[0][0] < best_score:
-            best_score, best_basis, best_step = candidates[0]
-    return best_basis, best_step
+            best_score, best_basis = candidates[0]
+    return best_basis, cremona_step(X, chart, best_basis)

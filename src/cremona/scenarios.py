@@ -18,9 +18,10 @@ from .pipeline import (CremonaChain, MonomialBasis, RationalMap, compose_maps,
                        cremona_step, hnf_basis_for, linear_witness,
                        parametrize_linear, search_basis)
 from .poly import LaurentPoly, poly_str, term_key
-from .verify import (compile_mod, diagonal_form_smooth, eval_compiled,
-                     fiber_histogram, map_fiber_orbit_check, normalize_point,
-                     on_variety, proj_points, quotient_fiber_check, smooth_scan)
+from .verify import (_check_enumeration_guard, compile_mod, diagonal_form_smooth,
+                     eval_compiled, fiber_histogram, map_fiber_orbit_check,
+                     normalize_point, on_variety, proj_points, quotient_fiber_check,
+                     smooth_scan)
 
 
 @dataclass
@@ -219,8 +220,9 @@ EX3_P1 = (
 
 
 def _roundtrip_rate(model: RationalMap, drop: int, p: int) -> tuple[int, int]:
-    comps = [compile_mod(c, p) for c in model.components]
     n = len(model.source_vars)
+    _check_enumeration_guard(n, p)
+    comps = [compile_mod(c, p) for c in model.components]
     total = match = 0
     for pt in proj_points(n, p):
         img = tuple(eval_compiled(c, pt, p) for c in comps)

@@ -54,6 +54,14 @@ class TestTransform:
         assert payload["group"]["order"] == 3
         assert payload["chart"] == "x5"
 
+    @pytest.mark.parametrize("argv", [["--json", "transform", "FILE"],
+                                      ["transform", "FILE", "--json"],
+                                      ["transform", "--json", "FILE", "--no-search"]])
+    def test_json_flag_before_or_after_subcommand(self, ex1_file, capsys, argv):
+        assert main([ex1_file if a == "FILE" else a for a in argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chart"] == "x5"
+
 
 class TestInvariants:
     def test_lattice_printed(self, ex1_file, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from cremona.coeffs import (Cyclotomic, FpElem, ParamCoeff, _reduce_vector,
                             cyclotomic_polynomial, euler_phi, is_prime, root_embed,
                             specialize, to_prime_field)
+from cremona.poly import LaurentPoly
 
 
 def z3(k=1):
@@ -98,6 +100,52 @@ def test_mul_inverse_order5(a, b):
     if a:
         assert a * a.inverse() == 1
     assert (a - b) + b == a
+
+
+# e = 1 and 2 have no conjugate other than the identity, so the inverse
+# is the bare division by the norm
+INVERSE_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24)
+
+
+@pytest.mark.parametrize("e", INVERSE_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_inverse_is_two_sided(e, data):
+    a = data.draw(cyclotomics(e))
+    if not a:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert a * inv == 1
+    assert inv * a == 1
+    assert inv.inverse() == a
+
+
+def test_inverse_and_mul_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(a):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** k
+                   for k, c in enumerate(a.coeffs))
+
+    def from_sympy(expr, e):
+        coeffs = sympy.Poly(expr, x).all_coeffs()[::-1]
+        coeffs += [0] * (euler_phi(e) - len(coeffs))
+        return Cyclotomic(e, tuple(Fraction(int(c.p), int(c.q)) for c in coeffs))
+
+    rng = random.Random(20251018)
+    for e in INVERSE_ORDERS:
+        mod = sympy.cyclotomic_poly(e, x)
+        for _ in range(4):
+            a, b = (Cyclotomic(e, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                        for _ in range(euler_phi(e))))
+                    for _ in range(2))
+            product = sympy.rem(sympy.expand(to_sympy(a) * to_sympy(b)), mod, x)
+            assert a * b == from_sympy(product, e)
+            if a:
+                assert a.inverse() == from_sympy(sympy.invert(to_sympy(a), mod, x), e)
 
 
 class TestPrimeField:
@@ -200,6 +248,16 @@ class TestParamCoeff:
         a = (t("t1") + t("t2")) ** 2
         b = t("t1") ** 2 + 2 * t("t1") * t("t2") + t("t2") ** 2
         assert a == b
+
+    def test_constant_hash_matches_value(self):
+        assert hash(ParamCoeff.const(SYMS, 2)) == hash(Fraction(2))
+        assert hash(ParamCoeff.const(SYMS, 0)) == hash(0)
+        assert hash(ParamCoeff.const(SYMS, z3())) == hash(z3())
+        a = LaurentPoly.monomial(("x", "y"), (1, 2), ParamCoeff.const(SYMS, 2))
+        b = LaurentPoly.monomial(("x", "y"), (1, 2), Fraction(2))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,10 +10,10 @@ from cremona.pipeline import (CremonaChain, MonomialBasis, RationalMap,
                               hnf_basis_for, linear_witness, parametrize_linear,
                               residual_action, rewrite_invariant, search_basis,
                               validate_basis)
-from cremona.poly import LaurentPoly
+from cremona.poly import LaurentPoly, poly_str
 from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, EX1_ACTION, EX1_BASIS,
                                EX1_PARAMS, EX3_BASIS, PAIR_ACTION, X5,
-                               ex1_family, ex3_family)
+                               c3c3_family, ex1_family, ex3_family)
 from cremona.verify import on_variety
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -301,6 +301,30 @@ class TestSearchBasis:
         b1, s1 = search_basis(X, 4, width=4, depth=3)
         b2, s2 = search_basis(X, 4, width=4, depth=3)
         assert b1.rows == b2.rows and s1.image == s2.image
+
+    # The bases and images the default search (width 8, depth 6) returns:
+    # changes to how candidates are scored must keep every one of them.
+    @pytest.mark.parametrize("family,action,rows,image", [
+        (ex1_family, EX1_ACTION,
+         ((-1, 2, 0, 0), (2, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+         "t2*x1^2*x2 + t1*x1*x2^2 + t3*x1*x2*x3 + t4*x1*x2*x4 + t5*x1*x2*x5 "
+         "+ x3^3 + x4^3 + x5^3"),
+        (ex3_family, PAIR_ACTION,
+         ((-3, 0, 0, 0), (-1, 1, 0, 0), (-1, 0, 1, 1), (-2, 0, 0, 1)),
+         "t35*x1*x2*x3 + t3*x1*x3^2 + t15*x1*x3*x5 + t9*x1*x4*x5 + t2*x2^2*x4 "
+         "+ t45*x2*x4^2 + t1*x2*x4*x5 + t4*x3*x4^2 + t25*x4^2*x5"),
+        (c3c3_family, C3C3_ACTION,
+         ((-1, 0, 2, 1), (0, 1, 0, 1), (2, 0, -1, 1), (0, 0, 0, 3)),
+         "t3*x1^2*x3 + t6*x1*x2*x3 + t1*x1*x3^2 + t2*x2^3 + t7*x2*x4*x5 "
+         "+ t4*x4^2*x5 + t5*x4*x5^2"),
+    ], ids=["ex1", "ex3", "c3c3"])
+    def test_pinned_default_search(self, family, action, rows, image):
+        F = family()
+        basis, step = search_basis(InvariantHypersurface(F, action), 4)
+        assert basis.rows == rows
+        assert poly_str(step.image) == image
+        assert step.degree == 3
+        assert step == cremona_step(InvariantHypersurface(F, action), 4, basis)
 
 
 def test_coefficient_preservation_randomized():

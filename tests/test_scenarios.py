@@ -29,3 +29,12 @@ def test_scenario_passes(name):
     assert rep.checks, "scenario must assert something"
     assert all(c.provenance in ("reference", "derived", "consistency")
                for c in rep.checks)
+
+
+def test_roundtrip_rate_respects_enumeration_guard(monkeypatch):
+    from cremona.pipeline import RationalMap
+    from cremona.scenarios import X5, _roundtrip_rate
+
+    monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 100)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        _roundtrip_rate(RationalMap.identity(X5), 1, 7)
