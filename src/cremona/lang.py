@@ -26,6 +26,11 @@ from .coeffs import Cyclotomic, ParamCoeff, is_prime
 from .poly import LaurentPoly, poly_str
 
 
+# Most terms ``atom ^ exp`` may expand to; an expansion this size takes a few
+# seconds, and the bound is checked before any expansion starts.
+POWER_TERM_BUDGET = 10_000
+
+
 class ParseError(ValueError):
     def __init__(self, line: int, col: int, message: str, expected: tuple[str, ...] = ()):
         self.line = line
@@ -161,11 +166,35 @@ def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
     if t is not None and t.text == "^":
         cur.next()
         exp = _parse_signed_int(cur)
+        bound = _power_term_bound(atom, exp)
+        if bound > POWER_TERM_BUDGET:
+            raise ParseError(t.line, t.col,
+                             f"power {exp} may expand to {bound} terms, over the budget "
+                             f"of {POWER_TERM_BUDGET}")
         try:
             atom = atom ** exp
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ParseError(t.line, t.col, f"cannot take power {exp}: {exc}") from None
     return atom if sign == 1 else -atom
+
+
+def _power_term_bound(atom: LaurentPoly, exp: int) -> int:
+    """An upper bound on the term count of ``atom ** exp``, parameter
+    monomials included: the number of multisets of ``exp`` monomials, or of
+    lattice points in ``exp`` times the support's bounding box if fewer."""
+    support = []
+    for e, c in atom.terms.items():
+        if isinstance(c, ParamCoeff):
+            support.extend(e + pe for pe, _ in c.terms)
+        else:
+            support.append(e)
+    width = max(map(len, support), default=0)  # a plain coefficient has t^0
+    support = [v + (0,) * (width - len(v)) for v in support]
+    k = len(support)
+    if exp < 2 or k < 2:
+        return k
+    box = math.prod(exp * (max(col) - min(col)) + 1 for col in zip(*support))
+    return min(box, math.comb(exp + k - 1, k - 1))
 
 
 def _parse_signed_int(cur: _Cursor) -> int:

@@ -2,15 +2,24 @@
 fiber-degree histograms, and quotient-fiber checks.
 
 ``on_variety`` is exact: it runs the engine's single expansion,
-``LaurentPoly.substitute``, and holds no arithmetic of its own.  Scans are
-evidence, not proofs: an empty singular list means "no F_q-rational
-singular point found".  Exact smoothness is only decided in closed form for
-diagonal (sum of scaled powers) equations.  Prime fields only; the default
-prime is the smallest p >= 7 with every needed root order dividing p - 1.
+``LaurentPoly.substitute``, and holds no arithmetic of its own.  Every
+enumeration evaluates through ``compile_mod``, which generates one
+straight-line function per polynomial and prime: a shared power table per
+variable, each inverse computed once, then a sum of products reduced mod p
+(straight-line programs; Buergisser, Clausen and Shokrollahi, *Algebraic
+Complexity Theory*, 1997).  ``eval_compiled`` calls it and rejects a prime
+other than the one it was compiled for.
+
+Scans are evidence, not proofs: an empty singular list means "no
+F_q-rational singular point found".  Exact smoothness is only decided in
+closed form for diagonal (sum of scaled powers) equations.  Prime fields
+only; the default prime is the smallest p >= 7 with every needed root order
+dividing p - 1.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -59,31 +68,102 @@ def normalize_point(pt: tuple[int, ...], p: int) -> tuple[int, ...]:
     raise ValueError("zero vector does not define a projective point")
 
 
-def compile_mod(poly: LaurentPoly, p: int):
-    """[(coeff int, exps), ...] with coefficients reduced mod p, zeros dropped."""
-    out = []
+class CompiledPoly:
+    """A polynomial reduced mod p, with its straight-line evaluator.
+
+    ``terms`` is the nonzero ``(coeff, exps)`` list and ``len`` its length.
+    ``fn(pt)`` returns the value at ``pt`` in ``[0, p)``; it raises
+    ``ZeroDivisionError`` at a zero coordinate with a negative exponent.
+    """
+
+    __slots__ = ("terms", "p", "fn")
+
+    def __init__(self, terms: list[tuple[int, tuple[int, ...]]], p: int, n_vars: int):
+        self.terms = terms
+        self.p = p
+        self.fn = _straight_line(terms, n_vars, p)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+# Terms summed per statement: keeps each generated expression shallow enough
+# for the compiler whatever the term count.
+_TERMS_PER_STATEMENT = 64
+
+
+def _power_name(i: int, k: int) -> str:
+    return f"x{i}" if k == 1 else f"x{i}_{k}" if k > 0 else f"x{i}_m{-k}"
+
+
+def _straight_line(terms, n_vars: int, p: int):
+    """Generate ``f(pt)`` evaluating ``sum c * prod x_i^k_i mod p``.
+
+    Exponents are first reduced to ``1 <= |k| <= p - 1`` (Fermat: x^k and
+    x^r agree on F_p when k = r mod p - 1 and both are positive), so the
+    code stays short for any degree.  Each variable's powers are then built
+    once, up to its largest exponent, and reduced mod p at every step; a
+    variable with a negative exponent is checked for a pole and inverted
+    once.  The source is made only of int literals and the positional names
+    ``x{i}``, so no input text reaches it.
+    """
+    p = operator.index(p)
+    monomials = []
+    for c, e in terms:
+        factors = []
+        for i, k in enumerate(e):
+            if k:
+                r = (abs(operator.index(k)) - 1) % (p - 1) + 1
+                factors.append((i, r if k > 0 else -r))
+        monomials.append((operator.index(c), factors))
+    lo, hi = [0] * n_vars, [0] * n_vars
+    for _, factors in monomials:
+        for i, k in factors:
+            lo[i], hi[i] = min(lo[i], k), max(hi[i], k)
+    lines = ["def f(pt):"]
+    if n_vars:
+        lines.append("    " + "".join(f"x{i}, " for i in range(n_vars)) + "= pt")
+    for i in range(n_vars):
+        for k in range(2, hi[i] + 1):
+            lines.append(f"    {_power_name(i, k)} = {_power_name(i, k - 1)} * x{i} % {p}")
+        if lo[i] < 0:
+            lines.append(f"    if x{i} % {p} == 0:")
+            lines.append("        raise ZeroDivisionError('pole at zero coordinate')")
+            lines.append(f"    x{i}_m1 = pow(x{i}, {p - 2}, {p})")
+            for k in range(2, -lo[i] + 1):
+                lines.append(f"    x{i}_m{k} = x{i}_m{k - 1} * x{i}_m1 % {p}")
+    products = []
+    for c, factors in monomials:
+        names = [_power_name(i, k) for i, k in factors]
+        products.append("*".join(names if c == 1 and names else [str(c)] + names))
+    if not products:
+        lines.append("    return 0")
+    else:
+        step = _TERMS_PER_STATEMENT
+        lines.append("    acc = " + " + ".join(products[:step]))
+        for j in range(step, len(products), step):
+            lines.append("    acc += " + " + ".join(products[j:j + step]))
+        lines.append(f"    return acc % {p}")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<compile_mod p={p}>", "exec"), namespace)
+    return namespace["f"]
+
+
+def compile_mod(poly: LaurentPoly, p: int) -> CompiledPoly:
+    """Reduce coefficients mod p, drop zeros, and generate the evaluator."""
+    terms = []
     for e, c in poly.sorted_terms():
         v = to_prime_field(c, p).value
         if v:
-            out.append((v, e))
-    return out
+            terms.append((v, e))
+    return CompiledPoly(terms, p, poly.n_vars)
 
 
-def eval_compiled(compiled, pt: tuple[int, ...], p: int) -> int:
-    acc = 0
-    for c, e in compiled:
-        t = c
-        for x, k in zip(pt, e):
-            if k == 0:
-                continue
-            if k < 0:
-                if x % p == 0:
-                    raise ZeroDivisionError("pole at zero coordinate")
-                t = t * pow(x, (p - 2) * (-k), p)
-            else:
-                t = t * pow(x, k, p)
-        acc += t
-    return acc % p
+def eval_compiled(compiled: CompiledPoly, pt: tuple[int, ...], p: int) -> int:
+    """The value of a compiled polynomial at ``pt``, in ``[0, p)``."""
+    if p != compiled.p:
+        raise ValueError(f"polynomial compiled for F_{compiled.p}, evaluated over F_{p}")
+    return compiled.fn(pt)
 
 
 # ---------------------------------------------------------------------------

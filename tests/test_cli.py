@@ -159,6 +159,12 @@ class TestErrors:
         assert main(["transform", str(f)]) == 2
         assert "parse error: line 2" in capsys.readouterr().err
 
+    def test_power_over_term_budget_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "blowup.crm"
+        f.write_text("vars x1 x2 x3 x4 x5\npoly F = (x1+x2+x3+x4+x5)^200\n")
+        assert main(["transform", str(f)]) == 2
+        assert "parse error: line 2, column 26" in capsys.readouterr().err
+
     def test_engine_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "nochart.crm"
         f.write_text("vars x1 x2\ngroup e=3 gen [1,0]\npoly F = x2*x1^3\nchart x1\n")

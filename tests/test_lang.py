@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cremona.coeffs import Cyclotomic
-from cremona.lang import (ParseError, ProblemSpec, parse_input, parse_poly,
-                          render_spec)
+from cremona.coeffs import Cyclotomic, ParamCoeff
+from cremona.lang import (ParseError, ProblemSpec, _power_term_bound, parse_input,
+                          parse_poly, render_spec)
 
 EX1_TEXT = """\
 vars x1 x2 x3 x4 x5
@@ -97,6 +99,31 @@ class TestExpressions:
         with pytest.raises(ParseError) as exc:
             parse_poly("(x1 + x2)^-1", ("x1", "x2"))
         assert (exc.value.line, exc.value.col) == (1, 10)  # the "^"
+
+    def test_power_over_term_budget_is_positioned(self):
+        # 70,058,751 terms: refused before any expansion starts
+        with pytest.raises(ParseError, match="budget") as exc:
+            parse_input("vars x1 x2 x3 x4 x5\npoly F = x1 + (x1+x2+x3+x4+x5)^200\n")
+        assert (exc.value.line, exc.value.col) == (2, 31)  # the "^"
+        with pytest.raises(ParseError, match="budget"):
+            parse_poly("(t1 + t2 + t3 + t4 + t5)^200*x1", ("x1",), ("t1", "t2", "t3", "t4", "t5"))
+
+    def test_power_within_term_budget(self):
+        # a binary sum to a high power has few terms, whatever its box
+        assert len(parse_poly("(x1 + x2)^120", ("x1", "x2")).terms) == 121
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
+                    min_size=1, max_size=4),
+           st.integers(0, 5))
+    @example([(0, 0, 0), (0, 0, 1), (0, 1, 0)], 2)  # x2 + (t1 + 1): mixed coefficients
+    def test_power_term_bound_is_an_upper_bound(self, monomials, exp):
+        text = " + ".join(f"x1^{a}*x2^{b}*t1^{c}" for a, b, c in monomials)
+        atom = parse_poly(text, ("x1", "x2"), ("t1",))
+        power = atom ** exp
+        n_terms = sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
+                      for c in power.terms.values())
+        assert _power_term_bound(atom, exp) >= n_terms
 
     def test_zero_denominator_is_positioned(self):
         with pytest.raises(ParseError) as exc:

@@ -393,19 +393,59 @@ def test_substitute_matches_reference_random(domain, data):
     assert F.substitute(images) == want
 
 
+def to_sympy(p, symbols):
+    import sympy  # callers skip first when sympy is absent
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s ** k for s, k in zip(symbols, e)])
+                       for e, c in p.terms.items()])
+
+
+def random_poly(rng, n, lo, hi, n_terms):
+    return {tuple(rng.randint(lo, hi) for _ in range(n)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n_terms)}
+
+
+def test_gcd_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1 x2 x3")
+
+    def monic(p):
+        return sympy.Poly(to_sympy(p, xs), *xs, domain="QQ").monic()
+
+    rng = random.Random(77031)
+    for _ in range(30):
+        g, h1, h2 = (LaurentPoly(V3, random_poly(rng, 3, 0, 2, rng.randint(1, 3)))
+                     for _ in range(3))
+        a, b = g * h1, g * h2
+        want = sympy.gcd(monic(a), monic(b))
+        if not a and not b:
+            assert not poly_gcd(a, b)
+        else:
+            assert monic(poly_gcd(a, b)) == want.monic()
+
+
+def test_divide_exact_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1 x2 x3")
+    rng = random.Random(91127)
+    for k in range(40):
+        b = LaurentPoly(V3, random_poly(rng, 3, 0, 2, rng.randint(1, 3)))
+        if not b:
+            continue
+        a = b * LaurentPoly(V3, random_poly(rng, 3, 0, 2, rng.randint(1, 3)))
+        if k % 2:  # usually no longer divisible
+            a = a + LaurentPoly(V3, random_poly(rng, 3, 0, 2, 1))
+        q, r = sympy.div(to_sympy(a, xs), to_sympy(b, xs), *xs, domain="QQ")
+        got = divide_exact(a, b)
+        if r == 0:
+            assert got is not None and sympy.expand(to_sympy(got, xs) - q) == 0
+        else:
+            assert got is None
+
+
 def test_substitute_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     xs, us = sympy.symbols("x1 x2 x3"), sympy.symbols("u1 u2")
-
-    def to_sympy(p, symbols):
-        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
-                           * sympy.Mul(*[s ** k for s, k in zip(symbols, e)])
-                           for e, c in p.terms.items()])
-
-    def random_poly(rng, n, lo, hi, n_terms):
-        return {tuple(rng.randint(lo, hi) for _ in range(n)):
-                Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n_terms)}
-
     rng = random.Random(20250806)
     for _ in range(25):
         F = LaurentPoly(V3, random_poly(rng, 3, 0, 3, rng.randint(1, 5)))

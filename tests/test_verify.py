@@ -1,14 +1,22 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cremona.action import DiagonalAction, InvariantHypersurface
 from cremona.lang import parse_poly
 from cremona.pipeline import (MonomialBasis, RationalMap, cremona_step,
                               parametrize_linear)
 from cremona.scenarios import EX3_BASIS, PAIR_ACTION, ex3_family
-from cremona.verify import (default_prime, diagonal_form_smooth, fiber_histogram,
-                            on_variety, proj_point_count, proj_points,
-                            quotient_fiber_check, smooth_scan)
-from helpers_reference import reference_substitute
+from cremona.poly import LaurentPoly
+from cremona.verify import (compile_mod, default_prime, diagonal_form_smooth,
+                            eval_compiled, fiber_histogram, on_variety,
+                            proj_point_count, proj_points, quotient_fiber_check,
+                            smooth_scan)
+from helpers_reference import reference_eval_mod, reference_substitute
 
 V3 = ("x1", "x2", "x3")
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -30,6 +38,87 @@ class TestEnumeration:
 
     def test_projective_accounting(self):
         assert proj_point_count(5, 7) == 2801
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def eval_new(F, pt, p):
+    return eval_compiled(compile_mod(F, p), pt, p)
+
+
+PRIMES_5_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def laurent_case(draw):
+    # a Laurent polynomial in 1-6 variables, a prime 5-37 and a point; some
+    # coefficients vanish mod p, and constants and the zero polynomial occur
+    p = draw(st.sampled_from(PRIMES_5_37))
+    n = draw(st.integers(1, 6))
+    exps = st.tuples(*[st.integers(-3, 4)] * n) | st.just((0,) * n)
+    coeff = st.integers(-2 * p, 2 * p) | st.integers(-3, 3).map(lambda k: k * p)
+    terms = draw(st.lists(st.tuples(exps, coeff), max_size=8))
+    F = LaurentPoly(tuple(f"x{i}" for i in range(n)), {e: Fraction(c) for e, c in terms})
+    pt = draw(st.tuples(*[st.integers(-p, 2 * p)] * n))
+    return F, pt, p
+
+
+class TestCompiledEvaluator:
+    @settings(max_examples=300, deadline=None)
+    @given(laurent_case())
+    def test_matches_reference(self, case):
+        F, pt, p = case
+        assert outcome(eval_new, F, pt, p) == outcome(reference_eval_mod, F, pt, p)
+
+    def test_empty_and_constant(self):
+        assert eval_new(LaurentPoly.zero(V3), (1, 2, 3), 7) == 0
+        assert eval_new(LaurentPoly.constant(V3, Fraction(-3, 2)), (0, 0, 0), 7) == 2
+        assert len(compile_mod(P("14*x1 + 7", V3), 7)) == 0
+
+    def test_pole_exactly_at_zero_coordinate(self):
+        F = P("x1^-2*x2 + x2^3 + 11*x3^-1", V3)
+        for pt in itertools.product(range(-5, 6), repeat=3):
+            pole = pt[0] % 5 == 0 or pt[2] % 5 == 0
+            want = ZeroDivisionError if pole else reference_eval_mod(F, pt, 5)
+            assert outcome(eval_new, F, pt, 5) == want
+        # the x3^-1 term vanishes mod 11, so x3 = 0 is no pole there
+        assert eval_new(F, (1, 2, 0), 11) == 2 + 8
+        with pytest.raises(ZeroDivisionError):
+            eval_new(F, (11, 2, 0), 11)
+
+    def test_five_thousand_terms(self):
+        rng = random.Random(4099)
+        p = 31
+        exps = rng.sample(list(itertools.product(range(-1, 9), repeat=4)), 5000)
+        F = LaurentPoly(V3 + ("x4",), {e: Fraction(rng.randrange(1, p)) for e in exps})
+        compiled = compile_mod(F, p)
+        assert len(compiled) == 5000
+        for _ in range(20):
+            pt = tuple(rng.randrange(1, p) for _ in range(4))
+            assert eval_compiled(compiled, pt, p) == reference_eval_mod(F, pt, p)
+        with pytest.raises(ZeroDivisionError):
+            eval_compiled(compiled, (1, 0, 1, 1), p)
+
+    def test_exponents_beyond_p(self):
+        # exponents past p - 1 reduce by Fermat, so the generated code holds
+        # at most 2 * (p - 1) powers per variable whatever the degree
+        F = P("3*x1^5003*x2^-4999 + x2^7 - x3^-6", V3)
+        for p in (5, 7, 13):
+            compiled = compile_mod(F, p)
+            assert len(compiled.fn.__code__.co_varnames) <= 2 + 3 * 2 * (p - 1)
+            for pt in itertools.product(range(p), repeat=3):
+                assert outcome(eval_compiled, compiled, pt, p) == \
+                    outcome(reference_eval_mod, F, pt, p)
+
+    def test_prime_mismatch_rejected(self):
+        compiled = compile_mod(FERMAT, 7)
+        with pytest.raises(ValueError, match="F_7"):
+            eval_compiled(compiled, (1, 2, 3, 4, 5), 11)
 
 
 class TestSmoothScan:
