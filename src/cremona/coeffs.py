@@ -239,11 +239,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return self.coeffs[0]
-
     def __eq__(self, other):
         if isinstance(other, Cyclotomic):
             return self.order == other.order and self.coeffs == other.coeffs

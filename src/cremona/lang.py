@@ -26,8 +26,8 @@ from .coeffs import Cyclotomic, ParamCoeff, is_prime
 from .poly import LaurentPoly, poly_str
 
 
-# Most terms ``atom ^ exp`` may expand to; an expansion this size takes a few
-# seconds, and the bound is checked before any expansion starts.
+# Most terms ``atom ^ exp`` or ``a * b`` may expand to; an expansion this size
+# takes a few seconds, and the bound is checked before any expansion starts.
 POWER_TERM_BUDGET = 10_000
 
 
@@ -147,7 +147,13 @@ def _parse_term(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
         t = cur.peek()
         if t is not None and t.text == "*":
             cur.next()
-            acc = acc * _parse_factor(cur, ctx)
+            rhs = _parse_factor(cur, ctx)
+            bound = _product_term_bound(acc, rhs)
+            if bound > POWER_TERM_BUDGET:
+                raise ParseError(t.line, t.col,
+                                 f"product may expand to {bound} terms, over the budget "
+                                 f"of {POWER_TERM_BUDGET}")
+            acc = acc * rhs
         else:
             return acc
 
@@ -178,23 +184,67 @@ def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
     return atom if sign == 1 else -atom
 
 
+def _supports(*atoms: LaurentPoly) -> list[list[tuple[int, ...]]]:
+    """Each atom's exponent vectors, one per parameter monomial of each
+    term, padded to one common width (a plain coefficient has t^0)."""
+    supports = []
+    for atom in atoms:
+        support = []
+        for e, c in atom.terms.items():
+            if isinstance(c, ParamCoeff):
+                support.extend(e + pe for pe, _ in c.terms)
+            else:
+                support.append(e)
+        supports.append(support)
+    width = max((len(v) for support in supports for v in support), default=0)
+    return [[v + (0,) * (width - len(v)) for v in support] for support in supports]
+
+
+def _box_widths(support: list[tuple[int, ...]]) -> list[int]:
+    return [max(col) - min(col) for col in zip(*support)]
+
+
 def _power_term_bound(atom: LaurentPoly, exp: int) -> int:
     """An upper bound on the term count of ``atom ** exp``, parameter
     monomials included: the number of multisets of ``exp`` monomials, or of
     lattice points in ``exp`` times the support's bounding box if fewer."""
-    support = []
-    for e, c in atom.terms.items():
-        if isinstance(c, ParamCoeff):
-            support.extend(e + pe for pe, _ in c.terms)
-        else:
-            support.append(e)
-    width = max(map(len, support), default=0)  # a plain coefficient has t^0
-    support = [v + (0,) * (width - len(v)) for v in support]
+    (support,) = _supports(atom)
     k = len(support)
     if exp < 2 or k < 2:
         return k
-    box = math.prod(exp * (max(col) - min(col)) + 1 for col in zip(*support))
+    box = math.prod(exp * w + 1 for w in _box_widths(support))
     return min(box, math.comb(exp + k - 1, k - 1))
+
+
+def _product_term_bound(a: LaurentPoly, b: LaurentPoly) -> int:
+    """An upper bound on the term count of ``a * b``, parameter monomials
+    included: the product of the two term counts, or the number of lattice
+    points in the sum of the two supports' bounding boxes if fewer.  The
+    boxes are measured only for a product over the budget, which most
+    products in an input are not."""
+    pairs = math.prod(sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
+                          for c in atom.terms.values()) for atom in (a, b))
+    if pairs <= POWER_TERM_BUDGET:
+        return pairs
+    sa, sb = _supports(a, b)
+    box = math.prod(wa + wb + 1 for wa, wb in zip(_box_widths(sa), _box_widths(sb)))
+    return min(pairs, box)
+
+
+def _int(text: str, tok: Token) -> int:
+    """The integer spelled by the digits ``text`` of ``tok``.  CPython refuses
+    to convert digit strings past a length limit (4,300 digits by default);
+    that is reported at the token like any other malformed input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(tok.line, tok.col,
+                         f"integer literal of {len(text)} digits is too long") from None
+
+
+def _parse_int(cur: _Cursor) -> int:
+    tok = cur.expect(kind="int", expected=("integer",))
+    return _int(tok.text, tok)
 
 
 def _parse_signed_int(cur: _Cursor) -> int:
@@ -203,8 +253,7 @@ def _parse_signed_int(cur: _Cursor) -> int:
     if t is not None and t.text == "-":
         cur.next()
         sign = -1
-    tok = cur.expect(kind="int", expected=("integer",))
-    return sign * int(tok.text)
+    return sign * _parse_int(cur)
 
 
 def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
@@ -219,13 +268,13 @@ def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
         return inner
     if t.kind == "rational":
         cur.next()
-        num, den = t.text.split("/")
-        if int(den) == 0:
+        num, den = (_int(part, t) for part in t.text.split("/"))
+        if den == 0:
             raise ParseError(t.line, t.col, f"zero denominator in {t.text}")
-        return LaurentPoly.constant(ctx.variables, Fraction(int(num), int(den)))
+        return LaurentPoly.constant(ctx.variables, Fraction(num, den))
     if t.kind == "int":
         cur.next()
-        return LaurentPoly.constant(ctx.variables, Fraction(int(t.text)))
+        return LaurentPoly.constant(ctx.variables, Fraction(_int(t.text, t)))
     if t.kind == "ident":
         cur.next()
         name = t.text
@@ -327,12 +376,12 @@ def parse_input(text: str) -> ProblemSpec:
         elif kw == "zeta":
             cur.expect("e")
             cur.expect("=")
-            spec.zeta_order = int(cur.expect(kind="int", expected=("integer",)).text)
+            spec.zeta_order = _parse_int(cur)
             cur.require_end()
         elif kw == "group":
             cur.expect("e")
             cur.expect("=")
-            order = int(cur.expect(kind="int", expected=("integer",)).text)
+            order = _parse_int(cur)
             if order < 1:
                 raise ParseError(ln, 1, "generator order must be positive")
             cur.expect("gen")
@@ -369,7 +418,7 @@ def parse_input(text: str) -> ProblemSpec:
             spec.basis = tuple(rows)
             basis_line = ln
         elif kw == "prime":
-            p = int(cur.expect(kind="int", expected=("integer",)).text)
+            p = _parse_int(cur)
             cur.require_end()
             if not is_prime(p):
                 raise ParseError(ln, 7, f"non-prime modulus {p}", ("a prime number",))

@@ -205,7 +205,7 @@ def rewrite_invariant(f: LaurentPoly, chart: int, basis: MonomialBasis):
     u_vars = tuple(f"u{i + 1}" for i in range(n))
     coords: dict[tuple[int, ...], object] = {}
     for e, c in f.terms.items():
-        alpha = tuple(k for i, k in enumerate(e) if i != chart)
+        alpha = e[:chart] + e[chart + 1:]
         if e[chart] != 0:
             raise ValueError("chart variable still occurs after dehomogenization")
         sol = lattice.solve_in_lattice(basis.rows, alpha)
@@ -222,35 +222,12 @@ def rewrite_invariant(f: LaurentPoly, chart: int, basis: MonomialBasis):
     return p, q
 
 
-def _relabel_to_output(p_u: LaurentPoly, variables: tuple[str, ...], chart: int) -> LaurentPoly:
-    """Place u_j exponents into the j-th non-chart coordinate slot."""
-    slots = [i for i in range(len(variables)) if i != chart]
-    out = {}
-    for e, c in p_u.terms.items():
-        e2 = [0] * len(variables)
-        for j, k in enumerate(e):
-            e2[slots[j]] = k
-        out[tuple(e2)] = c
-    return LaurentPoly(variables, out)
-
-
 def forward_monomial_map(variables: tuple[str, ...], chart: int, basis: MonomialBasis) -> RationalMap:
     """The induced monomial map; RationalMap clears it to a common
     homogeneous degree."""
-    n = len(variables)
-    slots = [i for i in range(n) if i != chart]
-    rows = []
-    for row in basis.rows:
-        w = [0] * n
-        for j, k in enumerate(row):
-            w[slots[j]] = k
-        w[chart] = -sum(row)
-        rows.append(w)
-    out_rows = [None] * n
-    for j, w in enumerate(rows):
-        out_rows[slots[j]] = w
-    out_rows[chart] = [0] * n
-    return RationalMap([LaurentPoly.monomial(variables, w) for w in out_rows])
+    rows = [row[:chart] + (-sum(row),) + row[chart:] for row in basis.rows]
+    rows.insert(chart, (0,) * len(variables))
+    return RationalMap([LaurentPoly.monomial(variables, w) for w in rows])
 
 
 def residual_action(parent: DiagonalAction, sub: DiagonalAction,
@@ -264,16 +241,13 @@ def residual_action(parent: DiagonalAction, sub: DiagonalAction,
     diag = validate_basis(sub, chart, basis)
     if not diag.ok:
         raise ValueError(f"basis invalid for the subgroup: {diag.reason}")
-    n = parent.n_vars
-    slots = [i for i in range(n) if i != chart]
     gens = []
     for order, row in parent.generators:
-        w = [0] * n
-        for j, brow in enumerate(basis.rows):
-            w[slots[j]] = sum(row[slots[i]] * brow[i] for i in range(len(brow))) % order
+        rest = row[:chart] + row[chart + 1:]
+        w = tuple(sum(a * b for a, b in zip(rest, brow)) % order for brow in basis.rows)
         if any(w):
-            gens.append((order, tuple(w)))
-    out = DiagonalAction(n, tuple(gens))
+            gens.append((order, w[:chart] + (0,) + w[chart:]))
+    out = DiagonalAction(parent.n_vars, tuple(gens))
     if out.group_order() != idx:
         raise ArithmeticError(
             f"residual action order {out.group_order()} != subgroup index {idx}")
@@ -330,7 +304,8 @@ def cremona_step(X: InvariantHypersurface, chart: int,
 
     f = F.dehomogenize(chart)
     p_u, q_u = rewrite_invariant(f, chart, basis)
-    p_x = _relabel_to_output(p_u, F.vars, chart)
+    # u_j becomes the j-th non-chart coordinate
+    p_x = LaurentPoly(F.vars, {e[:chart] + (0,) + e[chart:]: c for e, c in p_u.terms.items()})
     image, d = p_x.homogenize(chart)
 
     if len(image.terms) != len(F.terms) or \
@@ -454,6 +429,18 @@ def chain_parametrization(chain: CremonaChain, model: RationalMap,
 SEARCH_ENTRY_BOUND = 16
 
 
+def _add_row(rows, i, j, k):
+    """rows with row i replaced by row i + k * row j (k = -2, j = i negates it)."""
+    return rows[:i] + (tuple(a + k * b for a, b in zip(rows[i], rows[j])),) + rows[i + 1:]
+
+
+def _search_key(rows, coords):
+    """(total degree of p, flattened rows): p's exponents are the term
+    coordinates, columns of ``coords``, shifted by the clearing monomial q."""
+    degree = max(map(sum, zip(*coords))) + sum(max(0, -min(r)) for r in coords)
+    return degree, tuple(x for r in rows for x in r)
+
+
 def search_basis(X: InvariantHypersurface, chart: int,
                  width: int = 8, depth: int = 6) -> tuple[MonomialBasis, CremonaStep]:
     """Deterministic beam search for a basis minimizing the output degree.
@@ -462,50 +449,43 @@ def search_basis(X: InvariantHypersurface, chart: int,
     operations (row +/- row, row negation) with entries bounded by
     SEARCH_ENTRY_BOUND.  Candidates are ranked by (total degree of the
     rewritten chart equation p, matrix lex order); that degree is the output
-    degree, and only the winner's step is built.
+    degree.  Each candidate carries the coordinates of the chart equation's
+    terms in its basis, one coordinate row per basis row, and every move acts
+    on both (Cohen, Sec. 2.4): adding k times basis row j to row i subtracts k
+    times coordinate row i from coordinate row j, and negating a basis row
+    negates its coordinate row.  Only the start and the winner build a step.
     """
     start = hnf_basis_for(X.action, chart)
-    cremona_step(X, chart, start)  # validates the chart, F and the start basis once
-    f = X.F.dehomogenize(chart)
-
-    # The moves keep every row invariant and |det| equal to the group order,
-    # so every candidate is a valid basis and its rewrite cannot fail.
-    def score(basis):
-        flat = tuple(x for row in basis.rows for x in row)
-        return rewrite_invariant(f, chart, basis)[0].total_degree(), flat
-
-    best_score = score(start)
-    best_basis = start
-    beam = [(best_score, start)]
-    seen = {start.rows}
+    step = cremona_step(X, chart, start)  # validates the chart, F and the start basis once
+    (q_exp,) = step.q.terms
+    coords = tuple(tuple(e[j] - qj for e in step.p.terms) for j, qj in enumerate(q_exp))
     n = start.size
+    # (basis move, coordinate move) pairs in _add_row's (i, j, k) form; the
+    # moves keep every row invariant and |det| equal to the group order, so
+    # every candidate is a valid basis
+    moves = []
+    for i in range(n):
+        moves.append(((i, i, -2), (i, i, -2)))
+        moves += [((i, j, k), (j, i, -k)) for j in range(n) if j != i for k in (1, -1)]
+
+    best = (_search_key(start.rows, coords), start.rows, coords)
+    beam = [best]
+    seen = {start.rows}
     for _ in range(depth):
         candidates = []
-        for _, basis in beam:
-            rows = basis.rows
-            neighbors = []
-            for i in range(n):
-                neg = tuple(tuple(-x for x in r) if k == i else r for k, r in enumerate(rows))
-                neighbors.append(neg)
-                for j in range(n):
-                    if i == j:
-                        continue
-                    for sign in (1, -1):
-                        new_row = tuple(a + sign * b for a, b in zip(rows[i], rows[j]))
-                        if max(abs(x) for x in new_row) > SEARCH_ENTRY_BOUND:
-                            continue
-                        neighbors.append(tuple(new_row if k == i else r
-                                               for k, r in enumerate(rows)))
-            for rows2 in neighbors:
-                if rows2 in seen:
+        for _, rows, coords in beam:
+            for (i, j, k), coord_move in moves:
+                rows2 = _add_row(rows, i, j, k)
+                if rows2 in seen or \
+                        (j != i and max(map(abs, rows2[i])) > SEARCH_ENTRY_BOUND):
                     continue
                 seen.add(rows2)
-                cand = MonomialBasis(rows2)
-                candidates.append((score(cand), cand))
+                coords2 = _add_row(coords, *coord_move)
+                candidates.append((_search_key(rows2, coords2), rows2, coords2))
         if not candidates:
             break
-        candidates.sort(key=lambda t: t[0])
+        candidates.sort()  # the keys differ, so rows and coordinates are never compared
         beam = candidates[:width]
-        if candidates[0][0] < best_score:
-            best_score, best_basis = candidates[0]
-    return best_basis, cremona_step(X, chart, best_basis)
+        best = min(best, candidates[0])
+    basis = MonomialBasis(best[1])
+    return basis, cremona_step(X, chart, basis)

@@ -73,9 +73,6 @@ class LaurentPoly:
     def n_vars(self) -> int:
         return len(self.vars)
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: term_key(t[0]), reverse=True)
 

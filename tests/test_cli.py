@@ -165,6 +165,22 @@ class TestErrors:
         assert main(["transform", str(f)]) == 2
         assert "parse error: line 2, column 26" in capsys.readouterr().err
 
+    def test_product_over_term_budget_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "blowup.crm"
+        f.write_text("vars x1 x2 x3 x4 x5\n"
+                     "poly F = (x1+x2+x3+x4+x5)^10*(x1+x2+x3+x4+x5)^10\n")
+        assert main(["transform", str(f)]) == 2
+        assert "parse error: line 2, column 29" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["x1^" + "9" * 5000 + " + x2", "9" * 5000 + "*x1 + x2"],
+                             ids=["exponent", "integer"])
+    def test_long_integer_literal_exit_code(self, tmp_path, capsys, default_digit_limit,
+                                            expr):
+        f = tmp_path / "long.crm"
+        f.write_text(f"vars x1 x2\npoly F = {expr}\n")
+        assert main(["transform", str(f)]) == 2
+        assert "parse error: line 2" in capsys.readouterr().err
+
     def test_engine_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "nochart.crm"
         f.write_text("vars x1 x2\ngroup e=3 gen [1,0]\npoly F = x2*x1^3\nchart x1\n")

@@ -180,3 +180,33 @@ def test_hnf_basis_spans_rows(rows):
     for r in M:
         if any(r):
             assert solve_in_lattice(B, r) is not None
+
+
+def _random_matrices(rng, count, square=False):
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        n = m if square else rng.randint(1, 4)
+        yield tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
+
+
+def test_elementary_divisors_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    for M in _random_matrices(random.Random(20251018), 80):
+        expected = tuple(abs(int(d)) for d in invariant_factors(sympy.Matrix(M)) if d != 0)
+        assert elementary_divisors(M) == expected
+
+
+def test_hnf_basis_spans_sympy_hnf_lattice():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+    checked = 0
+    for M in _random_matrices(random.Random(1018), 80, square=True):
+        if det(M) == 0:
+            continue
+        # sympy's HNF is column-style: its columns span the rows of M
+        H = sympy_hnf(sympy.Matrix(M).T)
+        U = H.inv() * sympy.Matrix(hnf_basis(M)).T
+        assert all(x.is_integer for x in U) and abs(U.det()) == 1
+        checked += 1
+    assert checked > 40

@@ -12,7 +12,7 @@ from cremona.pipeline import (CremonaChain, MonomialBasis, RationalMap,
                               validate_basis)
 from cremona.poly import LaurentPoly, poly_str
 from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, EX1_ACTION, EX1_BASIS,
-                               EX1_PARAMS, EX3_BASIS, PAIR_ACTION, X5,
+                               EX1_PARAMS, EX3_BASIS, FERMAT, PAIR_ACTION, X5,
                                c3c3_family, ex1_family, ex3_family)
 from cremona.verify import on_variety
 
@@ -325,6 +325,41 @@ class TestSearchBasis:
         assert poly_str(step.image) == image
         assert step.degree == 3
         assert step == cremona_step(InvariantHypersurface(F, action), 4, basis)
+
+    @staticmethod
+    def _reference_cases():
+        from helpers_random import random_invariant_case
+        yield InvariantHypersurface(ex1_family(), EX1_ACTION), 4
+        yield InvariantHypersurface(ex3_family(), PAIR_ACTION), 4
+        yield InvariantHypersurface(c3c3_family(), C3C3_ACTION), 4
+        yield InvariantHypersurface(FERMAT, PAIR_ACTION), 4
+        yield InvariantHypersurface(FERMAT, C3C3_ACTION), 4
+        rng = random.Random(20251)
+        for _ in range(40):
+            yield random_invariant_case(rng)
+
+    @pytest.mark.parametrize("width,depth", [(8, 6), (4, 3)])
+    def test_matches_reference_search(self, width, depth):
+        from helpers_reference import reference_search_basis
+        for X, chart in self._reference_cases():
+            basis, step = search_basis(X, chart, width, depth)
+            ref_basis, ref_step = reference_search_basis(X, chart, width, depth)
+            assert basis.rows == ref_basis.rows
+            assert (step.image, step.p, step.q, step.forward) == \
+                (ref_step.image, ref_step.p, ref_step.q, ref_step.forward)
+
+    def test_rewrites_only_start_and_winner(self, monkeypatch):
+        import cremona.pipeline
+        calls = []
+        rewrite = cremona.pipeline.rewrite_invariant
+
+        def counted(*args):
+            calls.append(args)
+            return rewrite(*args)
+
+        monkeypatch.setattr(cremona.pipeline, "rewrite_invariant", counted)
+        search_basis(InvariantHypersurface(c3c3_family(), C3C3_ACTION), 4)
+        assert len(calls) <= 2
 
 
 def test_coefficient_preservation_randomized():
