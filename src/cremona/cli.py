@@ -11,7 +11,7 @@ import json
 import sys
 
 from .action import DiagonalAction, InvariantHypersurface
-from .coeffs import is_prime
+from .coeffs import PRIME_TEST_BOUND, is_prime
 from .lang import ParseError, ProblemSpec, parse_input
 from .pipeline import MonomialBasis, RationalMap, cremona_step, hnf_basis_for, \
     search_basis
@@ -386,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "prime", None) is not None and not is_prime(args.prime):
-        ap.error(f"argument --prime: {args.prime} is not a prime")
+    p = getattr(args, "prime", None)
+    if p is not None and (p >= PRIME_TEST_BOUND or not is_prime(p)):
+        ap.error(f"argument --prime: {p} is not a prime below {PRIME_TEST_BOUND}")
     try:
         return args.fn(args)
     except ParseError as exc:

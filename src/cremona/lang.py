@@ -22,13 +22,16 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .coeffs import Cyclotomic, ParamCoeff, is_prime
+from .coeffs import PRIME_TEST_BOUND, Cyclotomic, ParamCoeff, is_prime
 from .poly import LaurentPoly, poly_str
 
 
 # Most terms ``atom ^ exp`` or ``a * b`` may expand to; an expansion this size
 # takes a few seconds, and the bound is checked before any expansion starts.
 POWER_TERM_BUDGET = 10_000
+# Most bits a numerator or denominator of ``atom ^ exp`` may need, checked
+# the same way: at most about 3,000 decimal digits, which CPython still prints.
+POWER_BIT_BUDGET = 10_000
 
 
 class ParseError(ValueError):
@@ -178,9 +181,15 @@ def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
                              f"power {exp} may expand to {bound} terms, over the budget "
                              f"of {POWER_TERM_BUDGET}")
         try:
-            atom = atom ** exp
+            base = atom ** -1 if exp < 0 else atom
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ParseError(t.line, t.col, f"cannot take power {exp}: {exc}") from None
+        bits = _power_bit_bound(base, abs(exp))
+        if bits > POWER_BIT_BUDGET:
+            raise ParseError(t.line, t.col,
+                             f"power {exp} may need {bits}-bit coefficients, over the budget "
+                             f"of {POWER_BIT_BUDGET}")
+        atom = base ** abs(exp)
     return atom if sign == 1 else -atom
 
 
@@ -214,6 +223,30 @@ def _power_term_bound(atom: LaurentPoly, exp: int) -> int:
         return k
     box = math.prod(exp * w + 1 for w in _box_widths(support))
     return min(box, math.comb(exp + k - 1, k - 1))
+
+
+def _rationals(c) -> list:
+    """The rational numbers a coefficient is written with."""
+    if isinstance(c, ParamCoeff):
+        return [r for _, v in c.terms for r in _rationals(v)]
+    if isinstance(c, Cyclotomic):
+        return list(c.coeffs)
+    return [c]
+
+
+def _power_bit_bound(atom: LaurentPoly, exp: int) -> int:
+    """A bound on the bit lengths of the numerators and denominators of
+    ``atom ** exp`` for exp >= 0.  With D the common denominator of the
+    atom's rational numbers and S the sum of their absolute values times D,
+    every coefficient of the power is an integer of at most S^exp over
+    D^exp, and m^exp has at most exp times as many bits as m; a cyclotomic
+    coefficient adds a constant factor that depends only on its order.
+    Atoms written with 0 and one +/-1, such as ``zeta``, get 1 whatever the
+    exponent.  Integer arithmetic only, so any exponent is measured."""
+    values = [r for c in atom.terms.values() for r in _rationals(c)]
+    den = math.lcm(*(r.denominator for r in values))
+    m = max(den, sum(abs(r.numerator) * (den // r.denominator) for r in values))
+    return max(1, exp * m.bit_length()) if m > 1 else 1
 
 
 def _product_term_bound(a: LaurentPoly, b: LaurentPoly) -> int:
@@ -418,10 +451,15 @@ def parse_input(text: str) -> ProblemSpec:
             spec.basis = tuple(rows)
             basis_line = ln
         elif kw == "prime":
+            tok = cur.peek()
             p = _parse_int(cur)
             cur.require_end()
+            if p >= PRIME_TEST_BOUND:
+                raise ParseError(tok.line, tok.col, f"modulus {p} is past the primality "
+                                 "test's bound", (f"a prime below {PRIME_TEST_BOUND}",))
             if not is_prime(p):
-                raise ParseError(ln, 7, f"non-prime modulus {p}", ("a prime number",))
+                raise ParseError(tok.line, tok.col, f"non-prime modulus {p}",
+                                 ("a prime number",))
             spec.primes = spec.primes + (p,)
         else:
             raise ParseError(head.line, head.col, f"unknown declaration {kw!r}", (

@@ -2,13 +2,20 @@
 fiber-degree histograms, and quotient-fiber checks.
 
 ``on_variety`` is exact: it runs the engine's single expansion,
-``LaurentPoly.substitute``, and holds no arithmetic of its own.  Every
-enumeration evaluates through ``compile_mod``, which generates one
-straight-line function per polynomial and prime: a shared power table per
-variable, each inverse computed once, then a sum of products reduced mod p
-(straight-line programs; Buergisser, Clausen and Shokrollahi, *Algebraic
-Complexity Theory*, 1997).  ``eval_compiled`` calls it and rejects a prime
-other than the one it was compiled for.
+``LaurentPoly.substitute``, and holds no arithmetic of its own.
+
+Every enumeration is one generated program: ``compile_enumeration`` writes
+the point loops of P^n(F_p) (one block per lead coordinate, in
+``proj_points`` order) or of the torus x0 = 1, x_i != 0 for its
+polynomials and prime, with each polynomial nested Horner-fashion in the
+loop variables and powers read from per-prime tables, and either yields the
+points where its polynomials vanish or each point's normalized image.
+``compile_mod`` generates one straight-line function per polynomial and
+prime (straight-line programs; Buergisser, Clausen and Shokrollahi,
+*Algebraic Complexity Theory*, 1997); ``eval_compiled`` runs it at computed
+points, such as the Euler check at singular points and the target check at
+image points, and rejects a prime other than the one it was compiled for.
+Every enumeration checks ``ENUMERATION_GUARD`` before any code is generated.
 
 Scans are evidence, not proofs: an empty singular list means "no
 F_q-rational singular point found".  Exact smoothness is only decided in
@@ -21,6 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .action import InvariantHypersurface
@@ -92,30 +100,54 @@ class CompiledPoly:
 _TERMS_PER_STATEMENT = 64
 
 
+def _terms_mod(poly: LaurentPoly, p: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The ``(coeff, exps)`` terms of ``poly`` whose coefficient is nonzero mod p."""
+    terms = []
+    for e, c in poly.sorted_terms():
+        v = to_prime_field(c, p).value
+        if v:
+            terms.append((v, e))
+    return terms
+
+
+def _fermat(k: int, p: int) -> int:
+    """The exponent r with 1 <= |r| <= p - 1 and the sign of k != 0 such that
+    x^r = x^k on F_p (on F_p^* for negative k): x^(p-1) = 1 away from zero,
+    and two positive exponents agree at zero too."""
+    r = (abs(operator.index(k)) - 1) % (p - 1) + 1
+    return r if k > 0 else -r
+
+
 def _power_name(i: int, k: int) -> str:
     return f"x{i}" if k == 1 else f"x{i}_{k}" if k > 0 else f"x{i}_m{-k}"
+
+
+def _sum_mod(lines: list[str], pad: str, products: list[str], p: int) -> str:
+    """The expression for ``sum(products) % p``.  A sum longer than
+    ``_TERMS_PER_STATEMENT`` is first accumulated into ``s`` by lines
+    appended to ``lines``."""
+    step = _TERMS_PER_STATEMENT
+    if len(products) <= step:
+        return f"({' + '.join(products)}) % {p}"
+    lines.append(f"{pad}s = " + " + ".join(products[:step]))
+    for j in range(step, len(products), step):
+        lines.append(f"{pad}s += " + " + ".join(products[j:j + step]))
+    return f"s % {p}"
 
 
 def _straight_line(terms, n_vars: int, p: int):
     """Generate ``f(pt)`` evaluating ``sum c * prod x_i^k_i mod p``.
 
-    Exponents are first reduced to ``1 <= |k| <= p - 1`` (Fermat: x^k and
-    x^r agree on F_p when k = r mod p - 1 and both are positive), so the
-    code stays short for any degree.  Each variable's powers are then built
-    once, up to its largest exponent, and reduced mod p at every step; a
-    variable with a negative exponent is checked for a pole and inverted
-    once.  The source is made only of int literals and the positional names
-    ``x{i}``, so no input text reaches it.
+    Exponents are first reduced by ``_fermat``, so the code stays short for
+    any degree.  Each variable's powers are then built once, up to its
+    largest exponent, and reduced mod p at every step; a variable with a
+    negative exponent is checked for a pole and inverted once.  The source is
+    made only of int literals and the positional names ``x{i}``, so no input
+    text reaches it.
     """
     p = operator.index(p)
-    monomials = []
-    for c, e in terms:
-        factors = []
-        for i, k in enumerate(e):
-            if k:
-                r = (abs(operator.index(k)) - 1) % (p - 1) + 1
-                factors.append((i, r if k > 0 else -r))
-        monomials.append((operator.index(c), factors))
+    monomials = [(operator.index(c), [(i, _fermat(k, p)) for i, k in enumerate(e) if k])
+                 for c, e in terms]
     lo, hi = [0] * n_vars, [0] * n_vars
     for _, factors in monomials:
         for i, k in factors:
@@ -136,27 +168,20 @@ def _straight_line(terms, n_vars: int, p: int):
     for c, factors in monomials:
         names = [_power_name(i, k) for i, k in factors]
         products.append("*".join(names if c == 1 and names else [str(c)] + names))
-    if not products:
-        lines.append("    return 0")
-    else:
-        step = _TERMS_PER_STATEMENT
-        lines.append("    acc = " + " + ".join(products[:step]))
-        for j in range(step, len(products), step):
-            lines.append("    acc += " + " + ".join(products[j:j + step]))
-        lines.append(f"    return acc % {p}")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<compile_mod p={p}>", "exec"), namespace)
+    lines.append(f"    return {_sum_mod(lines, '    ', products, p) if products else 0}")
+    return _define(lines, f"<compile_mod p={p}>", {})
+
+
+def _define(lines: list[str], filename: str, namespace: dict):
+    """Compile the function ``f`` that ``lines`` define, with ``namespace``
+    as its globals, and return it."""
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
     return namespace["f"]
 
 
 def compile_mod(poly: LaurentPoly, p: int) -> CompiledPoly:
     """Reduce coefficients mod p, drop zeros, and generate the evaluator."""
-    terms = []
-    for e, c in poly.sorted_terms():
-        v = to_prime_field(c, p).value
-        if v:
-            terms.append((v, e))
-    return CompiledPoly(terms, p, poly.n_vars)
+    return CompiledPoly(_terms_mod(poly, p), p, poly.n_vars)
 
 
 def eval_compiled(compiled: CompiledPoly, pt: tuple[int, ...], p: int) -> int:
@@ -164,6 +189,149 @@ def eval_compiled(compiled: CompiledPoly, pt: tuple[int, ...], p: int) -> int:
     if p != compiled.p:
         raise ValueError(f"polynomial compiled for F_{compiled.p}, evaluated over F_{p}")
     return compiled.fn(pt)
+
+
+# ---------------------------------------------------------------------------
+# enumeration kernels
+# ---------------------------------------------------------------------------
+
+def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool = False):
+    """Generate one program that enumerates the points of P^{n_vars-1}(F_p)
+    in ``proj_points`` order, or with ``torus`` the points (1, x1, ...) with
+    every x_i in [1, p), and evaluates ``zeros`` and ``images`` at each.
+
+    The returned generator function skips a point as soon as one of
+    ``zeros`` is nonzero there (in order).  At the points left it yields the
+    point when ``images`` is None, the image (``images`` evaluated, scaled so
+    its first nonzero entry is 1, or None for the zero vector) when
+    ``zeros`` is empty, and ``(point, image)`` otherwise.
+
+    The loops live inside the program.  A projective block per lead
+    coordinate sets x_i = 0 for i < lead and x_lead = 1 when the code is
+    generated, so terms in the zeroed variables drop out; the torus is one
+    block with x0 = 1.  Inside a block the last coordinate runs fastest, and
+    each polynomial is nested Horner-fashion in the loop variables: its
+    coefficients with respect to the inner variables are updated once per
+    value of each outer one, so the innermost loop pays one product per
+    distinct exponent of the last variable.  A polynomial whose value is
+    fixed before the innermost loop is tested (or finished) at the level
+    where it is fixed.  Powers come from per-prime tables unpacked by the
+    ``for`` statement.  Exponents are reduced by ``_fermat``.  A negative
+    exponent in a projective enumeration of two or more coordinates raises
+    ``ZeroDivisionError``: some point there has that coordinate zero.  The
+    source holds only int literals and positional names.
+    """
+    p = operator.index(p)
+    polys = [[(c, tuple(_fermat(k, p) if k else 0 for k in e)) for c, e in _terms_mod(f, p)]
+             for f in (*zeros, *(images or ()))]
+    if not torus and n_vars > 1 and any(k < 0 for terms in polys for _, e in terms for k in e):
+        raise ZeroDivisionError("pole at zero coordinate")
+    tables: dict[tuple[int, ...], tuple[str, tuple]] = {}
+    lines = ["def f():"]
+    blocks = [(0, 1)] if torus else [(lead, 0) for lead in range(n_vars)]
+    for lead, start in blocks:
+        lines += _block(polys, len(zeros), images is not None, n_vars, lead, start, p, tables)
+    lines.append("    yield from ()")  # a generator even when every block drops out
+    namespace = dict(tables.values())
+    if images is not None:
+        namespace["INV"] = (0,) + tuple(pow(x, -1, p) for x in range(1, p))
+    return _define(lines, f"<compile_enumeration p={p}>", namespace)
+
+
+def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start: int,
+           p: int, tables: dict) -> list[str]:
+    """The lines of one block of ``compile_enumeration``: x_i = 0 for
+    i < lead, x_lead = 1, and loops over x_i in [start, p) for i > lead.
+    ``tables`` maps each power set to the name and rows of its table."""
+    free = range(lead + 1, n_vars)
+    m = len(free)
+    # each polynomial as {exponents of the free variables: coefficient}
+    coeffs = []
+    for terms in polys:
+        acc: dict[tuple[int, ...], int] = {}
+        for c, e in terms:
+            if not any(e[:lead]):
+                acc[e[lead + 1:]] = (acc.get(e[lead + 1:], 0) + c) % p
+        coeffs.append({mu: c for mu, c in acc.items() if c})
+    # the loop level after which each polynomial's value is fixed
+    final = [max((t + 1 for mu in cs for t in range(m) if mu[t]), default=0) for cs in coeffs]
+    for q in range(n_zeros):
+        if final[q] == 0 and coeffs[q]:
+            return []  # a nonzero constant: no point of the block survives
+    # each polynomial's value, an int literal or a name once it is fixed
+    value: list = [cs.get((0,) * m, 0) if final[q] == 0 else None
+                   for q, cs in enumerate(coeffs)]
+    lines = []
+    for t in range(1, m + 1):
+        i = free[t - 1]
+        pad = "    " * (t + 1)
+        # group each polynomial's coefficients by their inner exponents
+        groups: dict[int, dict] = {}
+        for q, cs in enumerate(coeffs):
+            if final[q] >= t:
+                g = groups[q] = {}
+                for mu, c in cs.items():
+                    g.setdefault(mu[1:], []).append((c, mu[0]))
+        ks = tuple(sorted({k for g in groups.values() for parts in g.values()
+                           for _, k in parts if k not in (0, 1)}))
+        if ks:
+            if ks not in tables:  # one table per power set, rows (x, x^k, ...)
+                tables[ks] = (f"T{len(tables)}", tuple((x,) + tuple(pow(x, k, p) for k in ks)
+                                                        for x in range(start, p)))
+            names = ", ".join(_power_name(i, k) for k in (1,) + ks)
+            lines.append(f"{pad[4:]}for {names} in {tables[ks][0]}:")
+        else:
+            lines.append(f"{pad[4:]}for x{i} in range({start}, {p}):")
+        # tests first, so a failed one skips the other polynomials' updates
+        order = sorted(groups, key=lambda q: (q >= n_zeros or final[q] != t, q))
+        for q in order:
+            new = {}
+            for j, (inner, parts) in enumerate(groups[q].items()):
+                if len(parts) == 1 and parts[0][1] == 0:
+                    new[inner] = parts[0][0]  # independent of x_i: kept as it is
+                    continue
+                if len(parts) == 1 and parts[0][0] == 1:
+                    expr = name = _power_name(i, parts[0][1])  # a power, already in [0, p)
+                else:
+                    products = [str(c) if k == 0 else _power_name(i, k) if c == 1
+                                else f"{c}*{_power_name(i, k)}" for c, k in parts]
+                    expr = _sum_mod(lines, pad, products, p)
+                    name = f"v{q}" if final[q] == t else f"a{q}_{t}_{j}"
+                if final[q] == t and q < n_zeros:
+                    lines.append(f"{pad}if {expr}:")
+                    lines.append(f"{pad}    continue")
+                    continue
+                if name != expr:
+                    lines.append(f"{pad}{name} = {expr}")
+                if final[q] == t:
+                    value[q] = name
+                else:
+                    new[inner] = name
+            coeffs[q] = new
+    pad = "    " * (m + 1)
+    point = "(" + "".join(f"{x}, " for x in ["0"] * lead + ["1"] + [f"x{i}" for i in free]) + ")"
+    if not want_image:
+        lines.append(f"{pad}yield {point}")
+    else:
+        _normalize(lines, pad, value[n_zeros:], point if n_zeros else None, p)
+    return lines
+
+
+def _normalize(lines: list[str], pad: str, values: list, point, p: int) -> None:
+    """Append lines yielding the image ``values`` (int literals or names of
+    ints in [0, p)) scaled so that its first nonzero entry is 1, or None for
+    the zero vector; as ``(point, image)`` when ``point`` is given."""
+    def image(text):
+        return text if point is None else f"({point}, {text})"
+
+    for j, v in enumerate(values):
+        entries = ["0"] * j + ["1"] + [f"{u} * w % {p}" for u in values[j + 1:]]
+        lines.append(f"{pad}{'elif' if j else 'if'} {v}:")
+        lines.append(f"{pad}    w = INV[{v}]")
+        lines.append(f"{pad}    yield {image('(' + ''.join(f'{e}, ' for e in entries) + ')')}")
+    if values:
+        lines.append(f"{pad}else:")
+    lines.append(f"{pad}{'    ' * bool(values)}yield {image('None')}")
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +364,13 @@ def smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
     t0 = time.perf_counter()
     n = F.n_vars
     _check_enumeration_guard(n, p)
-    partials = [compile_mod(F.partial_deriv(i), p) for i in range(n)]
     f_mod = compile_mod(F, p)
-    singular = []
-    count = 0
-    for pt in proj_points(n, p):
-        count += 1
-        if all(eval_compiled(g, pt, p) == 0 for g in partials):
-            if eval_compiled(f_mod, pt, p) != 0:
-                raise ArithmeticError("Euler relation violated; check the characteristic")
-            singular.append(pt)
-    return ScanReport(p, count, singular, time.perf_counter() - t0)
+    scan = compile_enumeration(n, p, zeros=[F.partial_deriv(i) for i in range(n)])
+    singular = list(scan())
+    for pt in singular:
+        if eval_compiled(f_mod, pt, p) != 0:
+            raise ArithmeticError("Euler relation violated; check the characteristic")
+    return ScanReport(p, proj_point_count(n, p), singular, time.perf_counter() - t0)
 
 
 def diagonal_form_smooth(F: LaurentPoly) -> bool:
@@ -269,24 +433,13 @@ def fiber_histogram(rmap: RationalMap, p: int) -> FiberHistogram:
     t0 = time.perf_counter()
     n = len(rmap.source_vars)
     _check_enumeration_guard(n, p)
-    comps = [compile_mod(c, p) for c in rmap.components]
-    fibers: dict[tuple[int, ...], int] = {}
-    indet = 0
-    count = 0
-    for pt in proj_points(n, p):
-        count += 1
-        img = tuple(eval_compiled(c, pt, p) for c in comps)
-        if not any(img):
-            indet += 1
-            continue
-        img = normalize_point(img, p)
-        fibers[img] = fibers.get(img, 0) + 1
-    hist: dict[int, int] = {}
-    for size in fibers.values():
-        hist[size] = hist.get(size, 0) + 1
+    fibers = Counter(compile_enumeration(n, p, images=rmap.components)())
+    indet = fibers.pop(None, 0)
+    hist = Counter(fibers.values())
     degree = max(hist, key=lambda s: (hist[s], s)) if hist else 0
     return FiberHistogram(
-        prime=p, source_points=count, indeterminacy=indet, histogram=dict(sorted(hist.items())),
+        prime=p, source_points=proj_point_count(n, p), indeterminacy=indet,
+        histogram=dict(sorted(hist.items())),
         inferred_degree=degree, image_points=len(fibers), elapsed_s=time.perf_counter() - t0)
 
 
@@ -346,9 +499,8 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
             raise ValueError(f"root of order {order} unavailable in F_{p}")
     n = action.n_vars
     _check_enumeration_guard(n, p)
-    f_mod = compile_mod(F, p)
+    on_F = compile_enumeration(n, p, zeros=[F], images=forward.components, torus=True)
     target_mod = compile_mod(target, p)
-    comps = [compile_mod(c, p) for c in forward.components]
 
     elements = group_elements_mod_p(action, p)
     if len(elements) != action.group_order():
@@ -357,13 +509,10 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     count = 0
     all_on = True
-    for tail in itertools.product(range(1, p), repeat=n - 1):
-        pt = (1,) + tail
-        if eval_compiled(f_mod, pt, p) != 0:
-            continue
+    for pt, img in on_F():
         count += 1
-        img = tuple(eval_compiled(c, pt, p) for c in comps)
-        img = normalize_point(img, p)
+        if img is None:
+            raise ValueError("zero vector does not define a projective point")
         if eval_compiled(target_mod, img, p) != 0:
             all_on = False
             continue

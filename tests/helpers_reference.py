@@ -1,11 +1,18 @@
 """Naive references: ``LaurentPoly.substitute`` built only from the ring
 operators ``__pow__``, ``__mul__`` and ``__add__``, evaluation mod p by a
-per-term ``pow`` loop, and a basis search that solves every candidate in
-the lattice again."""
+per-term ``pow`` loop, the F_p enumerations as per-point loops over
+``proj_points``, and a basis search that solves every candidate in the
+lattice again."""
+import itertools
+import time
+
 from cremona.coeffs import to_prime_field
 from cremona.pipeline import (SEARCH_ENTRY_BOUND, MonomialBasis, cremona_step,
                               hnf_basis_for, rewrite_invariant)
 from cremona.poly import LaurentPoly
+from cremona.verify import (FiberHistogram, QuotientFiberReport, ScanReport,
+                            _check_enumeration_guard, group_elements_mod_p,
+                            normalize_point, proj_points)
 
 
 def reference_substitute(F: LaurentPoly, images: dict) -> LaurentPoly:
@@ -39,6 +46,100 @@ def reference_eval_mod(F: LaurentPoly, pt: tuple, p: int) -> int:
                 t = t * pow(x, k, p)
         acc += t
     return acc % p
+
+
+def reference_smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
+    """``verify.smooth_scan`` as a loop over ``proj_points`` that evaluates
+    one partial at a time, the way it ran before its loops were generated."""
+    d = F.homogeneous_degree()
+    if d is None or not F.is_polynomial():
+        raise ValueError("smooth_scan needs a homogeneous polynomial")
+    if p in (2, 3) or d % p == 0:
+        raise ValueError(f"bad characteristic {p} for degree {d}")
+    t0 = time.perf_counter()
+    n = F.n_vars
+    _check_enumeration_guard(n, p)
+    partials = [F.partial_deriv(i) for i in range(n)]
+    singular = []
+    count = 0
+    for pt in proj_points(n, p):
+        count += 1
+        if all(reference_eval_mod(g, pt, p) == 0 for g in partials):
+            if reference_eval_mod(F, pt, p) != 0:
+                raise ArithmeticError("Euler relation violated; check the characteristic")
+            singular.append(pt)
+    return ScanReport(p, count, singular, time.perf_counter() - t0)
+
+
+def reference_fiber_histogram(rmap, p: int) -> FiberHistogram:
+    """``verify.fiber_histogram`` as a loop over ``proj_points``."""
+    t0 = time.perf_counter()
+    n = len(rmap.source_vars)
+    _check_enumeration_guard(n, p)
+    comps = rmap.components
+    fibers: dict[tuple[int, ...], int] = {}
+    indet = 0
+    count = 0
+    for pt in proj_points(n, p):
+        count += 1
+        img = tuple(reference_eval_mod(c, pt, p) for c in comps)
+        if not any(img):
+            indet += 1
+            continue
+        img = normalize_point(img, p)
+        fibers[img] = fibers.get(img, 0) + 1
+    hist: dict[int, int] = {}
+    for size in fibers.values():
+        hist[size] = hist.get(size, 0) + 1
+    degree = max(hist, key=lambda s: (hist[s], s)) if hist else 0
+    return FiberHistogram(
+        prime=p, source_points=count, indeterminacy=indet, histogram=dict(sorted(hist.items())),
+        inferred_degree=degree, image_points=len(fibers), elapsed_s=time.perf_counter() - t0)
+
+
+def reference_map_fiber_orbit_check(F: LaurentPoly, action, forward, target: LaurentPoly,
+                                    p: int) -> QuotientFiberReport:
+    """``verify.map_fiber_orbit_check`` as a loop over the torus points."""
+    t0 = time.perf_counter()
+    for order, _ in action.generators:
+        if (p - 1) % order != 0:
+            raise ValueError(f"root of order {order} unavailable in F_{p}")
+    n = action.n_vars
+    _check_enumeration_guard(n, p)
+    comps = forward.components
+
+    elements = group_elements_mod_p(action, p)
+    if len(elements) != action.group_order():
+        raise ArithmeticError("embedded group order mismatch")
+
+    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    count = 0
+    all_on = True
+    for tail in itertools.product(range(1, p), repeat=n - 1):
+        pt = (1,) + tail
+        if reference_eval_mod(F, pt, p) != 0:
+            continue
+        count += 1
+        img = tuple(reference_eval_mod(c, pt, p) for c in comps)
+        img = normalize_point(img, p)
+        if reference_eval_mod(target, img, p) != 0:
+            all_on = False
+            continue
+        fibers.setdefault(img, []).append(pt)
+
+    orbits_ok = True
+    sizes: dict[int, int] = {}
+    for img, pts in fibers.items():
+        orbit = {normalize_point(tuple(g[i] * pts[0][i] % p for i in range(n)), p)
+                 for g in elements}
+        if set(pts) != orbit:
+            orbits_ok = False
+        sizes[len(pts)] = sizes.get(len(pts), 0) + 1
+    generic = max(sizes, key=lambda s: (sizes[s], s)) if sizes else 0
+    return QuotientFiberReport(
+        prime=p, torus_points=count, all_on_image=all_on, orbits_ok=orbits_ok,
+        fiber_sizes=dict(sorted(sizes.items())), generic_fiber=generic,
+        group_order=action.group_order(), elapsed_s=time.perf_counter() - t0)
 
 
 def reference_search_basis(X, chart, width=8, depth=6):

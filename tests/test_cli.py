@@ -112,6 +112,12 @@ class TestVerify:
         assert exc.value.code == 2
         assert "is not a prime" in capsys.readouterr().err
 
+    def test_prime_option_past_the_test_bound_is_usage_error(self, fermat_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "smooth", fermat_file, "--prime", "9" * 30])
+        assert exc.value.code == 2
+        assert "is not a prime below" in capsys.readouterr().err
+
 
 class TestScenarios:
     def test_list_contains_registry(self, capsys):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona.coeffs import (Cyclotomic, FpElem, ParamCoeff, _reduce_vector,
-                            cyclotomic_polynomial, euler_phi, is_prime, root_embed,
-                            specialize, to_prime_field)
+from cremona.coeffs import (PRIME_TEST_BOUND, Cyclotomic, FpElem, ParamCoeff,
+                            _reduce_vector, cyclotomic_polynomial, euler_phi, is_prime,
+                            root_embed, specialize, to_prime_field)
 from cremona.poly import LaurentPoly
 
 
@@ -272,3 +272,31 @@ def test_specialize_is_homomorphism(a, b, c, d):
 
 def test_is_prime_small():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265, 321197185,
+              5394826801, 232250619601, 9746347772161)
+# the least strong pseudoprimes to the first k prime bases, k = 1..12
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1009)
+    numbers = list(range(-3, 20_000))
+    for n in CARMICHAEL + STRONG_PSEUDOPRIMES + (10 ** 18, 10 ** 24, PRIME_TEST_BOUND - 100):
+        numbers += range(n - 60, n + 61)
+    numbers += [rng.randrange(PRIME_TEST_BOUND) for _ in range(2_000)]
+    numbers += [rng.randrange(10 ** 9) | 1 for _ in range(2_000)]
+    assert [n for n in numbers if is_prime(n) != sympy.isprime(n)] == []
+    assert all(not is_prime(n) for n in CARMICHAEL + STRONG_PSEUDOPRIMES)
+    assert is_prime(1_000_000_000_000_000_003)
+
+
+def test_is_prime_refuses_numbers_past_its_bound():
+    # the bound is itself a strong pseudoprime to all thirteen bases
+    assert PRIME_TEST_BOUND == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="bound"):
+        is_prime(PRIME_TEST_BOUND)
+    assert not is_prime(PRIME_TEST_BOUND - 1)

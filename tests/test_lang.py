@@ -1,4 +1,10 @@
+import os
+import resource
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -6,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cremona.coeffs import Cyclotomic, ParamCoeff
-from cremona.lang import (ParseError, ProblemSpec, _power_term_bound,
-                          _product_term_bound, parse_input, parse_poly, render_spec)
+from cremona.coeffs import PRIME_TEST_BOUND
+from cremona.lang import (POWER_BIT_BUDGET, ParseError, ProblemSpec, _power_bit_bound,
+                          _power_term_bound, _product_term_bound, parse_input, parse_poly,
+                          render_spec)
 from cremona.poly import LaurentPoly
 
 LONG = "9" * 5000  # past the default_digit_limit fixture's 4,300 digits
@@ -50,6 +58,17 @@ class TestParseInput:
         with pytest.raises(ParseError) as exc:
             parse_input("vars x1\nprime 9\n")
         assert "non-prime" in str(exc.value)
+
+    def test_large_prime_parses_quickly(self):
+        t0 = time.perf_counter()
+        spec = parse_input("vars x1\nprime 1000000000000000003\n")
+        assert time.perf_counter() - t0 < 1
+        assert spec.primes == (1000000000000000003,)
+
+    def test_prime_past_the_test_bound_is_positioned(self):
+        with pytest.raises(ParseError, match="bound") as exc:
+            parse_input(f"vars x1\nprime  {PRIME_TEST_BOUND}\n")
+        assert (exc.value.line, exc.value.col) == (2, 8)
 
     def test_unknown_identifier_diagnostic(self):
         with pytest.raises(ParseError) as exc:
@@ -131,6 +150,36 @@ class TestExpressions:
                       for c in power.terms.values())
         assert _power_term_bound(atom, exp) >= n_terms
 
+    def test_power_within_bit_budget(self):
+        # 2^5000 sits exactly at the budget; 2^5001 is refused
+        assert _power_bit_bound(parse_poly("2", ("x1",)), 5000) == POWER_BIT_BUDGET
+        assert parse_poly("2^5000*x1", ("x1",)) == \
+            LaurentPoly(("x1",), {(1,): Fraction(2 ** 5000)})
+        assert parse_poly("(-1/2)^-4999*x1^-3", ("x1",)) == \
+            LaurentPoly(("x1",), {(-3,): Fraction(-2 ** 4999)})
+        # powers of +/-1 and of zeta stay small whatever the exponent
+        assert parse_poly("(-1)^999999999*x1^999999999", ("x1",)) == \
+            LaurentPoly(("x1",), {(999999999,): Fraction(-1)})
+        assert parse_poly("zeta^999999999*x1", ("x1",), zeta_order=5) == \
+            parse_poly("zeta^4*x1", ("x1",), zeta_order=5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2),
+                              st.fractions(max_denominator=12).filter(bool)),
+                    min_size=1, max_size=3),
+           st.booleans(), st.integers(0, 6))
+    def test_power_bit_bound_is_an_upper_bound(self, terms, with_param, exp):
+        params = ("t1",) if with_param else ()
+        text = " + ".join(f"({c})*x1^{a}*{'t1' if with_param else 'x2'}^{b}"
+                          for a, b, c in terms)
+        atom = parse_poly(text, ("x1", "x2"), params)
+        rationals = []
+        for c in (atom ** exp).terms.values():
+            rationals += [v for _, v in c.terms] if isinstance(c, ParamCoeff) else [c]
+        bits = max((max(abs(r.numerator), r.denominator).bit_length() for r in rationals),
+                   default=0)
+        assert _power_bit_bound(atom, exp) >= bits
+
     def test_product_over_term_budget_is_positioned(self):
         # two 1,001-term factors: 1,002,001 term pairs, refused before multiplying
         with pytest.raises(ParseError, match="budget") as exc:
@@ -187,6 +236,47 @@ def test_long_integer_literal_is_positioned(default_digit_limit, text, line, col
     with pytest.raises(ParseError, match="5000 digits") as exc:
         parse_input(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def bounded_python(args, seconds=30, memory=1 << 30):
+    """Run ``python args`` on this tree in a fresh interpreter, with a time
+    limit and an address-space limit, so that an unbounded parse cannot
+    stall or exhaust the test process."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=seconds, preexec_fn=limit, env=env)
+
+
+def test_power_over_bit_budget_is_positioned():
+    # without the budget some of these run for minutes or exhaust memory, so
+    # they are parsed in a bounded interpreter, never in this one
+    cases = [("x1 + 2^999999999", 7), ("2^5001*x1", 2), ("(2*x1)^-99999", 7),
+             ("(1 + zeta)^999999999", 11), ("(x1 + 3*x1^2)^9000", 14),
+             ("3^" + "9" * 400, 2)]
+    code = ("import sys\n"
+            "from cremona.lang import ParseError, parse_poly\n"
+            "for text in sys.argv[1:]:\n"
+            "    try:\n"
+            "        parse_poly(text, ('x1',), zeta_order=5)\n"
+            "        print('parsed')\n"
+            "    except ParseError as exc:\n"
+            "        print(exc.line, exc.col, 'bit' in exc.message)\n")
+    done = bounded_python(["-c", code, *(text for text, _ in cases)])
+    assert done.stdout.splitlines() == [f"1 {col} True" for _, col in cases], done.stderr
+
+
+def test_huge_constant_power_cli_exit_code(tmp_path):
+    f = tmp_path / "huge.crm"
+    f.write_text("vars x1 x2\npoly F = x1^3 + 2^999999999*x2^3\n")
+    done = bounded_python(["-m", "cremona", "transform", str(f)])
+    assert done.returncode == 2
+    assert "parse error: line 2, column 18" in done.stderr
 
 
 ROUND_TRIP_SPECS = [

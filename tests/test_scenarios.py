@@ -35,6 +35,10 @@ def test_roundtrip_rate_respects_enumeration_guard(monkeypatch):
     from cremona.pipeline import RationalMap
     from cremona.scenarios import X5, _roundtrip_rate
 
+    def generated(*args, **kwargs):
+        raise AssertionError("code was generated")
+
     monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 100)
+    monkeypatch.setattr("cremona.scenarios.compile_enumeration", generated)
     with pytest.raises(ValueError, match="enumeration guard"):
         _roundtrip_rate(RationalMap.identity(X5), 1, 7)

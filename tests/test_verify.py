@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +14,13 @@ from cremona.pipeline import (MonomialBasis, RationalMap, cremona_step,
                               parametrize_linear)
 from cremona.scenarios import EX3_BASIS, PAIR_ACTION, ex3_family
 from cremona.poly import LaurentPoly
-from cremona.verify import (compile_mod, default_prime, diagonal_form_smooth,
-                            eval_compiled, fiber_histogram, on_variety,
-                            proj_point_count, proj_points, quotient_fiber_check,
-                            smooth_scan)
-from helpers_reference import reference_eval_mod, reference_substitute
+from cremona.verify import (compile_enumeration, compile_mod, default_prime,
+                            diagonal_form_smooth, eval_compiled, fiber_histogram,
+                            map_fiber_orbit_check, normalize_point, on_variety,
+                            proj_point_count, proj_points, quotient_fiber_check, smooth_scan)
+from helpers_reference import (reference_eval_mod, reference_fiber_histogram,
+                               reference_map_fiber_orbit_check, reference_smooth_scan,
+                               reference_substitute)
 
 V3 = ("x1", "x2", "x3")
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -54,6 +58,11 @@ def eval_new(F, pt, p):
 PRIMES_5_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def coefficient(p):
+    # some coefficients vanish mod p
+    return st.integers(-2 * p, 2 * p) | st.integers(-3, 3).map(lambda k: k * p)
+
+
 @st.composite
 def laurent_case(draw):
     # a Laurent polynomial in 1-6 variables, a prime 5-37 and a point; some
@@ -61,8 +70,7 @@ def laurent_case(draw):
     p = draw(st.sampled_from(PRIMES_5_37))
     n = draw(st.integers(1, 6))
     exps = st.tuples(*[st.integers(-3, 4)] * n) | st.just((0,) * n)
-    coeff = st.integers(-2 * p, 2 * p) | st.integers(-3, 3).map(lambda k: k * p)
-    terms = draw(st.lists(st.tuples(exps, coeff), max_size=8))
+    terms = draw(st.lists(st.tuples(exps, coefficient(p)), max_size=8))
     F = LaurentPoly(tuple(f"x{i}" for i in range(n)), {e: Fraction(c) for e, c in terms})
     pt = draw(st.tuples(*[st.integers(-p, 2 * p)] * n))
     return F, pt, p
@@ -119,6 +127,176 @@ class TestCompiledEvaluator:
         compiled = compile_mod(FERMAT, 7)
         with pytest.raises(ValueError, match="F_7"):
             eval_compiled(compiled, (1, 2, 3, 4, 5), 11)
+
+
+# ---------------------------------------------------------------------------
+# generated enumerations against the per-point loops they replaced
+# ---------------------------------------------------------------------------
+
+POINT_LIMIT = 1000  # keeps the reference loops fast
+
+
+def report_or_error(f, *args):
+    """The report without its timing, or the type of the exception raised."""
+    try:
+        return dataclasses.replace(f(*args), elapsed_s=0)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def names(prefix, n):
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+@st.composite
+def homogeneous(draw, variables, p, degree, polynomial=False, used=None):
+    """A homogeneous polynomial of the given degree in the first ``used``
+    variables (a cone when fewer than all), with exponents past p; Laurent
+    unless ``polynomial``.  Up to six terms, so the zero polynomial occurs."""
+    n = len(variables)
+    used = n if used is None else used
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        if polynomial:
+            cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=used - 1,
+                                        max_size=used - 1)))
+            head = [b - a for a, b in zip([0] + cuts, cuts)]
+        else:
+            head = draw(st.lists(st.integers(-3, p + 3), min_size=used - 1, max_size=used - 1))
+        e = tuple(head) + (degree - sum(head),) + (0,) * (n - used)
+        terms[e] = Fraction(draw(coefficient(p)))
+    return LaurentPoly(variables, terms)
+
+
+@st.composite
+def prime_and_dimension(draw, count=proj_point_count):
+    p = draw(st.sampled_from(PRIMES_5_37))
+    n = draw(st.sampled_from([n for n in range(1, 6) if count(n, p) <= POINT_LIMIT]))
+    return p, n
+
+
+@st.composite
+def scan_case(draw):
+    p, n = draw(prime_and_dimension())
+    degree = draw(st.integers(0, p + 3))  # some degrees are divisible by p
+    used = draw(st.integers(1, n))
+    return draw(homogeneous(names("x", n), p, degree, polynomial=True, used=used)), p
+
+
+@st.composite
+def rational_map(draw, variables, p):
+    # components of one degree, constants (degree 0) included; some are zero
+    degree = draw(st.just(0) | st.integers(-2, p + 3))
+    comps = [LaurentPoly.zero(variables) if draw(st.integers(0, 4)) == 0
+             else draw(homogeneous(variables, p, degree))
+             for _ in range(draw(st.integers(1, 4)))]
+    try:
+        return RationalMap(comps)
+    except ValueError:  # every component zero
+        hypothesis.reject()
+
+
+@st.composite
+def histogram_case(draw):
+    p, n = draw(prime_and_dimension())
+    return draw(rational_map(names("x", n), p)), p
+
+
+@st.composite
+def orbit_case(draw):
+    p, n = draw(prime_and_dimension(lambda n, p: (p - 1) ** (n - 1)))
+    variables = names("x", n)
+    orders = [e for e in range(2, 7) if (p - 1) % e == 0]
+    gens = tuple((e, (0,) + tuple(draw(st.lists(st.integers(0, e - 1), min_size=n - 1,
+                                                 max_size=n - 1))))
+                 for e in draw(st.lists(st.sampled_from(orders), max_size=2)))
+    action = DiagonalAction(n, gens)
+    F = draw(homogeneous(variables, p, draw(st.integers(-2, p + 3))))
+    forward = draw(rational_map(variables, p))
+    k = len(forward.components)
+    target = draw(homogeneous(names("y", k), p, draw(st.integers(-2, 4))))
+    return F, action, forward, target, p
+
+
+class TestGeneratedEnumerations:
+    @settings(max_examples=80, deadline=None)
+    @given(scan_case())
+    def test_scan_matches_reference(self, case):
+        # singular points compare as lists, so their order is checked too
+        assert report_or_error(smooth_scan, *case) == \
+            report_or_error(reference_smooth_scan, *case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(histogram_case())
+    def test_histogram_matches_reference(self, case):
+        assert report_or_error(fiber_histogram, *case) == \
+            report_or_error(reference_fiber_histogram, *case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(orbit_case())
+    def test_orbit_check_matches_reference(self, case):
+        # a target with a negative exponent raises ZeroDivisionError at an
+        # image point with that coordinate zero, on both sides
+        assert report_or_error(map_fiber_orbit_check, *case) == \
+            report_or_error(reference_map_fiber_orbit_check, *case)
+
+    def test_cone_scan_matches_reference(self):
+        cone = P("x1^3 + 2*x2^3 + x1*x2*x3 + 11*x3^3 + 6*x1^2*x2")  # x4, x5 unused
+        scan = smooth_scan(cone, 11)
+        assert scan.singular_points
+        assert report_or_error(smooth_scan, cone, 11) == \
+            report_or_error(reference_smooth_scan, cone, 11)
+
+    def test_sums_past_one_statement(self):
+        # 80 distinct exponents of x1: the innermost sums span two statements
+        rng = random.Random(101)
+        F = LaurentPoly(("x0", "x1"), {(100 - k, k): Fraction(rng.randrange(1, 101))
+                                       for k in rng.sample(range(101), 80)})
+        G = LaurentPoly(("x0", "x1"), {(100 - k, k): Fraction(rng.randrange(1, 101))
+                                       for k in rng.sample(range(101), 80)})
+        assert report_or_error(smooth_scan, F, 101) == \
+            report_or_error(reference_smooth_scan, F, 101)
+        assert report_or_error(fiber_histogram, RationalMap([F, G]), 101) == \
+            report_or_error(reference_fiber_histogram, RationalMap([F, G]), 101)
+
+    def test_images_follow_proj_points(self):
+        comps = [P("x1^2 - x2*x3", V3), P("0", V3), P("x3^13 + 3*x1^12*x2", V3)]
+        images = list(compile_enumeration(3, 7, images=comps)())
+        assert len(images) == proj_point_count(3, 7)
+        for pt, img in zip(proj_points(3, 7), images):
+            value = tuple(reference_eval_mod(c, pt, 7) for c in comps)
+            assert img == (normalize_point(value, 7) if any(value) else None)
+
+    def test_negative_exponent_at_a_zero_coordinate(self):
+        # projective points with two or more coordinates include x1 = 0
+        laurent = [P("x1^-1*x2 + x2^2", V3)]
+        with pytest.raises(ZeroDivisionError):
+            compile_enumeration(3, 7, zeros=laurent)
+        with pytest.raises(ZeroDivisionError):
+            compile_enumeration(3, 7, images=laurent)
+        # terms that vanish mod p carry no pole
+        assert list(compile_enumeration(2, 7, zeros=[P("7*x1^-1 + x2", ("x1", "x2"))])()) \
+            == [(1, 0)]
+        # P^0 is the point (1), and the torus has no zero coordinate
+        assert list(compile_enumeration(1, 7, zeros=[P("x1^-1 - 1", ("x1",))])()) == [(1,)]
+        on_torus = list(compile_enumeration(3, 7, zeros=laurent, torus=True)())
+        assert on_torus == [(1, 6, x3) for x3 in range(1, 7)]  # x2 + x2^2 = 0
+
+    @pytest.mark.parametrize("run", [
+        lambda: smooth_scan(FERMAT, 7),
+        lambda: fiber_histogram(RationalMap.identity(V5), 7),
+        lambda: map_fiber_orbit_check(FERMAT, DiagonalAction.trivial(5),
+                                      RationalMap.identity(V5), FERMAT, 7),
+    ], ids=["smooth_scan", "fiber_histogram", "map_fiber_orbit_check"])
+    def test_guard_comes_before_any_generated_code(self, monkeypatch, run):
+        def generated(*args, **kwargs):
+            raise AssertionError("code was generated")
+
+        monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 100)
+        monkeypatch.setattr("cremona.verify.compile_enumeration", generated)
+        monkeypatch.setattr("cremona.verify.compile_mod", generated)
+        with pytest.raises(ValueError, match="enumeration guard"):
+            run()
 
 
 class TestSmoothScan:
