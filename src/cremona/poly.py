@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import add
 
-from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, euler_phi, power, \
-    specialize, to_prime_field
+from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, euler_phi, specialize, \
+    to_prime_field
 
 
 def term_key(exps: tuple[int, ...]):
@@ -75,9 +76,6 @@ class LaurentPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: term_key(t[0]), reverse=True)
-
-    def coefficients(self):
-        return list(self.terms.values())
 
     def __bool__(self):
         return bool(self.terms)
@@ -141,29 +139,29 @@ class LaurentPoly:
         return o + (-self)
 
     def __mul__(self, other):
+        """A one-term factor shifts and scales the other; two multi-term
+        factors are multiplied out by ``_expand``."""
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return LaurentPoly(self.vars, acc)
+        mono, rest = (o, self) if len(o.terms) == 1 else (self, o)
+        if len(mono.terms) == 1:
+            (m, cm), = mono.terms.items()
+            return LaurentPoly(self.vars, {tuple(map(add, e, m)): c * cm
+                                           for e, c in rest.terms.items()})
+        return _formal_product([(self, 1), (o, 1)])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n == 0:
+            return LaurentPoly.one(self.vars)
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            return LaurentPoly(self.vars, {tuple(n * x for x in e): c ** n})
         if n < 0:
-            if len(self.terms) == 1:
-                (e, c), = self.terms.items()
-                return LaurentPoly(self.vars, {tuple(n * x for x in e): c ** n})
             raise ValueError("negative powers only for monomials")
-        return power(self, n, LaurentPoly.one(self.vars))
+        return _formal_product([(self, n)])
 
     # -- degrees -----------------------------------------------------------------
 
@@ -467,6 +465,18 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         mono: scalar_of(by_param[()]) if symbols is None else
         ParamCoeff._make(symbols, {pe: scalar_of(vec) for pe, vec in by_param.items()})
         for mono, by_param in out.items()})
+
+
+def _formal_product(factors: list[tuple[LaurentPoly, int]]) -> LaurentPoly:
+    """prod f ** k over the (f, k) in factors, k >= 1: ``_expand`` of one
+    formal monomial whose coefficient is the one of the first factor's
+    domain, so that F_p factors stay in F_p."""
+    if not all(f.terms for f, _ in factors):
+        return LaurentPoly.zero(factors[0][0].vars)
+    unit = next(iter(factors[0][0].terms.values())) ** 0
+    names = tuple(f"f{i}" for i in range(len(factors)))
+    formal = LaurentPoly(names, {tuple(k for _, k in factors): unit})
+    return _expand(formal, dict(zip(names, (f for f, _ in factors))), factors[0][0].vars)
 
 
 # ---------------------------------------------------------------------------

@@ -518,11 +518,12 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
             continue
         fibers.setdefault(img, []).append(pt)
 
+    # torus points have x0 = 1, so g * pt normalizes to (g / g0) * pt
+    scaled = {normalize_point(g, p) for g in elements}
     orbits_ok = True
     sizes: dict[int, int] = {}
     for img, pts in fibers.items():
-        orbit = {normalize_point(tuple(g[i] * pts[0][i] % p for i in range(n)), p)
-                 for g in elements}
+        orbit = {tuple(h * x % p for h, x in zip(hs, pts[0])) for hs in scaled}
         if set(pts) != orbit:
             orbits_ok = False
         sizes[len(pts)] = sizes.get(len(pts), 0) + 1

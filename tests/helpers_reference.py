@@ -1,5 +1,6 @@
-"""Naive references: ``LaurentPoly.substitute`` built only from the ring
-operators ``__pow__``, ``__mul__`` and ``__add__``, evaluation mod p by a
+"""Naive references: the product and power of ``LaurentPoly`` as a
+tuple-key double loop and square-and-multiply over it, ``substitute`` built
+from those and ``__add__``, evaluation mod p by a
 per-term ``pow`` loop, the F_p enumerations as per-point loops over
 ``proj_points``, and a basis search that solves every candidate in the
 lattice again."""
@@ -15,6 +16,43 @@ from cremona.verify import (FiberHistogram, QuotientFiberReport, ScanReport,
                             normalize_point, proj_points)
 
 
+def reference_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b by a double loop over tuple keys and coefficient objects: the
+    product ``LaurentPoly.__mul__`` ran before it used the packed kernel."""
+    if a.vars != b.vars:
+        raise ValueError(f"variable sets differ: {a.vars} vs {b.vars}")
+    acc: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return LaurentPoly(a.vars, acc)
+
+
+def reference_pow(a: LaurentPoly, n: int) -> LaurentPoly:
+    """a ** n by square-and-multiply over ``reference_mul``, starting from
+    the base so that F_p powers stay in F_p; negative n for monomials only."""
+    if n == 0:
+        return LaurentPoly.one(a.vars)
+    if n < 0:
+        if len(a.terms) != 1:
+            raise ValueError("negative powers only for monomials")
+        (e, c), = a.terms.items()
+        return LaurentPoly(a.vars, {tuple(n * x for x in e): c ** n})
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else reference_mul(result, a)
+        n >>= 1
+        if not n:
+            return result
+        a = reference_mul(a, a)
+
+
 def reference_substitute(F: LaurentPoly, images: dict) -> LaurentPoly:
     target = next(iter(images.values())).vars
     acc = LaurentPoly.zero(target)
@@ -22,7 +60,7 @@ def reference_substitute(F: LaurentPoly, images: dict) -> LaurentPoly:
         t = LaurentPoly.constant(target, c)
         for name, k in zip(F.vars, e):
             if k:
-                t = t * images[name] ** k
+                t = reference_mul(t, reference_pow(images[name], k))
         acc = acc + t
     return acc
 

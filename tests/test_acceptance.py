@@ -3,9 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 pass; every expected value is exact, timing bounds are generous upper limits.
 """
+import json
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 from cremona.action import DiagonalAction, InvariantHypersurface, subgroup_index
 from cremona.cli import main
@@ -162,10 +164,22 @@ def test_criterion_09_lattice_and_group_suites():
           ok, 20.0, time.perf_counter() - t0)
 
 
+def _without_elapsed(doc):
+    if isinstance(doc, dict):
+        return {k: _without_elapsed(v) for k, v in doc.items() if k != "elapsed_s"}
+    if isinstance(doc, list):
+        return [_without_elapsed(v) for v in doc]
+    return doc
+
+
 def test_criterion_10_end_to_end(capsys):
+    # tests/data/reproduce.json pins the whole --json document, timings
+    # removed: every change must leave the scenario output byte-identical
     t0 = time.perf_counter()
-    code = main(["reproduce"])
+    code = main(["--json", "reproduce"])
     elapsed = time.perf_counter() - t0
+    got = json.dumps(_without_elapsed(json.loads(capsys.readouterr().out)), indent=2) + "\n"
+    want = (Path(__file__).parent / "data" / "reproduce.json").read_text()
     with capsys.disabled():
-        _line(10, "reproduce over all registered scenarios exits 0", code == 0,
-              120.0, elapsed)
+        _line(10, "reproduce over all registered scenarios exits 0 with the pinned output",
+              code == 0 and got == want, 120.0, elapsed)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from cremona.coeffs import Cyclotomic, ParamCoeff
 from cremona.coeffs import PRIME_TEST_BOUND
-from cremona.lang import (POWER_BIT_BUDGET, ParseError, ProblemSpec, _power_bit_bound,
-                          _power_term_bound, _product_term_bound, parse_input, parse_poly,
-                          render_spec)
+from cremona.lang import (POWER_BIT_BUDGET, POWER_WORK_BUDGET, ParseError, ProblemSpec,
+                          _power_bit_bound, _power_term_bound, _product_term_bound,
+                          parse_input, parse_poly, render_spec)
 from cremona.poly import LaurentPoly
 
 LONG = "9" * 5000  # past the default_digit_limit fixture's 4,300 digits
@@ -269,6 +269,32 @@ def test_power_over_bit_budget_is_positioned():
             "        print(exc.line, exc.col, 'bit' in exc.message)\n")
     done = bounded_python(["-c", code, *(text for text, _ in cases)])
     assert done.stdout.splitlines() == [f"1 {col} True" for _, col in cases], done.stderr
+
+
+def test_power_over_work_budget_is_positioned():
+    # inside the term and bit budgets, but (x1+x2)^5000 expands for about
+    # 24 s, so these are parsed in a bounded interpreter and must fail fast
+    cases = [("(x1 + x2)^5000", 10), ("x1*(x1 + x2)^1225", 13),
+             ("(x1 + x2^-1 + 3)^130", 17)]
+    code = ("import sys, time\n"
+            "from cremona.lang import ParseError, parse_poly\n"
+            "for text in sys.argv[1:]:\n"
+            "    t0 = time.perf_counter()\n"
+            "    try:\n"
+            "        parse_poly(text, ('x1', 'x2'))\n"
+            "        print('parsed')\n"
+            "    except ParseError as exc:\n"
+            "        print(exc.line, exc.col, '3000000' in exc.message,\n"
+            "              time.perf_counter() - t0 < 1)\n")
+    done = bounded_python(["-c", code, *(text for text, _ in cases)])
+    assert done.stdout.splitlines() == [f"1 {col} True True" for _, col in cases], done.stderr
+
+
+def test_power_within_work_budget():
+    # 100 * 5,151 * 3 term products: parsed in well under a second
+    assert len(parse_poly("(x1 + x2 + x3)^100", ("x1", "x2", "x3")).terms) == 5151
+    assert _power_term_bound(parse_poly("x1 + x2", ("x1", "x2")), 1224) * 1224 * 2 \
+        <= POWER_WORK_BUDGET
 
 
 def test_huge_constant_power_cli_exit_code(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cremona.coeffs import Cyclotomic, FpElem
+from cremona import poly
+from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff
 from cremona.lang import parse_poly
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
-from helpers_reference import reference_substitute
+from helpers_reference import reference_mul, reference_pow, reference_substitute
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -171,19 +172,78 @@ class TestMonomialContent:
             assert phat.min_deg_in_var(1) == 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                          st.fractions(min_value=-3, max_value=3, max_denominator=4)),
-                max_size=5),
-       st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                          st.fractions(min_value=-3, max_value=3, max_denominator=4)),
-                max_size=5))
-def test_ring_axioms(ts1, ts2):
-    a = LaurentPoly(V2, dict(ts1))
-    b = LaurentPoly(V2, dict(ts2))
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+RING_COEFFS = {
+    "Q": small_fractions,
+    "Q(zeta3)": st.one_of(small_fractions, st.tuples(small_fractions, small_fractions).map(
+        lambda cs: Cyclotomic(3, cs))),
+    "params": st.one_of(small_fractions, st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fractions, max_size=3).map(
+        lambda d: ParamCoeff._make(("t1", "t2"), d))),
+    "F_7": st.integers(0, 6).map(lambda v: FpElem(7, v)),
+}
+
+
+@settings(max_examples=240, deadline=None)
+@given(data=st.data())
+def test_ring_axioms(data):
+    # operands range over zero, monomials and Laurent polynomials of up to
+    # five terms; products and powers must match the tuple-key references
+    coeffs = RING_COEFFS[data.draw(st.sampled_from(sorted(RING_COEFFS)))]
+    polys = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            coeffs, max_size=5).map(lambda d: LaurentPoly(V2, d))
+    a, b = data.draw(polys), data.draw(polys)
     assert a + b == b + a
-    assert a * b == b * a
+    assert a * b == b * a == reference_mul(a, b)
+    assert poly_str(a * b) == poly_str(reference_mul(a, b))
     assert a * (a + b) == a * a + a * b
+    n = data.draw(st.integers(-3 if len(a.terms) == 1 else -1, 6))
+    try:
+        want = reference_pow(a, n)
+    except ValueError:  # negative powers of sums, or of parameter expressions
+        with pytest.raises(ValueError):
+            a ** n
+        return
+    assert a ** n == want
+    assert poly_str(a ** n) == poly_str(want)
+
+
+class TestPackedProduct:
+    SUMS = {"Q": P("x1 + 1/2*x2^-1", V2), "Q(zeta3)": P("x1 + zeta*x2", V2, zeta_order=3),
+            "params": P("t1*x1 - x2", V2, ("t1",)), "F_7": P("x1 + 2*x2", V2).reduce_mod(7)}
+
+    @pytest.mark.parametrize("domain", SUMS)
+    def test_multi_term_operands_reach_the_kernel(self, monkeypatch, domain):
+        f = self.SUMS[domain]
+        calls = []
+        real = poly._pmul
+        monkeypatch.setattr(poly, "_pmul", lambda a, b: calls.append(1) or real(a, b))
+        m = LaurentPoly(V2, dict([next(iter(f.terms.items()))]))
+        f * m, m * f, m ** 3
+        assert not calls  # a one-term factor only shifts and scales
+        f * (f + m)
+        assert calls
+        calls.clear()
+        f ** 3
+        assert calls
+
+    def test_mixed_domains_rejected(self):
+        f = P("x1 + x2", V2)
+        for a, b in [(f.reduce_mod(7), f), (f, f.reduce_mod(7)),
+                     (f.reduce_mod(7), f.reduce_mod(11)),
+                     (P("x1 + zeta*x2", V2, zeta_order=3), P("x1 + zeta*x2", V2, zeta_order=5)),
+                     (P("t1*x1 + x2", V2, ("t1",)), P("t2*x1 + x2", V2, ("t2",))),
+                     (f.reduce_mod(7), P("x1", V2)),
+                     (P("t1*x1", V2, ("t1",)), P("t2", V2, ("t2",)))]:
+            with pytest.raises((ValueError, TypeError)):
+                a * b
+
+    def test_zero_and_unit_powers(self):
+        f = P("x1 + x2", V2).reduce_mod(7)
+        assert f ** 0 == LaurentPoly.one(V2) == LaurentPoly.zero(V2) ** 0
+        assert LaurentPoly.zero(V2) ** 3 == LaurentPoly.zero(V2) == f * LaurentPoly.zero(V2)
+        with pytest.raises(ValueError, match="negative powers only for monomials"):
+            LaurentPoly.zero(V2) ** -1
 
 
 class TestRendering:
@@ -366,7 +426,6 @@ class TestSubstitute:
         assert LaurentPoly.zero(V2).substitute({"x1": P("u1", U2)}) == LaurentPoly.zero(U2)
 
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 RANDOM_COEFFS = {
     "Q": small_fractions,
     "Q(zeta5)": st.lists(small_fractions, min_size=4, max_size=4).map(
