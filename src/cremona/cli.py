@@ -2,7 +2,8 @@
 
 Subcommands: invariants, transform, chain, search-basis,
 verify {smooth,map-degree,identity}, reproduce, list-scenarios.
-Exit codes: 0 success, 1 assertion or engine failure, 2 usage/parse error.
+Exit codes: 0 success, 1 assertion or engine failure, 2 usage/parse error or
+a broken chain.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import sys
 from .action import DiagonalAction, InvariantHypersurface
 from .coeffs import PRIME_TEST_BOUND, is_prime
 from .lang import ParseError, ProblemSpec, parse_input
-from .pipeline import MonomialBasis, RationalMap, cremona_step, hnf_basis_for, \
-    search_basis
+from .pipeline import CremonaChain, MonomialBasis, RationalMap, cremona_step, \
+    hnf_basis_for, search_basis
 from .poly import poly_str
 from .scenarios import Report, list_scenarios, run_scenario
 from .verify import default_prime, fiber_histogram, on_variety, smooth_scan
@@ -185,27 +186,25 @@ def _cmd_transform(args) -> int:
 def _cmd_chain(args) -> int:
     specs = [_load_spec(f) for f in args.files]
     steps = []
-    prev_image = None
-    payloads = []
-    for k, spec in enumerate(specs):
+    for spec in specs:
         action = _build_action(spec)
-        if spec.polys or prev_image is None:
+        if spec.polys or not steps:
             F = _pick_poly(spec, None)
         else:
-            F = prev_image
+            F = steps[-1].image
             if len(F.vars) != len(spec.variables):
                 raise ValueError("chained spec has a different ambient dimension")
         X = InvariantHypersurface(F, action)
         chart = _chart_index(spec, action)
         basis = MonomialBasis(spec.basis) if spec.basis is not None else None
-        step = cremona_step(X, chart, basis)
-        steps.append(step)
-        payloads.append(_step_payload(step))
-        prev_image = step.image
-    degree = 1
-    for s in steps:
-        degree *= s.group_order
-    payload = {"steps": payloads, "accumulated_order": degree}
+        steps.append(cremona_step(X, chart, basis))
+    try:
+        chain = CremonaChain(tuple(steps))
+    except ValueError as exc:  # a spec's group or polynomial is not its predecessor's output
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    degree = chain.accumulated_order()
+    payload = {"steps": [_step_payload(s) for s in steps], "accumulated_order": degree}
 
     def text():
         for k, s in enumerate(steps):

@@ -205,6 +205,8 @@ class Cyclotomic:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.order, tuple(a * other for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

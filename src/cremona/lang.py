@@ -21,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 
 from .coeffs import PRIME_TEST_BOUND, Cyclotomic, ParamCoeff, is_prime
 from .poly import LaurentPoly, poly_str
@@ -29,13 +31,16 @@ from .poly import LaurentPoly, poly_str
 # Most terms ``atom ^ exp`` or ``a * b`` may expand to; an expansion this size
 # takes a few seconds, and the bound is checked before any expansion starts.
 POWER_TERM_BUDGET = 10_000
-# Most bits a numerator or denominator of ``atom ^ exp`` may need, checked
-# the same way: at most about 3,000 decimal digits, which CPython still prints.
+# Most bits a numerator or denominator of ``atom ^ exp`` or ``a * b`` may
+# need, checked the same way: at most about 3,000 decimal digits, which
+# CPython still prints.
 POWER_BIT_BUDGET = 10_000
-# Most term products ``atom ^ exp`` may take: exp times its term bound times
-# the atom's terms, since the power is built as atom^(j-1) * atom for j up
-# to exp.  About 1 s of expansion at the 0.2-0.4 us per product measured
-# with CPython 3.11 on a 2-core Xeon.
+# Most term products ``atom ^ exp`` or ``a * b`` may take.  A power takes exp
+# times its term bound times the atom's terms, since it is built as
+# atom^(j-1) * atom for j up to exp; a product takes its term pairs, each
+# counted once per 64 bits of the two factors' summed coefficient bit
+# lengths.  About 1 s of expansion at the 0.2-0.4 us per product of small
+# coefficients measured with CPython 3.11 on a 2-core Xeon.
 POWER_WORK_BUDGET = 3_000_000
 
 
@@ -57,14 +62,16 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
+  | (?P<comment>\#.*)
   | (?P<rational>\d+/\d+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[=\[\],;+\-*^()])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -74,32 +81,30 @@ class Token:
 
 def _tokenize(text: str, line_no: int) -> list[Token]:
     out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "#":
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(line_no, pos + 1, f"unexpected character {text[pos]!r}")
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            out.append(Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
+        if kind == "ws":
+            continue
+        if kind == "comment":
+            break
+        if kind == "bad":
+            raise ParseError(line_no, m.start() + 1, f"unexpected character {m.group()!r}")
+        out.append(Token(kind, m.group(), line_no, m.start() + 1))
     return out
 
 
 class _Cursor:
     def __init__(self, tokens: list[Token], line_no: int, line_len: int):
-        self.tokens = tokens
+        self.tokens = tokens + [None]  # the end of the line peeks as None
         self.i = 0
         self.line_no = line_no
         self.line_len = line_len
 
     def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def next(self) -> Token | None:
-        t = self.peek()
+        t = self.tokens[self.i]
         if t is not None:
             self.i += 1
         return t
@@ -118,7 +123,7 @@ class _Cursor:
         return t
 
     def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.tokens[self.i] is None
 
     def require_end(self):
         t = self.peek()
@@ -129,44 +134,68 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # expression parsing
 # ---------------------------------------------------------------------------
+#
+# Expressions are parsed on plain term dicts {exponent tuple: coefficient}.
+# A sum adds into one accumulator in place, a factor with one term shifts the
+# exponents of the other, and only products of two sums and powers of sums go
+# through LaurentPoly's product (the packed ``_expand`` kernel).  Each
+# declaration builds its LaurentPoly once, from the finished dict.
 
-@dataclass
+_ONE = Fraction(1)  # the coefficient of a variable atom: multiplying by it is a shift
+
+
 class _ExprContext:
-    variables: tuple[str, ...]
-    params: tuple[str, ...]
-    zeta_order: int | None
+    """The names an expression may use and the atoms they stand for, built
+    once per declaration set: the zero vector, a unit vector per variable and
+    a coefficient per parameter."""
+
+    def __init__(self, variables, params, zeta_order: int | None):
+        self.variables = tuple(variables)
+        self.params = tuple(params)
+        self.zeta_order = zeta_order
+        self.zero = (0,) * len(self.variables)
+        self.units = {}
+        for i, name in enumerate(self.variables):
+            self.units.setdefault(name, self.zero[:i] + (1,) + self.zero[i + 1:])
+        self.param_coeffs = {name: ParamCoeff.param(self.params, name) for name in self.params}
+
+    @cached_property
+    def zeta(self) -> Cyclotomic:
+        return Cyclotomic.zeta(self.zeta_order)
 
 
-def _parse_expr(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
+def _parse_expr(cur: _Cursor, ctx: _ExprContext) -> dict:
     acc = _parse_term(cur, ctx)
     while True:
         t = cur.peek()
-        if t is not None and t.text in ("+", "-"):
-            cur.next()
-            rhs = _parse_term(cur, ctx)
-            acc = acc + rhs if t.text == "+" else acc - rhs
-        else:
+        if t is None or t.text not in ("+", "-"):
             return acc
+        cur.next()
+        negate = t.text == "-"
+        for e, c in _parse_term(cur, ctx).items():
+            if negate:
+                c = -c
+            if e not in acc:
+                acc[e] = c
+                continue
+            s = acc[e] + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
 
 
-def _parse_term(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
+def _parse_term(cur: _Cursor, ctx: _ExprContext) -> dict:
     acc = _parse_factor(cur, ctx)
     while True:
         t = cur.peek()
-        if t is not None and t.text == "*":
-            cur.next()
-            rhs = _parse_factor(cur, ctx)
-            bound = _product_term_bound(acc, rhs)
-            if bound > POWER_TERM_BUDGET:
-                raise ParseError(t.line, t.col,
-                                 f"product may expand to {bound} terms, over the budget "
-                                 f"of {POWER_TERM_BUDGET}")
-            acc = acc * rhs
-        else:
+        if t is None or t.text != "*":
             return acc
+        cur.next()
+        acc = _product(acc, _parse_factor(cur, ctx), t, ctx)
 
 
-def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
+def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> dict:
     sign = 1
     while True:
         t = cur.peek()
@@ -179,37 +208,97 @@ def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
     t = cur.peek()
     if t is not None and t.text == "^":
         cur.next()
-        exp = _parse_signed_int(cur)
-        bound = _power_term_bound(atom, exp)
+        atom = _power(atom, _parse_signed_int(cur), t, ctx)
+    return atom if sign == 1 else {e: -c for e, c in atom.items()}
+
+
+def _product(a: dict, b: dict, tok: Token, ctx: _ExprContext) -> dict:
+    """a * b, refused at ``tok`` if over a budget.  A one-term factor shifts
+    the other's exponents and scales its coefficients, and does not scale
+    them when its coefficient is 1; two sums are multiplied out by
+    LaurentPoly's product."""
+    mono, rest = (b, a) if len(b) == 1 else (a, b)
+    shift = len(mono) == 1 and next(iter(mono.values())) is _ONE
+    # without parameters the term count is the dict size: most products are
+    # far inside the budget, so their supports are not measured
+    if ctx.params or len(a) * len(b) > POWER_TERM_BUDGET:
+        bound = _product_term_bound(a, b)
         if bound > POWER_TERM_BUDGET:
-            raise ParseError(t.line, t.col,
-                             f"power {exp} may expand to {bound} terms, over the budget "
+            raise ParseError(tok.line, tok.col,
+                             f"product may expand to {bound} terms, over the budget "
                              f"of {POWER_TERM_BUDGET}")
-        try:
-            base = atom ** -1 if exp < 0 else atom
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ParseError(t.line, t.col, f"cannot take power {exp}: {exc}") from None
-        bits = _power_bit_bound(base, abs(exp))
+    if not shift:
+        # the coefficients of a * b are integers of at most ma * mb over at
+        # most ma * mb, as for a power
+        ma, mb = _coeff_size(a), _coeff_size(b)
+        bits = max(1, (ma * mb).bit_length())
         if bits > POWER_BIT_BUDGET:
-            raise ParseError(t.line, t.col,
-                             f"power {exp} may need {bits}-bit coefficients, over the budget "
+            raise ParseError(tok.line, tok.col,
+                             f"product may need {bits}-bit coefficients, over the budget "
                              f"of {POWER_BIT_BUDGET}")
-        work = exp * bound * len(base.terms) if len(base.terms) > 1 else 0
+        # a pair of 5,000-bit coefficients costs about as much as 150 pairs
+        # of small ones
+        work = _term_count(a) * _term_count(b) * -(-(ma.bit_length() + mb.bit_length()) // 64)
         if work > POWER_WORK_BUDGET:
-            raise ParseError(t.line, t.col,
-                             f"power {exp} may take {work} term products, over the budget "
+            raise ParseError(tok.line, tok.col,
+                             f"product may take {work} term products, over the budget "
                              f"of {POWER_WORK_BUDGET}")
-        atom = base ** abs(exp)
-    return atom if sign == 1 else -atom
+    if len(mono) != 1:
+        return (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms
+    (m, cm), = mono.items()
+    if shift:
+        return {tuple(map(add, e, m)): c for e, c in rest.items()}
+    return {tuple(map(add, e, m)): c * cm for e, c in rest.items()}
 
 
-def _supports(*atoms: LaurentPoly) -> list[list[tuple[int, ...]]]:
+def _power(atom: dict, exp: int, tok: Token, ctx: _ExprContext) -> dict:
+    """atom ** exp, refused at ``tok`` if over a budget.  A one-term atom is
+    raised by scaling its exponents and powering its coefficient; a sum by
+    LaurentPoly's power."""
+    mono = len(atom) == 1
+    if mono:
+        (e, c), = atom.items()
+        if c is _ONE:  # a variable power: one term, coefficient 1, no work
+            return {tuple(exp * x for x in e): _ONE}
+    bound = _power_term_bound(atom, exp)
+    if bound > POWER_TERM_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"power {exp} may expand to {bound} terms, over the budget "
+                         f"of {POWER_TERM_BUDGET}")
+    if exp == 0:
+        return {ctx.zero: _ONE}
+    if exp < 0:
+        if not mono:
+            raise ParseError(tok.line, tok.col,
+                             f"cannot take power {exp}: negative powers only for monomials")
+        try:
+            e, c = tuple(-x for x in e), c ** -1
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(tok.line, tok.col, f"cannot take power {exp}: {exc}") from None
+        atom = {e: c}
+    n = abs(exp)
+    bits = _power_bit_bound(atom, n)
+    if bits > POWER_BIT_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"power {exp} may need {bits}-bit coefficients, over the budget "
+                         f"of {POWER_BIT_BUDGET}")
+    if mono:
+        return {tuple(n * x for x in e): c ** n}
+    work = n * bound * len(atom)
+    if work > POWER_WORK_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"power {exp} may take {work} term products, over the budget "
+                         f"of {POWER_WORK_BUDGET}")
+    return (LaurentPoly(ctx.variables, atom) ** n).terms
+
+
+def _supports(*atoms: dict) -> list[list[tuple[int, ...]]]:
     """Each atom's exponent vectors, one per parameter monomial of each
     term, padded to one common width (a plain coefficient has t^0)."""
     supports = []
     for atom in atoms:
         support = []
-        for e, c in atom.terms.items():
+        for e, c in atom.items():
             if isinstance(c, ParamCoeff):
                 support.extend(e + pe for pe, _ in c.terms)
             else:
@@ -223,7 +312,7 @@ def _box_widths(support: list[tuple[int, ...]]) -> list[int]:
     return [max(col) - min(col) for col in zip(*support)]
 
 
-def _power_term_bound(atom: LaurentPoly, exp: int) -> int:
+def _power_term_bound(atom: dict, exp: int) -> int:
     """An upper bound on the term count of ``atom ** exp``, parameter
     monomials included: the number of multisets of ``exp`` monomials, or of
     lattice points in ``exp`` times the support's bounding box if fewer."""
@@ -244,29 +333,39 @@ def _rationals(c) -> list:
     return [c]
 
 
-def _power_bit_bound(atom: LaurentPoly, exp: int) -> int:
+def _coeff_size(atom: dict) -> int:
+    """max(D, S) for D the common denominator of the atom's rational numbers
+    and S the sum of their absolute values times D: every coefficient of the
+    atom is an integer of at most S over D."""
+    values = [r for c in atom.values() for r in _rationals(c)]
+    den = math.lcm(*(r.denominator for r in values))
+    return max(den, sum(abs(r.numerator) * (den // r.denominator) for r in values))
+
+
+def _power_bit_bound(atom: dict, exp: int) -> int:
     """A bound on the bit lengths of the numerators and denominators of
-    ``atom ** exp`` for exp >= 0.  With D the common denominator of the
-    atom's rational numbers and S the sum of their absolute values times D,
-    every coefficient of the power is an integer of at most S^exp over
-    D^exp, and m^exp has at most exp times as many bits as m; a cyclotomic
+    ``atom ** exp`` for exp >= 0.  With m the atom's ``_coeff_size``, every
+    coefficient of the power is an integer of at most m^exp over at most
+    m^exp, and m^exp has at most exp times as many bits as m; a cyclotomic
     coefficient adds a constant factor that depends only on its order.
     Atoms written with 0 and one +/-1, such as ``zeta``, get 1 whatever the
     exponent.  Integer arithmetic only, so any exponent is measured."""
-    values = [r for c in atom.terms.values() for r in _rationals(c)]
-    den = math.lcm(*(r.denominator for r in values))
-    m = max(den, sum(abs(r.numerator) * (den // r.denominator) for r in values))
+    m = _coeff_size(atom)
     return max(1, exp * m.bit_length()) if m > 1 else 1
 
 
-def _product_term_bound(a: LaurentPoly, b: LaurentPoly) -> int:
+def _term_count(atom: dict) -> int:
+    """The atom's terms, each parameter monomial counted apart."""
+    return sum(len(c.terms) if isinstance(c, ParamCoeff) else 1 for c in atom.values())
+
+
+def _product_term_bound(a: dict, b: dict) -> int:
     """An upper bound on the term count of ``a * b``, parameter monomials
     included: the product of the two term counts, or the number of lattice
     points in the sum of the two supports' bounding boxes if fewer.  The
     boxes are measured only for a product over the budget, which most
     products in an input are not."""
-    pairs = math.prod(sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
-                          for c in atom.terms.values()) for atom in (a, b))
+    pairs = _term_count(a) * _term_count(b)
     if pairs <= POWER_TERM_BUDGET:
         return pairs
     sa, sb = _supports(a, b)
@@ -299,7 +398,7 @@ def _parse_signed_int(cur: _Cursor) -> int:
     return sign * _parse_int(cur)
 
 
-def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
+def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> dict:
     t = cur.peek()
     want = ("number", "variable", "parameter", "'zeta'", "'('")
     if t is None:
@@ -314,10 +413,11 @@ def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
         num, den = (_int(part, t) for part in t.text.split("/"))
         if den == 0:
             raise ParseError(t.line, t.col, f"zero denominator in {t.text}")
-        return LaurentPoly.constant(ctx.variables, Fraction(num, den))
+        return {ctx.zero: Fraction(num, den)} if num else {}
     if t.kind == "int":
         cur.next()
-        return LaurentPoly.constant(ctx.variables, Fraction(_int(t.text, t)))
+        value = _int(t.text, t)
+        return {ctx.zero: Fraction(value)} if value else {}
     if t.kind == "ident":
         cur.next()
         name = t.text
@@ -326,13 +426,11 @@ def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> LaurentPoly:
                 raise ParseError(t.line, t.col,
                                  "zeta used but no cyclotomic order declared "
                                  "(add a zeta or group line)")
-            return LaurentPoly.constant(
-                ctx.variables, Cyclotomic.zeta(ctx.zeta_order))
-        if name in ctx.variables:
-            return LaurentPoly.variable(ctx.variables, name)
-        if name in ctx.params:
-            return LaurentPoly.constant(
-                ctx.variables, ParamCoeff.param(ctx.params, name))
+            return {ctx.zero: ctx.zeta}
+        if name in ctx.units:
+            return {ctx.units[name]: _ONE}
+        if name in ctx.param_coeffs:
+            return {ctx.zero: ctx.param_coeffs[name]}
         raise ParseError(t.line, t.col, f"unknown identifier {name!r}", want)
     raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
 
@@ -341,10 +439,10 @@ def parse_poly(text: str, variables, params=(), zeta_order: int | None = None) -
     """Parse a single polynomial expression (test and scenario convenience)."""
     tokens = _tokenize(text, 1)
     cur = _Cursor(tokens, 1, len(text))
-    ctx = _ExprContext(tuple(variables), tuple(params), zeta_order)
-    p = _parse_expr(cur, ctx)
+    ctx = _ExprContext(variables, params, zeta_order)
+    terms = _parse_expr(cur, ctx)
     cur.require_end()
-    return p
+    return LaurentPoly(ctx.variables, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +599,9 @@ def parse_input(text: str) -> ProblemSpec:
     for ln, raw, name, cur in poly_lines:
         if n == 0:
             raise ParseError(ln, 1, "poly declared before vars")
-        p = _parse_expr(cur, ctx)
+        terms = _parse_expr(cur, ctx)
         cur.require_end()
-        spec.polys[name] = p
+        spec.polys[name] = LaurentPoly(ctx.variables, terms)
     for ln, name, comps in map_lines:
         for c in comps:
             if c not in spec.polys:

@@ -104,7 +104,11 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             self._check_compat(other)
             return other
-        if isinstance(other, (int, Fraction, Cyclotomic, FpElem, ParamCoeff)):
+        if isinstance(other, int):  # a constant of this polynomial's domain
+            c = next(iter(self.terms.values()), None)
+            return LaurentPoly.constant(self.vars, FpElem(c.p, other)
+                                        if isinstance(c, FpElem) else other)
+        if isinstance(other, (Fraction, Cyclotomic, FpElem, ParamCoeff)):
             return LaurentPoly.constant(self.vars, other)
         return None
 

@@ -206,3 +206,20 @@ class TestChain:
         out = capsys.readouterr().out
         assert "step 2" in out
         assert "accumulated quotient order: 3" in out
+
+    def test_steps_must_chain(self, tmp_path, capsys):
+        # step 1 records a trivial residual action and the image
+        # x1*x3^2 + x2^3 + x3^3, which the order-3 group below also fixes
+        a = tmp_path / "a.crm"
+        a.write_text("vars x1 x2 x3\ngroup e=3 gen [1,0,0]\npoly F = x1^3 + x2^3 + x3^3\n"
+                     "chart x3\n")
+        b = tmp_path / "b.crm"
+        b.write_text("vars x1 x2 x3\ngroup e=3 gen [0,1,0]\nchart x3\n")
+        assert main(["chain", str(a), str(b)]) == 2
+        assert "chain broken: step action differs" in capsys.readouterr().err
+        b.write_text("vars x1 x2 x3\npoly G = x1^3 + x2^3 + x3^3\nchart x3\n")
+        assert main(["chain", str(a), str(b)]) == 2
+        assert "chain broken: step input differs" in capsys.readouterr().err
+        b.write_text("vars x1 x2 x3\npoly G = x1*x3^2 + x2^3 + x3^3\nchart x3\n")
+        assert main(["chain", str(a), str(b)]) == 0
+        assert "accumulated quotient order: 3" in capsys.readouterr().out

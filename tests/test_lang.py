@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from cremona.coeffs import Cyclotomic, ParamCoeff
 from cremona.coeffs import PRIME_TEST_BOUND
 from cremona.lang import (POWER_BIT_BUDGET, POWER_WORK_BUDGET, ParseError, ProblemSpec,
-                          _power_bit_bound, _power_term_bound, _product_term_bound,
-                          parse_input, parse_poly, render_spec)
-from cremona.poly import LaurentPoly
+                          _coeff_size, _power_bit_bound, _power_term_bound,
+                          _product_term_bound, parse_input, parse_poly, render_spec)
+from cremona.poly import LaurentPoly, poly_str
+from helpers_reference import reference_mul, reference_pow
 
 LONG = "9" * 5000  # past the default_digit_limit fixture's 4,300 digits
 
@@ -148,11 +149,11 @@ class TestExpressions:
         power = atom ** exp
         n_terms = sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
                       for c in power.terms.values())
-        assert _power_term_bound(atom, exp) >= n_terms
+        assert _power_term_bound(atom.terms, exp) >= n_terms
 
     def test_power_within_bit_budget(self):
         # 2^5000 sits exactly at the budget; 2^5001 is refused
-        assert _power_bit_bound(parse_poly("2", ("x1",)), 5000) == POWER_BIT_BUDGET
+        assert _power_bit_bound(parse_poly("2", ("x1",)).terms, 5000) == POWER_BIT_BUDGET
         assert parse_poly("2^5000*x1", ("x1",)) == \
             LaurentPoly(("x1",), {(1,): Fraction(2 ** 5000)})
         assert parse_poly("(-1/2)^-4999*x1^-3", ("x1",)) == \
@@ -178,7 +179,7 @@ class TestExpressions:
             rationals += [v for _, v in c.terms] if isinstance(c, ParamCoeff) else [c]
         bits = max((max(abs(r.numerator), r.denominator).bit_length() for r in rationals),
                    default=0)
-        assert _power_bit_bound(atom, exp) >= bits
+        assert _power_bit_bound(atom.terms, exp) >= bits
 
     def test_product_over_term_budget_is_positioned(self):
         # two 1,001-term factors: 1,002,001 term pairs, refused before multiplying
@@ -205,9 +206,26 @@ class TestExpressions:
         product = a * b
         n_terms = sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
                       for c in product.terms.values())
-        assert _product_term_bound(a, b) >= n_terms
+        assert _product_term_bound(a.terms, b.terms) >= n_terms
         with patch("cremona.lang.POWER_TERM_BUDGET", 0):  # measure the boxes too
-            assert _product_term_bound(a, b) >= n_terms
+            assert _product_term_bound(a.terms, b.terms) >= n_terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(*[st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2),
+                                st.fractions(max_denominator=12).filter(bool)),
+                      min_size=0, max_size=3)] * 2, st.booleans())
+    def test_product_bit_bound_is_an_upper_bound(self, left, right, with_param):
+        # the product refuses a * b when m_a * m_b, with m the _coeff_size,
+        # needs more bits than the budget
+        params = ("t1",) if with_param else ()
+        a, b = (parse_poly(" + ".join(f"({c})*x1^{i}*{'t1' if with_param else 'x2'}^{j}"
+                                      for i, j, c in side) or "0", ("x1", "x2"), params)
+                for side in (left, right))
+        rationals = []
+        for c in reference_mul(a, b).terms.values():
+            rationals += [v for _, v in c.terms] if isinstance(c, ParamCoeff) else [c]
+        bound = _coeff_size(a.terms) * _coeff_size(b.terms)
+        assert all(max(abs(r.numerator), r.denominator) <= bound for r in rationals)
 
     def test_zero_denominator_is_positioned(self):
         with pytest.raises(ParseError) as exc:
@@ -293,8 +311,35 @@ def test_power_over_work_budget_is_positioned():
 def test_power_within_work_budget():
     # 100 * 5,151 * 3 term products: parsed in well under a second
     assert len(parse_poly("(x1 + x2 + x3)^100", ("x1", "x2", "x3")).terms) == 5151
-    assert _power_term_bound(parse_poly("x1 + x2", ("x1", "x2")), 1224) * 1224 * 2 \
+    assert _power_term_bound(parse_poly("x1 + x2", ("x1", "x2")).terms, 1224) * 1224 * 2 \
         <= POWER_WORK_BUDGET
+
+
+def test_product_over_work_or_bit_budget_is_positioned():
+    # inside the term budget (their summed boxes are small), but the first
+    # case parsed for about 30 s before the product budgets: its last product
+    # takes 2,401 x 2,401 term pairs of 2,400-bit coefficients.  Parsed in a
+    # bounded interpreter, never in this one.
+    cases = [("((x1+1)^1200*(x1+1)^1200)*((x1+1)^1200*(x1+1)^1200)", 13, "3000000"),
+             ("(x1 + 1)^600*(x1 - 1)^600", 13, "3000000"),
+             ("x1*(2^5000*x1 + 1)*(2^5000*x2 + 1)", 19, "bit")]
+    code = ("import sys\n"
+            "from cremona.lang import ParseError, parse_poly\n"
+            "for text, word in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    try:\n"
+            "        parse_poly(text, ('x1', 'x2'))\n"
+            "        print('parsed')\n"
+            "    except ParseError as exc:\n"
+            "        print(exc.line, exc.col, word in exc.message)\n")
+    done = bounded_python(["-c", code, *(arg for text, _, word in cases for arg in (text, word))])
+    assert done.stdout.splitlines() == [f"1 {col} True" for _, col, _ in cases], done.stderr
+
+
+def test_product_within_work_budget():
+    # 441 x 441 term pairs of 441-bit coefficients, 14 words a pair: 2,722,734
+    assert parse_poly("(x1 + 1)^440*(x1 + 1)^440", ("x1",)) == parse_poly("(x1 + 1)^880", ("x1",))
+    with pytest.raises(ParseError, match="3000000"):  # 451 x 451 pairs, 15 words a pair
+        parse_poly("(x1 + 1)^450*(x1 + 1)^450", ("x1",))
 
 
 def test_huge_constant_power_cli_exit_code(tmp_path):
@@ -366,3 +411,122 @@ def problem_specs(draw):
 @given(problem_specs())
 def test_render_parse_round_trip_property(spec):
     assert parse_input(render_spec(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# the parser against an evaluation of expression trees
+# ---------------------------------------------------------------------------
+
+TREE_VARS = ("x1", "x2")
+
+
+def _leaves(params, zeta_order, nonzero=False):
+    """Atoms: integers, rationals, variables, parameters and zeta; for the
+    base of a negative power only nonzero scalars, variables and zeta."""
+    low = 1 if nonzero else 0
+    options = [st.integers(low, 9).map(lambda n: ("int", n)),
+               st.tuples(st.integers(low, 9), st.integers(1, 9)).map(lambda t: ("rat",) + t),
+               st.sampled_from(TREE_VARS).map(lambda v: ("var", v))]
+    if params and not nonzero:
+        options.append(st.sampled_from(params).map(lambda t: ("param", t)))
+    if zeta_order:
+        options.append(st.just(("zeta",)))
+    return st.one_of(options)
+
+
+@st.composite
+def expression_trees(draw):
+    """(tree, params, zeta order): sums, differences, unary minus,
+    parentheses, products and powers over the atoms, with negative powers
+    of monomials."""
+    params = ("t1", "t2")[:draw(st.integers(0, 2))]
+    zeta_order = draw(st.sampled_from([None, 3, 4, 5]))
+    monomials = st.lists(_leaves(params, zeta_order, nonzero=True), min_size=1, max_size=3).map(
+        lambda fs: fs[0] if len(fs) == 1 else ("paren", _product_tree(fs)))
+    negative_powers = st.tuples(monomials, st.integers(-3, -1)).map(lambda t: ("pow",) + t)
+    tree = draw(st.recursive(
+        _leaves(params, zeta_order) | negative_powers,
+        lambda kids: st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), kids, kids),
+            kids.map(lambda k: ("neg", k)),
+            kids.map(lambda k: ("paren", k)),
+            st.tuples(kids, st.integers(0, 3)).map(lambda t: ("pow",) + t)),
+        max_leaves=8))
+    return tree, params, zeta_order
+
+
+def _product_tree(factors):
+    tree = factors[0]
+    for f in factors[1:]:
+        tree = ("mul", tree, f)
+    return tree
+
+
+# binding strength of each node as written: a sum, a product, a signed or
+# raised factor, an atom
+_LEVEL = {"add": 0, "sub": 0, "mul": 1, "neg": 2, "pow": 2}
+
+
+def _render(tree, level=0) -> str:
+    """The tree as input text, parenthesized only where the grammar needs
+    it (and at ``paren`` nodes)."""
+    kind = tree[0]
+    if kind == "int":
+        text = str(tree[1])
+    elif kind == "rat":
+        text = f"{tree[1]}/{tree[2]}"
+    elif kind in ("var", "param"):
+        text = tree[1]
+    elif kind == "zeta":
+        text = "zeta"
+    elif kind == "paren":
+        text = f"({_render(tree[1])})"
+    elif kind in ("add", "sub"):
+        text = f"{_render(tree[1], 0)} {'+' if kind == 'add' else '-'} {_render(tree[2], 1)}"
+    elif kind == "mul":
+        text = f"{_render(tree[1], 1)}*{_render(tree[2], 2)}"
+    elif kind == "neg":
+        text = "-" + _render(tree[1], 2)
+    else:
+        text = f"{_render(tree[1], 3)}^{tree[2]}"
+    return f"({text})" if _LEVEL.get(kind, 3) < level else text
+
+
+def _evaluate(tree, params, zeta_order) -> LaurentPoly:
+    """The tree's value by LaurentPoly's sum and negation and the reference
+    product and power."""
+    def ev(t):
+        kind = t[0]
+        if kind in ("int", "rat"):
+            return LaurentPoly.constant(TREE_VARS, Fraction(*t[1:]))
+        if kind == "var":
+            return LaurentPoly.variable(TREE_VARS, t[1])
+        if kind == "param":
+            return LaurentPoly.constant(TREE_VARS, ParamCoeff.param(params, t[1]))
+        if kind == "zeta":
+            return LaurentPoly.constant(TREE_VARS, Cyclotomic.zeta(zeta_order))
+        if kind == "paren":
+            return ev(t[1])
+        if kind == "add":
+            return ev(t[1]) + ev(t[2])
+        if kind == "sub":
+            return ev(t[1]) - ev(t[2])
+        if kind == "mul":
+            return reference_mul(ev(t[1]), ev(t[2]))
+        if kind == "neg":
+            return -ev(t[1])
+        return reference_pow(ev(t[1]), t[2])
+    return ev(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expression_trees())
+@example((("sub", ("pow", ("neg", ("var", "x1")), 2), ("neg", ("pow", ("rat", 2, 3), -2))),
+          (), None))  # (-x1)^2 - -2/3^-2: signs, powers and a rational token
+def test_parse_matches_tree_evaluation(case):
+    tree, params, zeta_order = case
+    text = _render(tree)
+    expected = _evaluate(tree, params, zeta_order)
+    parsed = parse_poly(text, TREE_VARS, params, zeta_order)
+    assert parsed == expected, text
+    assert poly_str(parsed) == poly_str(expected), text

@@ -238,6 +238,15 @@ class TestPackedProduct:
             with pytest.raises((ValueError, TypeError)):
                 a * b
 
+    def test_int_operands_take_the_polynomial_domain(self):
+        f = P("x1 + 3*x2", V2).reduce_mod(7)
+        for g in (f + 1, 1 + f, f - 1, 1 - f, 2 * f, f * 2):
+            assert all(isinstance(c, FpElem) and c.p == 7 for c in g.terms.values())
+        assert (f + 1) * f == reference_mul(f + 1, f) == f * f + f
+        assert f + 7 == f and (f - 1) + 1 == f
+        assert P("x1", V2) + 1 == P("x1 + 1", V2)  # exact domains keep rationals
+        assert next(iter((LaurentPoly.zero(V2) + 2).terms.values())) == Fraction(2)
+
     def test_zero_and_unit_powers(self):
         f = P("x1 + x2", V2).reduce_mod(7)
         assert f ** 0 == LaurentPoly.one(V2) == LaurentPoly.zero(V2) ** 0
