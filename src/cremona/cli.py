@@ -194,16 +194,17 @@ def _cmd_chain(args) -> int:
             F = steps[-1].image
             if len(F.vars) != len(spec.variables):
                 raise ValueError("chained spec has a different ambient dimension")
+        if steps:  # checked before the group is asked to fix F
+            try:
+                CremonaChain.check_link(steps[-1], F, action)
+            except ValueError as exc:  # not the predecessor's image or residual action
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         X = InvariantHypersurface(F, action)
         chart = _chart_index(spec, action)
         basis = MonomialBasis(spec.basis) if spec.basis is not None else None
         steps.append(cremona_step(X, chart, basis))
-    try:
-        chain = CremonaChain(tuple(steps))
-    except ValueError as exc:  # a spec's group or polynomial is not its predecessor's output
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    degree = chain.accumulated_order()
+    degree = CremonaChain(tuple(steps)).accumulated_order()
     payload = {"steps": [_step_payload(s) for s in steps], "accumulated_order": degree}
 
     def text():

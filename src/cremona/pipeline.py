@@ -389,10 +389,16 @@ class CremonaChain:
 
     def __post_init__(self):
         for a, b in zip(self.steps, self.steps[1:]):
-            if b.input.F != a.image:
-                raise ValueError("chain broken: step input differs from previous image")
-            if b.input.action != a.residual:
-                raise ValueError("chain broken: step action differs from recorded residual")
+            self.check_link(a, b.input.F, b.input.action)
+
+    @staticmethod
+    def check_link(prev: CremonaStep, F: LaurentPoly, action: DiagonalAction) -> None:
+        """Raise ValueError unless F and action are prev's image and its
+        recorded residual action, so that a step on them may follow prev."""
+        if F != prev.image:
+            raise ValueError("chain broken: step input differs from previous image")
+        if action != prev.residual:
+            raise ValueError("chain broken: step action differs from recorded residual")
 
     def accumulated_order(self, start: int = 0) -> int:
         acc = 1

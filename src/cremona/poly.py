@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
+from operator import add, mul, sub
 
 from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, euler_phi, specialize, \
     to_prime_field
@@ -57,6 +57,15 @@ class LaurentPoly:
     @classmethod
     def constant(cls, variables, c) -> LaurentPoly:
         return cls(variables, {(0,) * len(variables): c})
+
+    @classmethod
+    def _raw(cls, variables: tuple, terms: dict) -> LaurentPoly:
+        """A polynomial on terms known to be clean: nonzero coefficients of
+        its domain on exponent tuples of the right length, as ``__init__``
+        leaves them."""
+        p = object.__new__(cls)
+        p.vars, p.terms = variables, terms
+        return p
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1) -> LaurentPoly:
@@ -296,6 +305,8 @@ class LaurentPoly:
 def _domain(scalars):
     """(cyclotomic order, prime, parameter symbols) shared by the scalars,
     each None when absent."""
+    if set(map(type, scalars)) == {Fraction}:
+        return None, None, None
     inner = [a for c in scalars
              for a in ([a for _, a in c.terms] if isinstance(c, ParamCoeff) else [c])]
     orders = {a.order for a in inner if isinstance(a, Cyclotomic)}
@@ -311,20 +322,27 @@ def _domain(scalars):
             min(symbols, default=None))
 
 
-def _coeff_parts(c, n_params: int):
-    """[(parameter exponents + (zeta power,), rational or int value)] of a scalar."""
-    if isinstance(c, ParamCoeff):
-        return [(pe + z, v) for pe, a in c.terms for z, v in _coeff_parts(a, 0)]
-    pad = (0,) * n_params
-    if isinstance(c, Cyclotomic):
-        return [(pad + (j,), v) for j, v in enumerate(c.coeffs) if v]
-    return [(pad + (0,), c.value if isinstance(c, FpElem) else c)]
+def _parts(items, n_params: int) -> list:
+    """[(exponents + parameter exponents + (zeta power,), rational or int
+    value)] of some (exponents, scalar) pairs: one entry per nonzero
+    rational component of each scalar."""
+    tail = (0,) * (n_params + 1)
+    out = []
+    for ex, c in items:
+        if isinstance(c, Cyclotomic):
+            ex += tail[:-1]
+            out += [(ex + (j,), v) for j, v in enumerate(c.coeffs) if v]
+        elif isinstance(c, ParamCoeff):
+            out += _parts([(ex + pe, a) for pe, a in c.terms], 0)
+        else:
+            out.append((ex + tail, c.value if isinstance(c, FpElem) else c))
+    return out
 
 
 def _box(parts):
     """Per-slot minimum and maximum over the slot tuples of some parts."""
     cols = list(zip(*(s for s, _ in parts)))
-    return [min(col) for col in cols], [max(col) for col in cols]
+    return list(map(min, cols)), list(map(max, cols))
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -333,32 +351,57 @@ def _pmul(a: dict, b: dict) -> dict:
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb
-            s = get(k, 0) + va * vb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+            out[k] = get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def _share(terms: dict, hats: list, split: bool) -> tuple[int, tuple | None]:
+    """(j, m) for a multi-term image x^m * hats[j], m None for x^0.  Split,
+    m is the per-variable minimum exponent and an equal hat already in
+    ``hats`` is reused; otherwise the hat is appended."""
+    m, hat = None, terms
+    if split:
+        m = tuple(map(min, *terms))
+        if any(m):
+            hat = {tuple(map(sub, e, m)): c for e, c in terms.items()}
+        else:
+            m = None
+        for j, h in enumerate(hats):
+            if h == hat:
+                return j, m
+    hats.append(hat)
+    return len(hats) - 1, m
 
 
 def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     """Sum over the terms c*x^e of F of c * prod_i images[x_i]^e_i, exactly.
 
     Monomial images fold into the term scalars by coefficient arithmetic,
-    negative powers included; zero images kill their terms.  The others are
-    multiplied out on Kronecker-packed integer keys (Monagan & Pearce, Maple
-    14, 2009): one slot per target variable, parameter symbol and the zeta
-    power, each with a radix spanning the exponent range the expansion can
-    reach, so Laurent exponents decode exactly.  Denominators are cleared per
-    image into the term scalars, which share one denominator.  Only keys that
-    survive the sum are zeta-folded and decoded.  The result's coefficients
-    lie in the inputs' common domain: Q, Q(zeta_e), parameters over either,
-    or F_p.
+    negative powers included; zero images kill their terms.  When F has
+    more than one live term, every other image is split as x^m * hat, m its
+    per-variable minimum exponent, and images with equal hats share one
+    packed table, denominator scale, exponent box and ladder of powers;
+    x^(k*m) joins the term's exponent shift like a monomial image.  Hats
+    are compared by value: the domain, which sets the result's coefficient
+    types, is read from every image before sharing, so a rational
+    Cyclotomic hat may stand for a Fraction one.  Terms with one signature,
+    the sorted (hat, total exponent) pairs, merge their shifted scalars
+    into one cofactor, which multiplies their product of hat powers once.
+
+    The products run on Kronecker-packed integer keys (Monagan & Pearce,
+    Maple 14, 2009): one slot per target variable, parameter symbol and the
+    zeta power, each with a radix spanning the exponent range the expansion
+    can reach, so Laurent exponents decode exactly.  Denominators are
+    cleared per hat into the cofactors, which share one denominator.  Only
+    keys that survive the sum are zeta-folded and decoded.  The result's
+    coefficients lie in the inputs' common domain: Q, Q(zeta_e), parameters
+    over either, or F_p.
     """
     n = len(target_vars)
+    zero = (0,) * n
     terms = []  # (scalar, exponent shift, [(name, k) of non-monomial images])
     for e, c in F.terms.items():
-        scalar, shift, factors, dead = c, (0,) * n, [], False
+        scalar, shift, factors, dead = c, zero, [], False
         for name, k in zip(F.vars, e):
             if not k:
                 continue
@@ -373,33 +416,48 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
             else:
                 (m, cm), = img.terms.items()
                 scalar = scalar * cm ** k
-                shift = tuple(a + k * b for a, b in zip(shift, m))
+                shift = tuple([a + k * b for a, b in zip(shift, m)])
         if not dead:
             terms.append((scalar, shift, factors))
     if not terms:
         return LaurentPoly.zero(target_vars)
-    used = list(dict.fromkeys(name for _, _, factors in terms for name, _ in factors))
+
+    # a lone term has no product to share, so its images stay whole
+    split = len(terms) > 1
+    hats, hat_of, groups = [], {}, {}  # hat_of[name] = (j, m); signature -> [(shift, scalar)]
+    for scalar, shift, factors in terms:
+        sig = {}
+        for name, k in factors:
+            if name not in hat_of:
+                hat_of[name] = _share(images[name].terms, hats, split)
+            j, m = hat_of[name]
+            sig[j] = sig.get(j, 0) + k
+            if m is not None:
+                shift = tuple([a + k * b for a, b in zip(shift, m)])
+        groups.setdefault(tuple(sorted(sig.items())), []).append((shift, scalar))
     order, prime, symbols = _domain(
-        [s for s, _, _ in terms] + [c for name in used for c in images[name].terms.values()])
+        [s for s, _, _ in terms] + [c for name in hat_of for c in images[name].terms.values()])
     n_params = len(symbols or ())
 
-    # images with cleared denominators, term scalars still rational, and the
-    # exponent box each term can reach
-    image_ints, scale, image_box = {}, {}, {}
-    for name in used:
-        parts = [(ex + s, v) for ex, c in images[name].terms.items()
-                 for s, v in _coeff_parts(c, n_params)]
-        d = scale[name] = lcm(*(v.denominator for _, v in parts))
-        image_ints[name] = [(s, v.numerator * (d // v.denominator)) for s, v in parts]
-        image_box[name] = _box(parts)
-    scalars, lo, hi = [], None, None
-    for scalar, shift, factors in terms:
-        s_scale = prod(scale[name] ** k for name, k in factors)
-        parts = [(shift + s, Fraction(v) / s_scale) for s, v in _coeff_parts(scalar, n_params)]
-        scalars.append(parts)
+    # hats with cleared denominators, cofactor scalars still rational, and
+    # the exponent box each group can reach
+    scale, hat_ints, hat_box = [], [], []
+    for hat in hats:
+        parts = _parts(hat.items(), n_params)
+        d = lcm(*(v.denominator for _, v in parts))
+        scale.append(d)
+        hat_ints.append([(s, v.numerator * (d // v.denominator)) for s, v in parts])
+        hat_box.append(_box(parts))
+    cofactors, lo, hi = [], None, None
+    for sig, members in groups.items():
+        s_scale = prod(scale[j] ** k for j, k in sig)
+        parts = _parts(members, n_params)
+        if s_scale != 1:
+            parts = [(s, Fraction(v) / s_scale) for s, v in parts]
+        cofactors.append(parts)
         t_lo, t_hi = _box(parts)
-        for name, k in factors:
-            i_lo, i_hi = image_box[name]
+        for j, k in sig:
+            i_lo, i_hi = hat_box[j]
             t_lo = [a + k * b for a, b in zip(t_lo, i_lo)]
             t_hi = [a + k * b for a, b in zip(t_hi, i_hi)]
         lo = t_lo if lo is None else list(map(min, lo, t_lo))
@@ -408,67 +466,76 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     weights = [prod(radices[:j]) for j in range(len(radices))]
 
     def key(s):
-        return sum(x * w for x, w in zip(s, weights))
+        return sum(map(mul, s, weights))
 
-    den = lcm(*(v.denominator for parts in scalars for _, v in parts))
-    packed = {name: {key(s): v for s, v in ps} for name, ps in image_ints.items()}
-    powers = {name: [p] for name, p in packed.items()}  # powers[name][k - 1]
+    den = lcm(*(v.denominator for parts in cofactors for _, v in parts))
+    powers = [[{key(s): v for s, v in ps}] for ps in hat_ints]  # powers[j][k - 1]
 
     total: dict[int, int] = {}
-    for parts, (_, _, factors) in zip(scalars, terms):
+    get = total.get
+    for sig, parts in zip(groups, cofactors):
+        cofactor: dict[int, int] = {}
+        for s, v in parts:
+            k = key(s)
+            t = cofactor.get(k, 0) + v.numerator * (den // v.denominator)
+            if t:
+                cofactor[k] = t
+            else:
+                del cofactor[k]
         product = {0: 1}
-        for j, (name, k) in enumerate(factors):
-            pows = powers[name]
+        for i, (j, k) in enumerate(sig):
+            pows = powers[j]
             while len(pows) < k:
                 pows.append(_pmul(pows[-1], pows[0]))
-            product = pows[k - 1] if not j else _pmul(product, pows[k - 1])
-        for s, v in parts:
-            sk = key(s)
-            sv = v.numerator * (den // v.denominator)
+            product = pows[k - 1] if not i else _pmul(product, pows[k - 1])
+        for sk, sv in cofactor.items():
             for k, pv in product.items():
                 k += sk
-                t = total.get(k, 0) + sv * pv
-                if t:
-                    total[k] = t
-                else:
-                    del total[k]
+                total[k] = get(k, 0) + sv * pv
 
-    # fold the zeta power (the top slot) of the surviving keys
+    # fold the zeta power (the top slot) of the nonzero sums, one reduction
+    # row per power of zeta mod the order
     off, wz = key(lo), weights[-1]
-    reduced: dict[int, int] = {}
-    for k, v in total.items():
-        z, rest = divmod(k - off, wz)
-        vec = (v,) if order is None else \
-            _reduce_vector(order, [0] * ((z + lo[-1]) % order) + [v])
-        for j, c in enumerate(vec):
-            if c:
-                t = reduced.get(rest + j * wz, 0) + c
-                if t:
-                    reduced[rest + j * wz] = t
-                else:
-                    del reduced[rest + j * wz]
+    if order is not None:
+        rows = [[(j * wz, r) for j, r in enumerate(_reduce_vector(order, [0] * z + [1])) if r]
+                for z in range(order)]
+        reduced: dict[int, int] = {}
+        for k, v in total.items():
+            if v:
+                z, rest = divmod(k - off, wz)
+                for jw, r in rows[(z + lo[-1]) % order]:
+                    k = off + rest + jw
+                    reduced[k] = reduced.get(k, 0) + v * r
+        total = reduced
 
-    # decode: monomial -> parameter exponents -> zeta power vector
+    def value(x):  # a numerator over den, or a residue mod the prime
+        if prime is not None:
+            return FpElem(prime, x)
+        return Fraction(x // den) if not x % den else Fraction(x, den)
+
+    # decode the nonzero sums: monomial + parameter exponents -> scalar, or
+    # zeta power vector
+    slots = list(zip(weights, radices, lo))[:-1]
     phi = euler_phi(order) if order is not None else 1
     out: dict = {}
-    for k, v in reduced.items():
-        digits = []
-        for r, a in zip(radices[:-1], lo):
-            k, d = divmod(k, r)
-            digits.append(d + a)
-        by_param = out.setdefault(tuple(digits[:n]), {})
-        by_param.setdefault(tuple(digits[n:]), [0] * phi)[k] = v  # k: the zeta power
-
-    def scalar_of(vec):
+    for k, v in total.items():
         if prime is not None:
-            return FpElem(prime, vec[0])
-        vals = tuple(Fraction(x, den) for x in vec)
-        return vals[0] if order is None else Cyclotomic(order, vals)
-
-    return LaurentPoly(target_vars, {
-        mono: scalar_of(by_param[()]) if symbols is None else
-        ParamCoeff._make(symbols, {pe: scalar_of(vec) for pe, vec in by_param.items()})
-        for mono, by_param in out.items()})
+            v %= prime
+        if v:
+            z, k = divmod(k - off, wz)
+            d = tuple([k // w % r + a for w, r, a in slots])
+            if order is None:
+                out[d] = value(v)
+            else:
+                out.setdefault(d, [0] * phi)[z] = v
+    if order is not None:
+        out = {d: Cyclotomic(order, tuple(map(value, vec))) for d, vec in out.items()}
+    if symbols is not None:
+        by_mono: dict = {}
+        for d, c in out.items():
+            by_mono.setdefault(d[:n], {})[d[n:]] = c
+        out = {mono: ParamCoeff._make(symbols, pcs) for mono, pcs in by_mono.items()}
+    return LaurentPoly._raw(target_vars, out)
 
 
 def _formal_product(factors: list[tuple[LaurentPoly, int]]) -> LaurentPoly:
@@ -479,7 +546,7 @@ def _formal_product(factors: list[tuple[LaurentPoly, int]]) -> LaurentPoly:
         return LaurentPoly.zero(factors[0][0].vars)
     unit = next(iter(factors[0][0].terms.values())) ** 0
     names = tuple(f"f{i}" for i in range(len(factors)))
-    formal = LaurentPoly(names, {tuple(k for _, k in factors): unit})
+    formal = LaurentPoly._raw(names, {tuple(k for _, k in factors): unit})
     return _expand(formal, dict(zip(names, (f for f, _ in factors))), factors[0][0].vars)
 
 

@@ -223,3 +223,16 @@ class TestChain:
         b.write_text("vars x1 x2 x3\npoly G = x1*x3^2 + x2^3 + x3^3\nchart x3\n")
         assert main(["chain", str(a), str(b)]) == 0
         assert "accumulated quotient order: 3" in capsys.readouterr().out
+
+    def test_group_not_fixing_the_image_breaks_the_chain(self, tmp_path, capsys):
+        # x1 -> -x1 does not fix the image x1*x3^2 + x2^3 + x3^3; the link is
+        # checked before the hypersurface would reject the group
+        a = tmp_path / "a.crm"
+        a.write_text("vars x1 x2 x3\ngroup e=3 gen [1,0,0]\npoly F = x1^3 + x2^3 + x3^3\n"
+                     "chart x3\n")
+        b = tmp_path / "b.crm"
+        b.write_text("vars x1 x2 x3\ngroup e=2 gen [1,0,0]\nchart x3\n")
+        assert main(["chain", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert "chain broken: step action differs from recorded residual" in err
+        assert "not invariant" not in err

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from cremona import poly
 from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff
 from cremona.lang import parse_poly
+from cremona.pipeline import parametrize_linear
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
+from cremona.verify import on_variety
 from helpers_reference import reference_mul, reference_pow, reference_substitute
 
 V2 = ("x1", "x2")
@@ -253,6 +256,122 @@ class TestPackedProduct:
         assert LaurentPoly.zero(V2) ** 3 == LaurentPoly.zero(V2) == f * LaurentPoly.zero(V2)
         with pytest.raises(ValueError, match="negative powers only for monomials"):
             LaurentPoly.zero(V2) ** -1
+
+
+class TestSharedFactors:
+    """Images equal up to a monomial share one hat: its powers are built
+    once, and the terms of one factor signature share one product."""
+
+    def count_pmul(self, monkeypatch):
+        calls = []
+        real = poly._pmul
+        monkeypatch.setattr(poly, "_pmul", lambda a, b: calls.append(1) or real(a, b))
+        return calls
+
+    def test_linear_model_builds_one_ladder(self, monkeypatch):
+        # F = x1*A + B over 6 variables, A an 8-term cubic; the model sends
+        # x_j to y_j*A, so every image but -B has the hat of A
+        rng = random.Random(5)
+        V6 = tuple(f"x{i}" for i in range(1, 7))
+        cubics = [e for e in itertools.product(range(4), repeat=5) if sum(e) == 3]
+        quartics = [e for e in itertools.product(range(5), repeat=5) if sum(e) == 4]
+        A = {(1,) + e: Fraction(rng.randint(1, 9)) for e in rng.sample(cubics, 8)}
+        B = {(0,) + e: Fraction(rng.randint(-9, 9) or 1) for e in rng.sample(quartics, 30)}
+        F = LaurentPoly(V6, {**A, **B})
+        model = parametrize_linear(F, 0)
+        calls = self.count_pmul(monkeypatch)
+        assert on_variety(model, F)
+        # A^2, A^3, A^4 once each; signatures (A, 4) and (A, 3)(-B, 1), of
+        # which only the second multiplies two powers
+        assert len(calls) <= 3 + 2
+
+    def test_equal_images_share_one_power(self, monkeypatch):
+        s = P("u1 + u2 + 1", U2)
+        images = {"x1": s, "x2": P("u1^-1", U2) * s, "x3": 2 * s}
+        F = P("x1^2 + x1*x2 + x2^2 + x3^2", V3)
+        calls = self.count_pmul(monkeypatch)
+        got = F.substitute(images)
+        assert got == reference_substitute(F, images)
+        assert len(calls) == 2  # s^2 once, (2*s)^2 once: x1 and x2 share s
+
+    @pytest.mark.parametrize("scalars", [
+        (Fraction(1), Fraction(2), Cyclotomic(3, (Fraction(1), Fraction(0))),
+         Cyclotomic(3, (Fraction(2), Fraction(0)))),
+        (ParamCoeff.const(("t1",), 1), ParamCoeff.const(("t1",), 2),
+         ParamCoeff.const(("t1",), Cyclotomic(3, (Fraction(1), Fraction(0)))),
+         ParamCoeff.const(("t1",), Cyclotomic(3, (Fraction(2), Fraction(0)))))],
+        ids=["Fraction and Cyclotomic", "ParamCoeff over both"])
+    def test_equal_values_of_other_types_keep_the_domain(self, scalars):
+        # u -> y1 + 2*y2 over Q, v -> the same with rational Cyclotomic
+        # coefficients: equal hats, but the result lies in Q(zeta_3)
+        one, two, z_one, z_two = scalars
+        u = LaurentPoly(U2, {(1, 0): one, (0, 1): two})
+        v = LaurentPoly(U2, {(1, 0): z_one, (0, 1): z_two})
+        assert u == v
+        for text in ("x1*x2", "x1*x2 + x1^2", "x1*x2 + x2^2 + x3"):
+            F = P(text, V3)
+            got = F.substitute({"x1": u, "x2": v, "x3": u})
+            assert got == reference_substitute(F, {"x1": u, "x2": v, "x3": u})
+            assert got.terms and all(Cyclotomic in inner_kinds(c) for c in got.terms.values())
+            assert {type(c) for c in got.terms.values()} == {type(z_one)}
+
+
+def inner_kinds(c) -> set:
+    return {type(a) for _, a in c.terms} if isinstance(c, ParamCoeff) else {type(c)}
+
+
+def substitute_kinds(F: LaurentPoly, images: dict):
+    """(type, inner types) of the coefficients of F.substitute(images): those
+    of the common domain of F's live terms and the images they use."""
+    kinds, param = set(), False
+    for e, c in F.terms.items():
+        used = [images[v] for v, k in zip(F.vars, e) if k]
+        if all(used):
+            for x in [c] + [a for img in used for a in img.terms.values()]:
+                param = param or isinstance(x, ParamCoeff)
+                kinds |= inner_kinds(x)
+    inner = next((k for k in (Cyclotomic, FpElem) if k in kinds), Fraction)
+    return (ParamCoeff if param else inner), {inner}
+
+
+SHARED_COEFFS = dict(RING_COEFFS, **{
+    "params over Q(zeta3)": st.one_of(RING_COEFFS["Q(zeta3)"], st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), RING_COEFFS["Q(zeta3)"],
+        max_size=3).map(lambda d: ParamCoeff._make(("t1", "t2"), d)))})
+
+
+@pytest.mark.parametrize("domain", SHARED_COEFFS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_substitute_shared_factors(domain, data):
+    # images are scaled, Laurent-shifted copies of at most two polynomials,
+    # monomials or zero; the result must match the reference in value and
+    # lie in the inputs' domain
+    coeffs = SHARED_COEFFS[domain]
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    shared = data.draw(st.lists(st.dictionaries(exps, coeffs, min_size=2, max_size=4).map(
+        lambda d: LaurentPoly(U2, d)), min_size=1, max_size=2))
+    units = [FpElem(7, 1), FpElem(7, 2)] if domain == "F_7" else [Fraction(1), Fraction(2)]
+    monomial = st.builds(lambda e, c: LaurentPoly(U2, {e: c}), exps,
+                         st.one_of(st.sampled_from(units), coeffs))
+    image = st.one_of(st.just(LaurentPoly.zero(U2)), monomial,
+                      st.builds(lambda m, s: m * s, monomial, st.sampled_from(shared)))
+    images = {v: data.draw(image) for v in V3}
+    F = LaurentPoly(V3, data.draw(st.dictionaries(
+        st.tuples(st.integers(-1, 3), st.integers(0, 3), st.integers(0, 2)), coeffs,
+        max_size=6)))
+    try:
+        want = reference_substitute(F, images)
+    except ValueError:  # negative powers of sums, or of parameter expressions
+        with pytest.raises(ValueError):
+            F.substitute(images)
+        return
+    got = F.substitute(images)
+    assert got == want
+    assert poly_str(got) == poly_str(want)
+    outer, inner = substitute_kinds(F, images)
+    for c in got.terms.values():
+        assert type(c) is outer and inner_kinds(c) == inner
 
 
 class TestRendering:
