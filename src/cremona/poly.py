@@ -392,8 +392,10 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     Maple 14, 2009): one slot per target variable, parameter symbol and the
     zeta power, each with a radix spanning the exponent range the expansion
     can reach, so Laurent exponents decode exactly.  Denominators are
-    cleared per hat into the cofactors, which share one denominator.  Only
-    keys that survive the sum are zeta-folded and decoded.  The result's
+    cleared per hat into the cofactors, which share one denominator.  The
+    zeta slot is folded mod the cyclotomic polynomial after every product,
+    so a power of zeta never grows past the order before the next product
+    multiplies it; only keys that survive the sum are decoded.  The result's
     coefficients lie in the inputs' common domain: Q, Q(zeta_e), parameters
     over either, or F_p.
     """
@@ -468,6 +470,28 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     def key(s):
         return sum(map(mul, s, weights))
 
+    # the zeta power is the top slot: less the key of a lower corner of the
+    # other slots, a key splits into that power and the rest
+    wz = weights[-1]
+    corner = [key(i_lo[:-1]) for i_lo, _ in hat_box]  # k * corner[j] for hat j's k-th power
+    if order is not None:  # one reduction row per power of zeta mod the order
+        rows = [[(j * wz, r) for j, r in enumerate(_reduce_vector(order, [0] * z + [1])) if r]
+                for z in range(order)]
+
+    def fold(table: dict, base: int) -> dict:
+        """table with every power of zeta reduced below phi(order); base is
+        the key of a lower corner of its other slots."""
+        if order is None:
+            return table
+        out: dict[int, int] = {}
+        get = out.get
+        for k, v in table.items():
+            z = (k - base) // wz
+            k -= z * wz
+            for jw, r in rows[z % order]:
+                out[k + jw] = get(k + jw, 0) + v * r
+        return {k: v for k, v in out.items() if v}
+
     den = lcm(*(v.denominator for parts in cofactors for _, v in parts))
     powers = [[{key(s): v for s, v in ps}] for ps in hat_ints]  # powers[j][k - 1]
 
@@ -482,31 +506,20 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
                 cofactor[k] = t
             else:
                 del cofactor[k]
-        product = {0: 1}
+        product, base = {0: 1}, 0
         for i, (j, k) in enumerate(sig):
             pows = powers[j]
             while len(pows) < k:
-                pows.append(_pmul(pows[-1], pows[0]))
-            product = pows[k - 1] if not i else _pmul(product, pows[k - 1])
+                pows.append(fold(_pmul(pows[-1], pows[0]), (len(pows) + 1) * corner[j]))
+            base += k * corner[j]
+            product = pows[k - 1] if not i else fold(_pmul(product, pows[k - 1]), base)
         for sk, sv in cofactor.items():
             for k, pv in product.items():
                 k += sk
                 total[k] = get(k, 0) + sv * pv
 
-    # fold the zeta power (the top slot) of the nonzero sums, one reduction
-    # row per power of zeta mod the order
-    off, wz = key(lo), weights[-1]
-    if order is not None:
-        rows = [[(j * wz, r) for j, r in enumerate(_reduce_vector(order, [0] * z + [1])) if r]
-                for z in range(order)]
-        reduced: dict[int, int] = {}
-        for k, v in total.items():
-            if v:
-                z, rest = divmod(k - off, wz)
-                for jw, r in rows[(z + lo[-1]) % order]:
-                    k = off + rest + jw
-                    reduced[k] = reduced.get(k, 0) + v * r
-        total = reduced
+    off = key(lo[:-1])
+    total = fold(total, off)
 
     def value(x):  # a numerator over den, or a residue mod the prime
         if prime is not None:
@@ -555,7 +568,12 @@ def _formal_product(factors: list[tuple[LaurentPoly, int]]) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 def divide_exact(a: LaurentPoly, b: LaurentPoly):
-    """Exact multivariate division a / b (field coefficients), or None."""
+    """Exact multivariate division a / b of polynomials (field
+    coefficients), or None."""
+    if a.vars != b.vars:
+        raise ValueError("variable sets differ")
+    if not (a.is_polynomial() and b.is_polynomial()):
+        raise ValueError("exact division requires polynomials")
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -607,8 +625,12 @@ def _from_univariate(coeffs: dict[int, LaurentPoly], i: int, variables) -> Laure
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Gcd of two polynomials over a field coefficient domain.
 
-    Primitive pseudo-remainder sequence, recursing on the variable count.
-    The result is normalized with leading coefficient 1.
+    The trivial cases come first, as in sympy's ``PolyElement.cofactors``:
+    the gcd is x^min(m_a, m_b) times the gcd of what is left of a = x^m_a *
+    a' and b = x^m_b * b', and that is the operand of lower degree (fewer
+    terms on ties) when it divides the other.  Only the remaining pairs run
+    the primitive pseudo-remainder sequence, recursing on the variable
+    count.  The result is normalized with leading coefficient 1.
     """
     if a.vars != b.vars:
         raise ValueError("variable sets differ")
@@ -618,11 +640,16 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return _monic(a)
     if not (a.is_polynomial() and b.is_polynomial()):
         raise ValueError("gcd requires polynomials")
-    used = [i for i in range(a.n_vars)
-            if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)]
-    if not used:
-        return LaurentPoly.one(a.vars)
-    return _monic(_gcd_rec(a, b, used))
+    (ma, a), (mb, b) = a.monomial_content(), b.monomial_content()
+    low, high = sorted((a, b), key=lambda p: (p.total_degree(), len(p.terms)))
+    if divide_exact(high, low) is not None:
+        g = _monic(low)
+    else:
+        used = [i for i in range(a.n_vars)
+                if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)]
+        g = _monic(_gcd_rec(a, b, used))
+    m = tuple(map(min, ma, mb))
+    return LaurentPoly._raw(g.vars, {tuple(map(add, e, m)): c for e, c in g.terms.items()})
 
 
 def _monic(p: LaurentPoly) -> LaurentPoly:
@@ -637,8 +664,8 @@ def _gcd_rec(a: LaurentPoly, b: LaurentPoly, used: list[int]) -> LaurentPoly:
         return b
     if not b:
         return a
-    if len(used) == 0:
-        return LaurentPoly.one(a.vars)
+    if len(used) == 0:  # two nonzero constants
+        return _monic(a)
     if len(used) == 1:
         return _gcd_univar(a, b, used[0])
     v = used[0]

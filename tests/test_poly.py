@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona import poly
-from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff
+from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, euler_phi
 from cremona.lang import parse_poly
-from cremona.pipeline import parametrize_linear
+from cremona.pipeline import RationalMap, compose_maps, parametrize_linear
+from cremona.scenarios import explicit_degree3_map
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
 from cremona.verify import on_variety
 from helpers_reference import reference_mul, reference_pow, reference_substitute
@@ -285,6 +286,17 @@ class TestSharedFactors:
         # which only the second multiplies two powers
         assert len(calls) <= 3 + 2
 
+    def test_degree13_identity_folds_zeta_on_every_rung(self, monkeypatch):
+        # reduced mod zeta^2 + zeta + 1 before the next product, each square
+        # of the degree-13 map's components is about 910 parts, not 1,340
+        emap = explicit_degree3_map()
+        pairs = []
+        real = poly._pmul
+        monkeypatch.setattr(poly, "_pmul",
+                            lambda a, b: pairs.append(len(a) * len(b)) or real(a, b))
+        assert on_variety(emap, FERMAT)
+        assert sum(pairs) < 700_000
+
     def test_equal_images_share_one_power(self, monkeypatch):
         s = P("u1 + u2 + 1", U2)
         images = {"x1": s, "x2": P("u1^-1", U2) * s, "x3": 2 * s}
@@ -374,6 +386,37 @@ def test_substitute_shared_factors(domain, data):
         assert type(c) is outer and inner_kinds(c) == inner
 
 
+def cyclotomics(e: int):
+    return st.lists(small_fractions, min_size=euler_phi(e), max_size=euler_phi(e)).map(
+        lambda cs: Cyclotomic(e, tuple(cs)))
+
+
+@pytest.mark.parametrize("e", [3, 4, 5, 6, 9])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_substitute_folds_zeta_between_products(e, data):
+    # x1 and x2 go to Laurent-shifted multiples of two hats over Q(zeta_e),
+    # x3 to a monomial; F raises both hats to powers 2-4 in one term, so the
+    # ladder's rungs and the two-hat product are each folded mod Phi_e
+    coeffs = cyclotomics(e)
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    hat = st.dictionaries(exps, coeffs, min_size=2, max_size=3).map(lambda d: LaurentPoly(U2, d))
+    monomial = st.builds(lambda x, c: LaurentPoly(U2, {x: c}), exps, coeffs)
+    images = {"x1": data.draw(monomial) * data.draw(hat),
+              "x2": data.draw(monomial) * data.draw(hat), "x3": data.draw(monomial)}
+    if not all(images.values()):
+        return
+    top = (data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4)), data.draw(st.integers(0, 2)))
+    terms = data.draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                                                st.integers(-1, 1)), coeffs, max_size=3))
+    F = LaurentPoly(V3, {**terms, top: data.draw(coeffs.filter(bool))})
+    got = F.substitute(images)
+    want = reference_substitute(F, images)
+    assert got == want
+    assert poly_str(got) == poly_str(want)
+    assert all(type(c) is Cyclotomic and c.order == e for c in got.terms.values())
+
+
 class TestRendering:
     CASES = [
         ("x1^2 - x2", V2, (), None),
@@ -459,6 +502,109 @@ class TestGcd:
         b = c * P("x1 + x2", V2, zeta_order=3)
         g = poly_gcd(a, b)
         assert divide_exact(g, c) is not None and g.total_degree() == 1
+
+    def test_divide_exact_refuses_other_ambients(self):
+        a = P("x1^2 - x2^2", V2)
+        with pytest.raises(ValueError, match="variable sets differ"):
+            divide_exact(a, P("y1 - y2", ("y1", "y2")))
+        with pytest.raises(ValueError, match="variable sets differ"):
+            divide_exact(a, P("x1 - x2", V3))
+
+    def test_divide_exact_refuses_laurent_operands(self):
+        d = P("x1^-1*x2 + 1", V2)
+        with pytest.raises(ValueError, match="requires polynomials"):
+            divide_exact(d * d, d)
+        with pytest.raises(ValueError, match="requires polynomials"):
+            divide_exact(P("x1^2", V2), P("x1^-1", V2))
+
+    @pytest.mark.parametrize("three", [FpElem(7, 3), Cyclotomic(3, (Fraction(3), Fraction(0)))],
+                             ids=["F_7", "Q(zeta3)"])
+    def test_constant_gcd_keeps_the_domain(self, three):
+        c = LaurentPoly.constant(V2, three)
+        x1, x2 = LaurentPoly.monomial(V2, (1, 0), three), LaurentPoly.monomial(V2, (0, 1), three)
+        for a, b in ((c, c), (c, x1 + x2), (x1, x2), (x1 + x2, x1 - x2)):
+            g = poly_gcd(a, b)
+            assert g == LaurentPoly.constant(V2, three / three)
+            assert {type(v) for v in g.terms.values()} == {type(three)}
+
+
+def gcd_by_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """poly_gcd without its shortcuts: the primitive PRS on the whole pair."""
+    used = [i for i in range(a.n_vars) if any(e[i] for e in (*a.terms, *b.terms))]
+    return poly._monic(poly._gcd_rec(a, b, used))
+
+
+def typed_terms(p: LaurentPoly) -> str:
+    return repr(p.sorted_terms())
+
+
+GCD_SHAPES = [  # (label, a, b, zeta order, prime)
+    ("x^m*G and x^n*G", "x1^2*x3*(x1*x2 + x2^2 - 3*x3^2)", "x2*x3^2*(x1*x2 + x2^2 - 3*x3^2)",
+     None, None),
+    ("x^m*G and x^n*G*H", "x1*(x1 + 2*x2 - x3)", "x2^3*(x1 + 2*x2 - x3)*(x1 - x3)", None, None),
+    ("divisor with more terms", "x1^3 - 1", "x1^2 + x1 + 1", None, None),
+    ("divisor with more terms, shifted", "x2*(x1^3 - x3^3)", "x1^2 + x1*x3 + x3^2", None, None),
+    ("equal up to a scalar", "1/2*x1^2 - x2*x3 + 2*x3^2", "-3*x1^2 + 6*x2*x3 - 12*x3^2",
+     None, None),
+    ("coprime", "x1^2 + x2*x3 + 1", "x1*x2 - x3^2", None, None),
+    ("coprime, shifted", "x1*x2*(x1 + x3)", "x2^2*(x1 - x3)", None, None),
+    ("common factor, neither divides", "(x1 + x2)*(x1 - x3)", "(x1 + x2)*(x2 + x3)", None, None),
+    ("F_7 divisor", "x1^2 - x2^2", "3*x1 + 3*x2", None, 7),
+    ("F_7 shifted", "x3*(x1^2 + 2*x1*x2 + x2^2)", "x1*(x1^2 - x2^2)", None, 7),
+    ("Q(zeta3) x^m*G and x^n*G", "x1*(x1 + zeta*x2)*(x2 - x3)", "x3*(x1 + zeta*x2)*(x2 - x3)",
+     3, None),
+    ("Q(zeta3) up to a scalar", "(1 + zeta)*(x1^2 - zeta^2*x2*x3)", "zeta*x1^2 - x2*x3", 3, None),
+    ("Q(zeta3) common factor", "(x1 + zeta*x2)*(x1 - x2)", "(x1 + zeta*x2)*(x1 + x2)", 3, None),
+]
+
+
+@pytest.mark.parametrize("label,a,b,order,prime", GCD_SHAPES, ids=[s[0] for s in GCD_SHAPES])
+def test_gcd_shortcuts_agree_with_the_prs(label, a, b, order, prime):
+    a, b = P(a, V3, zeta_order=order), P(b, V3, zeta_order=order)
+    if prime is not None:
+        a, b = a.reduce_mod(prime), b.reduce_mod(prime)
+    for x, y in ((a, b), (b, a)):
+        got = poly_gcd(x, y)
+        assert got == gcd_by_prs(x, y)
+        assert typed_terms(got) == typed_terms(gcd_by_prs(x, y))
+    if order is not None:
+        return
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1 x2 x3")
+    domain = sympy.GF(prime) if prime else sympy.QQ
+
+    def as_sympy(p):
+        return sympy.Poly({e: int(c.value) if prime else c for e, c in p.terms.items()},
+                          *xs, domain=domain)
+
+    want = sympy.gcd(as_sympy(a), as_sympy(b)).monic()
+    assert as_sympy(poly_gcd(a, b)) == want
+
+
+@pytest.mark.parametrize("order", [None, 3], ids=["Q", "Q(zeta3)"])
+def test_projection_after_linear_model_runs_no_prs(order, monkeypatch):
+    # F = x1*A + B, a cubic over 5 variables with a 4-term A; the composite's
+    # components are y_j*A, so every gcd is a shifted copy of A
+    rng = random.Random(31)
+    z = Cyclotomic.zeta(3)
+
+    def coeff():
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+        return c if order is None else c + rng.choice((-1, 1)) * z
+
+    quadrics = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+    cubics = [e for e in itertools.product(range(4), repeat=4) if sum(e) == 3]
+    F = LaurentPoly(V5, {**{(1,) + e: coeff() for e in rng.sample(quadrics, 4)},
+                         **{(0,) + e: coeff() for e in rng.sample(cubics, 6)}})
+    model = parametrize_linear(F, 0)
+    calls = []
+    real = poly._gcd_rec
+    monkeypatch.setattr(poly, "_gcd_rec", lambda *a: calls.append(1) or real(*a))
+    back = compose_maps(RationalMap.coordinate_projection(V5, 0), model)
+    scale = next(iter(back.components[0].terms.values()))
+    assert back.components == tuple(c * scale for c in RationalMap.identity(model.source_vars)
+                                    .components)
+    assert not calls
 
 
 U2 = ("u1", "u2")
