@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .action import DiagonalAction, InvariantHypersurface
@@ -390,7 +391,12 @@ def main(argv=None) -> int:
     if p is not None and (p >= PRIME_TEST_BOUND or not is_prime(p)):
         ap.error(f"argument --prime: {p} is not a prime below {PRIME_TEST_BOUND}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left: exit 1 quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

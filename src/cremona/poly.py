@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
 
-from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, euler_phi, specialize, \
-    to_prime_field
+from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, cyclotomic_polynomial, \
+    euler_phi, specialize, to_prime_field
 
 
 def term_key(exps: tuple[int, ...]):
@@ -125,6 +125,8 @@ class LaurentPoly:
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
+        if self.terms and o.terms:  # one coefficient shows each side's domain
+            _domain([next(iter(self.terms.values())), next(iter(o.terms.values()))])
         acc = dict(self.terms)
         for e, c in o.terms.items():
             s = acc.get(e, 0) + c
@@ -167,8 +169,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n == 0:
-            return LaurentPoly.one(self.vars)
+        if n == 0:  # the unit of the operand's domain
+            return LaurentPoly.constant(self.vars, next(iter(self.terms.values()), 1) ** 0)
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
             return LaurentPoly(self.vars, {tuple(n * x for x in e): c ** n})
@@ -323,25 +325,24 @@ def _domain(scalars):
 
 
 def _parts(items, n_params: int) -> list:
-    """[(exponents + parameter exponents + (zeta power,), rational or int
+    """[(exponents + parameter exponents, zeta power, rational or int
     value)] of some (exponents, scalar) pairs: one entry per nonzero
     rational component of each scalar."""
-    tail = (0,) * (n_params + 1)
+    tail = (0,) * n_params
     out = []
     for ex, c in items:
         if isinstance(c, Cyclotomic):
-            ex += tail[:-1]
-            out += [(ex + (j,), v) for j, v in enumerate(c.coeffs) if v]
+            out += [(ex + tail, j, v) for j, v in enumerate(c.coeffs) if v]
         elif isinstance(c, ParamCoeff):
             out += _parts([(ex + pe, a) for pe, a in c.terms], 0)
         else:
-            out.append((ex + tail, c.value if isinstance(c, FpElem) else c))
+            out.append((ex + tail, 0, c.value if isinstance(c, FpElem) else c))
     return out
 
 
 def _box(parts):
     """Per-slot minimum and maximum over the slot tuples of some parts."""
-    cols = list(zip(*(s for s, _ in parts)))
+    cols = list(zip(*(s for s, _, _ in parts)))
     return list(map(min, cols)), list(map(max, cols))
 
 
@@ -353,6 +354,32 @@ def _pmul(a: dict, b: dict) -> dict:
             k = ka + kb
             out[k] = get(k, 0) + va * vb
     return {k: v for k, v in out.items() if v}
+
+
+def _radix(order: int, bound: int) -> tuple[int, int]:
+    """(B, N) for the least B = 2^b at which ``_digits`` recovers every
+    vector v of phi(order) integers at most ``bound`` in absolute value from
+    sum_j v_j * B^j mod N = Phi_order(B): B > 2 * bound makes each v_j a
+    balanced digit, 2 * bound * (B^phi - 1) / (B - 1) < N the sum a residue."""
+    phi, b = euler_phi(order), (2 * bound).bit_length()
+    while True:
+        B = 1 << b
+        N = sum(c * B ** i for i, c in enumerate(cyclotomic_polynomial(order)))
+        if 2 * bound * (B ** phi - 1) < N * (B - 1):
+            return B, N
+        b += 1
+
+
+def _digits(x: int, B: int, N: int, phi: int) -> list[int]:
+    """The phi balanced base-B digits, lowest first, of the balanced residue
+    of x in [0, N); the last digit takes what the others leave."""
+    if 2 * x > N:
+        x -= N
+    out = []
+    for _ in range(phi - 1):
+        out.append((x + B // 2) % B - B // 2)
+        x = (x - out[-1]) // B
+    return out + [x]
 
 
 def _share(terms: dict, hats: list, split: bool) -> tuple[int, tuple | None]:
@@ -389,15 +416,19 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     into one cofactor, which multiplies their product of hat powers once.
 
     The products run on Kronecker-packed integer keys (Monagan & Pearce,
-    Maple 14, 2009): one slot per target variable, parameter symbol and the
-    zeta power, each with a radix spanning the exponent range the expansion
-    can reach, so Laurent exponents decode exactly.  Denominators are
-    cleared per hat into the cofactors, which share one denominator.  The
-    zeta slot is folded mod the cyclotomic polynomial after every product,
-    so a power of zeta never grows past the order before the next product
-    multiplies it; only keys that survive the sum are decoded.  The result's
-    coefficients lie in the inputs' common domain: Q, Q(zeta_e), parameters
-    over either, or F_p.
+    Maple 14, 2009): one slot per target variable and parameter symbol, each
+    with a radix spanning the exponent range the expansion can reach, so
+    Laurent exponents decode exactly.  Denominators are cleared per hat into
+    the cofactors, which share one denominator.  Over Q(zeta_e) the power of
+    zeta rides in the value: zeta -> B = 2^b maps Z[zeta_e] onto Z/N, N =
+    Phi_e(B), and each rung and product is reduced mod N.  Every entry of a
+    true sum is at most M = R_e * the sum over signatures of |cofactor|_1 *
+    prod_j |hat_j|_1^k, L1 norms of cleared integer parts and R_e the largest
+    of a reduced zeta^z; ``_radix`` takes the least b at which such a sum's
+    balanced residue mod N splits into balanced base-B digits, its
+    coefficients in 1, zeta, ..., zeta^(phi-1).  Only keys that survive the
+    sum are decoded.  The result's coefficients lie in the inputs' common
+    domain: Q, Q(zeta_e), parameters over either, or F_p.
     """
     n = len(target_vars)
     zero = (0,) * n
@@ -446,16 +477,16 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     scale, hat_ints, hat_box = [], [], []
     for hat in hats:
         parts = _parts(hat.items(), n_params)
-        d = lcm(*(v.denominator for _, v in parts))
+        d = lcm(*(v.denominator for _, _, v in parts))
         scale.append(d)
-        hat_ints.append([(s, v.numerator * (d // v.denominator)) for s, v in parts])
+        hat_ints.append([(s, z, v.numerator * (d // v.denominator)) for s, z, v in parts])
         hat_box.append(_box(parts))
     cofactors, lo, hi = [], None, None
     for sig, members in groups.items():
         s_scale = prod(scale[j] ** k for j, k in sig)
         parts = _parts(members, n_params)
         if s_scale != 1:
-            parts = [(s, Fraction(v) / s_scale) for s, v in parts]
+            parts = [(s, z, Fraction(v) / s_scale) for s, z, v in parts]
         cofactors.append(parts)
         t_lo, t_hi = _box(parts)
         for j, k in sig:
@@ -466,83 +497,63 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         hi = t_hi if hi is None else list(map(max, hi, t_hi))
     radices = [b - a + 1 for a, b in zip(lo, hi)]
     weights = [prod(radices[:j]) for j in range(len(radices))]
+    den = lcm(*(v.denominator for parts in cofactors for _, _, v in parts))
+    cofactors = [[(s, z, v.numerator * (den // v.denominator)) for s, z, v in parts]
+                 for parts in cofactors]
+
+    B, N = 1, None
+    if order is not None:
+        norm = [sum(abs(v) for _, _, v in ps) for ps in hat_ints + cofactors]
+        R = max(sum(map(abs, _reduce_vector(order, [0] * z + [1]))) for z in range(order))
+        B, N = _radix(order, R * sum(norm[len(hats) + g] * prod(norm[j] ** k for j, k in sig)
+                                     for g, sig in enumerate(groups)))
 
     def key(s):
         return sum(map(mul, s, weights))
 
-    # the zeta power is the top slot: less the key of a lower corner of the
-    # other slots, a key splits into that power and the rest
-    wz = weights[-1]
-    corner = [key(i_lo[:-1]) for i_lo, _ in hat_box]  # k * corner[j] for hat j's k-th power
-    if order is not None:  # one reduction row per power of zeta mod the order
-        rows = [[(j * wz, r) for j, r in enumerate(_reduce_vector(order, [0] * z + [1])) if r]
-                for z in range(order)]
+    def fold(table: dict) -> dict:  # residues mod N, zeros dropped
+        return {k: r for k, v in table.items() if (r := v % N)} if N else table
 
-    def fold(table: dict, base: int) -> dict:
-        """table with every power of zeta reduced below phi(order); base is
-        the key of a lower corner of its other slots."""
-        if order is None:
-            return table
-        out: dict[int, int] = {}
-        get = out.get
-        for k, v in table.items():
-            z = (k - base) // wz
-            k -= z * wz
-            for jw, r in rows[z % order]:
-                out[k + jw] = get(k + jw, 0) + v * r
-        return {k: v for k, v in out.items() if v}
+    def pack(parts) -> dict:
+        table: dict[int, int] = {}
+        for s, z, v in parts:
+            k = key(s)
+            table[k] = table.get(k, 0) + v * B ** z
+        return fold(table)
 
-    den = lcm(*(v.denominator for parts in cofactors for _, v in parts))
-    powers = [[{key(s): v for s, v in ps}] for ps in hat_ints]  # powers[j][k - 1]
-
+    powers = [[pack(ps)] for ps in hat_ints]  # powers[j][k - 1]
     total: dict[int, int] = {}
     get = total.get
     for sig, parts in zip(groups, cofactors):
-        cofactor: dict[int, int] = {}
-        for s, v in parts:
-            k = key(s)
-            t = cofactor.get(k, 0) + v.numerator * (den // v.denominator)
-            if t:
-                cofactor[k] = t
-            else:
-                del cofactor[k]
-        product, base = {0: 1}, 0
+        product = {0: 1}
         for i, (j, k) in enumerate(sig):
             pows = powers[j]
             while len(pows) < k:
-                pows.append(fold(_pmul(pows[-1], pows[0]), (len(pows) + 1) * corner[j]))
-            base += k * corner[j]
-            product = pows[k - 1] if not i else fold(_pmul(product, pows[k - 1]), base)
-        for sk, sv in cofactor.items():
+                pows.append(fold(_pmul(pows[-1], pows[0])))
+            product = pows[k - 1] if not i else fold(_pmul(product, pows[k - 1]))
+        for sk, sv in pack(parts).items():
             for k, pv in product.items():
                 k += sk
                 total[k] = get(k, 0) + sv * pv
-
-    off = key(lo[:-1])
-    total = fold(total, off)
 
     def value(x):  # a numerator over den, or a residue mod the prime
         if prime is not None:
             return FpElem(prime, x)
         return Fraction(x // den) if not x % den else Fraction(x, den)
 
-    # decode the nonzero sums: monomial + parameter exponents -> scalar, or
-    # zeta power vector
-    slots = list(zip(weights, radices, lo))[:-1]
-    phi = euler_phi(order) if order is not None else 1
+    # decode the nonzero sums: monomial + parameter exponents -> scalar
+    off = key(lo)
+    slots = list(zip(weights, radices, lo))
+    mod = prime or N
     out: dict = {}
     for k, v in total.items():
-        if prime is not None:
-            v %= prime
+        if mod:
+            v %= mod
         if v:
-            z, k = divmod(k - off, wz)
+            k -= off
             d = tuple([k // w % r + a for w, r, a in slots])
-            if order is None:
-                out[d] = value(v)
-            else:
-                out.setdefault(d, [0] * phi)[z] = v
-    if order is not None:
-        out = {d: Cyclotomic(order, tuple(map(value, vec))) for d, vec in out.items()}
+            out[d] = value(v) if N is None else Cyclotomic(
+                order, tuple(map(value, _digits(v, B, N, euler_phi(order)))))
     if symbols is not None:
         by_mono: dict = {}
         for d, c in out.items():

@@ -35,9 +35,10 @@ def reference_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 def reference_pow(a: LaurentPoly, n: int) -> LaurentPoly:
     """a ** n by square-and-multiply over ``reference_mul``, starting from
-    the base so that F_p powers stay in F_p; negative n for monomials only."""
+    the base so that F_p powers stay in F_p; a ** 0 is the unit of a's
+    domain (Q for the zero polynomial); negative n for monomials only."""
     if n == 0:
-        return LaurentPoly.one(a.vars)
+        return LaurentPoly.constant(a.vars, next(iter(a.terms.values()), 1) ** 0)
     if n < 0:
         if len(a.terms) != 1:
             raise ValueError("negative powers only for monomials")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cremona
 from cremona.cli import main
 
 EX1_SPEC = """\
@@ -135,6 +140,19 @@ class TestScenarios:
 
     def test_reproduce_unknown(self, capsys):
         assert main(["reproduce", "nope"]) == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader is gone before the first write, as with `| head -c 10`
+        # on a long document: exit 1 with nothing on stderr
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(Path(cremona.__file__).parent.parent))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "cremona", "list-scenarios"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestSearchBasis:
