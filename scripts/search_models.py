@@ -7,6 +7,7 @@ cubic, beating the quartic produced by the textbook basis choice.
 import argparse
 
 from cremona.action import InvariantHypersurface
+from cremona.cli import int_at_least
 from cremona.pipeline import cremona_step, search_basis
 from cremona.scenarios import (C3C3_ACTION, EX1_ACTION, PAIR_ACTION, c3c3_family,
                                ex1_family, ex3_family)
@@ -14,8 +15,8 @@ from cremona.scenarios import (C3C3_ACTION, EX1_ACTION, PAIR_ACTION, c3c3_family
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--width", type=int, default=8)
-    ap.add_argument("--depth", type=int, default=6)
+    ap.add_argument("--width", type=int_at_least(1), default=8)
+    ap.add_argument("--depth", type=int_at_least(0), default=6)
     args = ap.parse_args()
     cases = [
         ("order-3 cubic family", ex1_family(), EX1_ACTION, 4),

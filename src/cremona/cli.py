@@ -22,6 +22,19 @@ from .scenarios import Report, list_scenarios, run_scenario
 from .verify import default_prime, fiber_histogram, on_variety, smooth_scan
 
 
+def int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
+
+
 def _load_spec(path: str) -> ProblemSpec:
     text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
     return parse_input(text)
@@ -362,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="beam-search a basis minimizing the degree")
     p.add_argument("file")
     p.add_argument("--poly")
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--width", type=int_at_least(1), default=8)
+    p.add_argument("--depth", type=int_at_least(0), default=6)
     p.set_defaults(fn=_cmd_search_basis)
 
     p = sub.add_parser("verify", parents=[common], help="finite-field and symbolic checks")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 
 from . import lattice
 from .action import DiagonalAction, InvariantHypersurface, subgroup_index
@@ -435,16 +436,11 @@ def chain_parametrization(chain: CremonaChain, model: RationalMap,
 SEARCH_ENTRY_BOUND = 16
 
 
-def _add_row(rows, i, j, k):
-    """rows with row i replaced by row i + k * row j (k = -2, j = i negates it)."""
-    return rows[:i] + (tuple(a + k * b for a, b in zip(rows[i], rows[j])),) + rows[i + 1:]
-
-
-def _search_key(rows, coords):
-    """(total degree of p, flattened rows): p's exponents are the term
-    coordinates, columns of ``coords``, shifted by the clearing monomial q."""
-    degree = max(map(sum, zip(*coords))) + sum(max(0, -min(r)) for r in coords)
-    return degree, tuple(x for r in rows for x in r)
+def _search_entry(rows, coords):
+    """A beam entry: basis rows, coordinate rows, the coordinates' column
+    sums, each coordinate row's shift max(0, -min(row)) and their total."""
+    shifts = tuple(max(0, -min(r)) for r in coords)
+    return rows, coords, tuple(map(sum, zip(*coords))), shifts, sum(shifts)
 
 
 def search_basis(X: InvariantHypersurface, chart: int,
@@ -453,45 +449,68 @@ def search_basis(X: InvariantHypersurface, chart: int,
 
     Starts from the HNF basis and explores elementary unimodular row
     operations (row +/- row, row negation) with entries bounded by
-    SEARCH_ENTRY_BOUND.  Candidates are ranked by (total degree of the
-    rewritten chart equation p, matrix lex order); that degree is the output
-    degree.  Each candidate carries the coordinates of the chart equation's
-    terms in its basis, one coordinate row per basis row, and every move acts
-    on both (Cohen, Sec. 2.4): adding k times basis row j to row i subtracts k
-    times coordinate row i from coordinate row j, and negating a basis row
-    negates its coordinate row.  Only the start and the winner build a step.
+    SEARCH_ENTRY_BOUND, keeping the best ``width`` >= 1 candidates on each
+    of ``depth`` >= 0 levels.  Candidates are ranked by (total degree of the
+    rewritten chart equation p, rows); that degree is the output degree.
+
+    A beam entry carries the coordinates of the chart equation's terms in
+    its basis, one row per basis row, with their column sums and shifts, so
+    that p's degree is max(column sums) + total shift.  Adding k times basis
+    row j to row i subtracts k times coordinate row i from coordinate row j,
+    and negating basis row i subtracts twice coordinate row i from itself
+    (Cohen, Sec. 2.4).  Either way the column sums lose a multiple of
+    coordinate row i and one shift changes, so a candidate is scored from
+    its parent's entry in O(terms).  Only the survivors of a level get
+    entries, and only the start and the winner build a step.
     """
+    if width < 1 or depth < 0:
+        raise ValueError(f"search needs width >= 1 and depth >= 0, got {width} and {depth}")
     start = hnf_basis_for(X.action, chart)
     step = cremona_step(X, chart, start)  # validates the chart, F and the start basis once
     (q_exp,) = step.q.terms
-    coords = tuple(tuple(e[j] - qj for e in step.p.terms) for j, qj in enumerate(q_exp))
-    n = start.size
-    # (basis move, coordinate move) pairs in _add_row's (i, j, k) form; the
-    # moves keep every row invariant and |det| equal to the group order, so
-    # every candidate is a valid basis
-    moves = []
-    for i in range(n):
-        moves.append(((i, i, -2), (i, i, -2)))
-        moves += [((i, j, k), (j, i, -k)) for j in range(n) if j != i for k in (1, -1)]
-
-    best = (_search_key(start.rows, coords), start.rows, coords)
-    beam = [best]
+    beam = [_search_entry(start.rows, tuple(tuple(e[j] - qj for e in step.p.terms)
+                                            for j, qj in enumerate(q_exp)))]
+    _, _, cols, _, total = beam[0]
+    best = (max(cols) + total, start.rows)
     seen = {start.rows}
     for _ in range(depth):
+        # every move keeps the rows invariant and |det| equal to the group
+        # order, so every candidate is a valid basis; a candidate is (degree,
+        # rows, parent, r, i, m): coordinate row r of the parent loses m
+        # times its coordinate row i
         candidates = []
-        for _, rows, coords in beam:
-            for (i, j, k), coord_move in moves:
-                rows2 = _add_row(rows, i, j, k)
-                if rows2 in seen or \
-                        (j != i and max(map(abs, rows2[i])) > SEARCH_ENTRY_BOUND):
-                    continue
-                seen.add(rows2)
-                coords2 = _add_row(coords, *coord_move)
-                candidates.append((_search_key(rows2, coords2), rows2, coords2))
+        for b, (rows, coords, cols, shifts, total) in enumerate(beam):
+            for i, (ri, ci) in enumerate(zip(rows, coords)):
+                head, tail = rows[:i], rows[i + 1:]
+                down, up = tuple(map(sub, cols, ci)), tuple(map(add, cols, ci))
+                rows2 = head + (tuple(map(neg, ri)),) + tail
+                if rows2 not in seen:
+                    seen.add(rows2)
+                    degree = max(map(sub, down, ci)) + total - shifts[i] + max(0, max(ci))
+                    candidates.append((degree, rows2, b, i, i, 2))
+                # row i +/- row j: coordinate row j -/+ coordinate row i
+                signs = ((1, add, sub, max(down) + total), (-1, sub, add, max(up) + total))
+                for j, (rj, cj) in enumerate(zip(rows, coords)):
+                    if j == i:
+                        continue
+                    for m, row_op, coord_op, top in signs:
+                        row = tuple(map(row_op, ri, rj))
+                        if max(map(abs, row)) > SEARCH_ENTRY_BOUND:
+                            continue
+                        rows2 = head + (row,) + tail
+                        if rows2 in seen:
+                            continue
+                        seen.add(rows2)
+                        degree = top - shifts[j] + max(0, -min(map(coord_op, cj, ci)))
+                        candidates.append((degree, rows2, b, j, i, m))
         if not candidates:
             break
-        candidates.sort()  # the keys differ, so rows and coordinates are never compared
-        beam = candidates[:width]
-        best = min(best, candidates[0])
+        candidates.sort()  # (degree, rows) differ, so the tails are never compared
+        best = min(best, candidates[0][:2])
+        parents, beam = beam, []
+        for _, rows2, b, r, i, m in candidates[:width]:
+            coords = parents[b][1]
+            row = tuple(a - m * x for a, x in zip(coords[r], coords[i]))
+            beam.append(_search_entry(rows2, coords[:r] + (row,) + coords[r + 1:]))
     basis = MonomialBasis(best[1])
     return basis, cremona_step(X, chart, basis)

@@ -421,14 +421,14 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     Laurent exponents decode exactly.  Denominators are cleared per hat into
     the cofactors, which share one denominator.  Over Q(zeta_e) the power of
     zeta rides in the value: zeta -> B = 2^b maps Z[zeta_e] onto Z/N, N =
-    Phi_e(B), and each rung and product is reduced mod N.  Every entry of a
-    true sum is at most M = R_e * the sum over signatures of |cofactor|_1 *
-    prod_j |hat_j|_1^k, L1 norms of cleared integer parts and R_e the largest
-    of a reduced zeta^z; ``_radix`` takes the least b at which such a sum's
-    balanced residue mod N splits into balanced base-B digits, its
-    coefficients in 1, zeta, ..., zeta^(phi-1).  Only keys that survive the
-    sum are decoded.  The result's coefficients lie in the inputs' common
-    domain: Q, Q(zeta_e), parameters over either, or F_p.
+    Phi_e(B), and each rung and product is reduced mod N (over F_p, N = p).
+    Every entry of a true sum is at most M = R_e * the sum over signatures
+    of |cofactor|_1 * prod_j |hat_j|_1^k, L1 norms of cleared integer parts
+    and R_e the largest of a reduced zeta^z; ``_radix`` takes the least b at
+    which such a sum's balanced residue mod N splits into balanced base-B
+    digits, its coefficients in 1, zeta, ..., zeta^(phi-1).  Only keys that
+    survive the sum are decoded.  The result's coefficients lie in the
+    inputs' common domain: Q, Q(zeta_e), parameters over either, or F_p.
     """
     n = len(target_vars)
     zero = (0,) * n
@@ -501,7 +501,7 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     cofactors = [[(s, z, v.numerator * (den // v.denominator)) for s, z, v in parts]
                  for parts in cofactors]
 
-    B, N = 1, None
+    B, N = 1, prime  # F_p values are residues mod p on every rung
     if order is not None:
         norm = [sum(abs(v) for _, _, v in ps) for ps in hat_ints + cofactors]
         R = max(sum(map(abs, _reduce_vector(order, [0] * z + [1]))) for z in range(order))
@@ -544,15 +544,14 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     # decode the nonzero sums: monomial + parameter exponents -> scalar
     off = key(lo)
     slots = list(zip(weights, radices, lo))
-    mod = prime or N
     out: dict = {}
     for k, v in total.items():
-        if mod:
-            v %= mod
+        if N:
+            v %= N
         if v:
             k -= off
             d = tuple([k // w % r + a for w, r, a in slots])
-            out[d] = value(v) if N is None else Cyclotomic(
+            out[d] = value(v) if order is None else Cyclotomic(
                 order, tuple(map(value, _digits(v, B, N, euler_phi(order)))))
     if symbols is not None:
         by_mono: dict = {}

@@ -168,6 +168,19 @@ class TestSearchBasis:
         # the search beats the obvious quartic model: one step to a cubic
         assert "degree = 3" in out
 
+    @pytest.mark.parametrize("arg", ["--width=-1", "--width=0", "--depth=-1", "--depth=x"])
+    def test_bad_bounds_exit_2(self, tmp_path, arg):
+        # --width=-1 used to keep all but one candidate on every level and
+        # ran for minutes; the timeout turns a regression into a failure
+        f = tmp_path / "search.crm"
+        f.write_text(EX1_SPEC.replace("basis [1,1,0,0; -1,2,0,0; 0,0,1,0; 0,0,0,1]\n", ""))
+        env = dict(os.environ, PYTHONPATH=str(Path(cremona.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "cremona", "search-basis", str(f), arg],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: cremona search-basis")
+
 
 class TestErrors:
     def test_parse_error_exit_code(self, tmp_path, capsys):

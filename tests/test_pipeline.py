@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cremona.action import DiagonalAction, InvariantHypersurface
 from cremona.lang import parse_poly
@@ -347,6 +349,33 @@ class TestSearchBasis:
             assert basis.rows == ref_basis.rows
             assert (step.image, step.p, step.q, step.forward) == \
                 (ref_step.image, ref_step.p, ref_step.q, ref_step.forward)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), width=st.integers(1, 3), depth=st.integers(0, 3))
+    @example(seed=0, width=1, depth=0)
+    @example(seed=0, width=1, depth=3)
+    @example(seed=0, width=3, depth=0)
+    def test_matches_reference_at_small_bounds(self, seed, width, depth):
+        # narrow beams and shallow searches: depth 0 returns the start, and
+        # width 1 follows one chain of moves
+        from helpers_random import random_invariant_case
+        from helpers_reference import reference_search_basis
+        X, chart = random_invariant_case(random.Random(seed))
+        basis, step = search_basis(X, chart, width, depth)
+        ref_basis, ref_step = reference_search_basis(X, chart, width, depth)
+        assert basis.rows == ref_basis.rows
+        assert (step.image, step.p, step.q, step.forward) == \
+            (ref_step.image, ref_step.p, ref_step.q, ref_step.forward)
+        if depth == 0:
+            assert basis == hnf_basis_for(X.action, chart)
+
+    # depth 0 with width -1: a search that ignored the check would return at
+    # once, where at depth 6 it would keep all but one candidate per level
+    @pytest.mark.parametrize("width,depth", [(0, 6), (-1, 0), (8, -1)])
+    def test_rejects_bad_bounds(self, width, depth):
+        X = InvariantHypersurface(ex1_family(), EX1_ACTION)
+        with pytest.raises(ValueError, match="width >= 1 and depth >= 0"):
+            search_basis(X, 4, width, depth)
 
     def test_rewrites_only_start_and_winner(self, monkeypatch):
         import cremona.pipeline

@@ -231,6 +231,19 @@ class TestPackedProduct:
         f ** 3
         assert calls
 
+    def test_prime_field_rungs_stay_residues(self, monkeypatch):
+        # over F_p every rung and product is reduced mod p: without that the
+        # ladder of f ** 40 multiplies values of up to 147 bits
+        f = P("3*x1 + 5*x2 + 6", V2).reduce_mod(7)
+        values = []
+        real = poly._pmul
+        monkeypatch.setattr(poly, "_pmul",
+                            lambda a, b: values.extend([*a.values(), *b.values()]) or real(a, b))
+        got = f ** 40
+        assert values and all(0 <= v < 7 for v in values)
+        assert got == reference_pow(f, 40)
+        assert poly_str(got) == poly_str(reference_pow(f, 40))
+
     def test_mixed_domains_rejected(self):
         f = P("x1 + x2", V2)
         for a, b in [(f.reduce_mod(7), f), (f, f.reduce_mod(7)),
