@@ -19,7 +19,7 @@ from .pipeline import CremonaChain, MonomialBasis, RationalMap, cremona_step, \
     hnf_basis_for, search_basis
 from .poly import poly_str
 from .scenarios import Report, list_scenarios, run_scenario
-from .verify import default_prime, fiber_histogram, on_variety, smooth_scan
+from .verify import Refusal, default_prime, fiber_histogram, on_variety, smooth_scan
 
 
 def int_at_least(low: int):
@@ -412,6 +412,9 @@ def main(argv=None) -> int:
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except Refusal as exc:  # exit 1 stays a verdict: a scan that never ran gives none
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, ArithmeticError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -417,23 +417,34 @@ def root_embed(e: int, p: int) -> FpElem:
 
 
 def to_prime_field(x, p: int) -> FpElem:
-    """Specialize an exact scalar into F_p."""
+    """Specialize an exact scalar into F_p.
+
+    The residue is computed on ints (a fraction as its numerator times the
+    inverse of its denominator, an element of Q(zeta_e) as sum c_k r^k with r
+    = ``root_embed(e, p)``) and wrapped in one ``FpElem``, which checks that
+    p is prime."""
     if isinstance(x, FpElem):
         if x.p != p:
             raise ValueError(f"prime field mismatch: {x.p} vs {p}")
         return x
+    return FpElem(p, _residue(x, p))
+
+
+def _residue(x, p: int) -> int:
+    """An int congruent to the exact scalar ``x`` mod p, for ``to_prime_field``."""
     if isinstance(x, int):
-        return FpElem(p, x)
+        return x
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
-        return FpElem(p, x.numerator) / FpElem(p, x.denominator)
+        return x.numerator * pow(x.denominator, p - 2, p)
     if isinstance(x, Cyclotomic):
-        r = root_embed(x.order, p)
-        acc = FpElem(p, 0)
-        for k, c in enumerate(x.coeffs):
+        r = root_embed(x.order, p).value
+        acc, power = 0, 1
+        for c in x.coeffs:
             if c:
-                acc = acc + to_prime_field(c, p) * r ** k
+                acc += _residue(c, p) * power
+            power = power * r % p
         return acc
     if isinstance(x, ParamCoeff):
         raise ValueError(

@@ -13,9 +13,11 @@ points where its polynomials vanish or each point's normalized image.
 ``compile_mod`` generates one straight-line function per polynomial and
 prime (straight-line programs; Buergisser, Clausen and Shokrollahi,
 *Algebraic Complexity Theory*, 1997); ``eval_compiled`` runs it at computed
-points, such as the Euler check at singular points and the target check at
-image points, and rejects a prime other than the one it was compiled for.
-Every enumeration checks ``ENUMERATION_GUARD`` before any code is generated.
+points, such as the Euler check at singular points (compiled only when a scan
+finds some) and the target check, once per distinct image of a quotient-fiber
+check, and rejects a prime other than the one it was compiled for.
+Every enumeration checks ``ENUMERATION_GUARD`` before any code is generated,
+and raises ``Refusal`` past it.
 
 Scans are evidence, not proofs: an empty singular list means "no
 F_q-rational singular point found".  Exact smoothness is only decided in
@@ -37,6 +39,12 @@ from .pipeline import CremonaStep, RationalMap
 from .poly import LaurentPoly
 
 ENUMERATION_GUARD = 10 ** 7
+
+
+class Refusal(ValueError):
+    """A check declined its input before running: a characteristic its
+    argument does not cover, a polynomial it does not apply to, or an
+    enumeration past ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
 
 
 def default_prime(orders=(), degree: int | None = None) -> int:
@@ -65,7 +73,7 @@ def proj_point_count(n_coords: int, p: int) -> int:
 def _check_enumeration_guard(n_coords: int, p: int) -> None:
     total = proj_point_count(n_coords, p)
     if total > ENUMERATION_GUARD:
-        raise ValueError(f"enumeration guard exceeded: |P^{n_coords - 1}(F_{p})| = {total}")
+        raise Refusal(f"enumeration guard exceeded: |P^{n_coords - 1}(F_{p})| = {total}")
 
 
 def normalize_point(pt: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -358,17 +366,17 @@ def smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
     """
     d = F.homogeneous_degree()
     if d is None or not F.is_polynomial():
-        raise ValueError("smooth_scan needs a homogeneous polynomial")
+        raise Refusal("smooth_scan needs a homogeneous polynomial")
     if p in (2, 3) or d % p == 0:
-        raise ValueError(f"bad characteristic {p} for degree {d}")
+        raise Refusal(f"bad characteristic {p} for degree {d}")
     t0 = time.perf_counter()
     n = F.n_vars
     _check_enumeration_guard(n, p)
-    f_mod = compile_mod(F, p)
     scan = compile_enumeration(n, p, zeros=[F.partial_deriv(i) for i in range(n)])
     singular = list(scan())
-    for pt in singular:
-        if eval_compiled(f_mod, pt, p) != 0:
+    if singular:
+        f_mod = compile_mod(F, p)
+        if any(eval_compiled(f_mod, pt, p) for pt in singular):
             raise ArithmeticError("Euler relation violated; check the characteristic")
     return ScanReport(p, proj_point_count(n, p), singular, time.perf_counter() - t0)
 
@@ -492,7 +500,22 @@ def quotient_fiber_check(X: InvariantHypersurface, step: CremonaStep, p: int) ->
 def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
                           target: LaurentPoly, p: int) -> QuotientFiberReport:
     """Torus-fiber check for any forward map claimed to realize the quotient
-    of {F = 0} by the action, with image inside {target = 0}."""
+    of {F = 0} by the action, with image inside {target = 0}.
+
+    The torus points of {F = 0} are grouped by image, and the target is
+    evaluated once per distinct image, at the point where that image first
+    appears, so a zero image or a pole of the target raises in enumeration
+    order.  Fibers over images off {target = 0} are left out of the sizes.
+
+    A torus point has x0 = 1, so g * pt normalizes to (g / g0) * pt, and the
+    scaled elements g / g0 act freely on the torus: h * pt = pt with every
+    coordinate nonzero forces h = 1.  Each orbit therefore has exactly
+    |scaled| points, and a fiber is its first point's orbit iff it has
+    |scaled| points and all of them lie in that orbit.  Orbits are read from
+    one multiplication row ``rows[h][x] = h * x % p`` per distinct entry h of
+    the scaled elements, over the coordinates x of the fibers' first points
+    only, so the rows never outgrow the fibers whatever p is.
+    """
     t0 = time.perf_counter()
     for order, _ in action.generators:
         if (p - 1) % order != 0:
@@ -507,28 +530,34 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
         raise ArithmeticError("embedded group order mismatch")
 
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    count = 0
-    all_on = True
+    off_target = []
     for pt, img in on_F():
-        count += 1
-        if img is None:
-            raise ValueError("zero vector does not define a projective point")
-        if eval_compiled(target_mod, img, p) != 0:
-            all_on = False
-            continue
-        fibers.setdefault(img, []).append(pt)
+        pts = fibers.get(img)
+        if pts is None:
+            if img is None:
+                raise ValueError("zero vector does not define a projective point")
+            if eval_compiled(target_mod, img, p) != 0:
+                off_target.append(img)
+            pts = fibers[img] = []
+        pts.append(pt)
+    count = sum(map(len, fibers.values()))
+    for img in off_target:
+        del fibers[img]
 
-    # torus points have x0 = 1, so g * pt normalizes to (g / g0) * pt
     scaled = {normalize_point(g, p) for g in elements}
+    values = set().union(*(pts[0] for pts in fibers.values()))
+    rows = {h: {x: h * x % p for x in values} for hs in scaled for h in hs}
+    orbit_rows = [tuple(rows[h] for h in hs) for hs in scaled]
+    getitem = operator.getitem
     orbits_ok = True
     sizes: dict[int, int] = {}
-    for img, pts in fibers.items():
-        orbit = {tuple(h * x % p for h, x in zip(hs, pts[0])) for hs in scaled}
-        if set(pts) != orbit:
-            orbits_ok = False
+    for pts in fibers.values():
+        if orbits_ok:
+            orbits_ok = len(pts) == len(scaled) and \
+                {tuple(map(getitem, hrows, pts[0])) for hrows in orbit_rows}.issuperset(pts)
         sizes[len(pts)] = sizes.get(len(pts), 0) + 1
     generic = max(sizes, key=lambda s: (sizes[s], s)) if sizes else 0
     return QuotientFiberReport(
-        prime=p, torus_points=count, all_on_image=all_on, orbits_ok=orbits_ok,
+        prime=p, torus_points=count, all_on_image=not off_target, orbits_ok=orbits_ok,
         fiber_sizes=dict(sorted(sizes.items())), generic_fiber=generic,
         group_order=action.group_order(), elapsed_s=time.perf_counter() - t0)

@@ -1,17 +1,18 @@
 """Naive references: the product and power of ``LaurentPoly`` as a
 tuple-key double loop and square-and-multiply over it, ``substitute`` built
-from those and ``__add__``, evaluation mod p by a
-per-term ``pow`` loop, the F_p enumerations as per-point loops over
-``proj_points``, and a basis search that solves every candidate in the
-lattice again."""
+from those and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
+evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
+per-point loops over ``proj_points``, and a basis search that solves every
+candidate in the lattice again."""
 import itertools
 import time
+from fractions import Fraction
 
-from cremona.coeffs import to_prime_field
+from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, root_embed
 from cremona.pipeline import (SEARCH_ENTRY_BOUND, MonomialBasis, cremona_step,
                               hnf_basis_for, rewrite_invariant)
 from cremona.poly import LaurentPoly
-from cremona.verify import (FiberHistogram, QuotientFiberReport, ScanReport,
+from cremona.verify import (FiberHistogram, QuotientFiberReport, Refusal, ScanReport,
                             _check_enumeration_guard, group_elements_mod_p,
                             normalize_point, proj_points)
 
@@ -66,12 +67,40 @@ def reference_substitute(F: LaurentPoly, images: dict) -> LaurentPoly:
     return acc
 
 
+def reference_to_prime_field(x, p: int) -> FpElem:
+    """``coeffs.to_prime_field`` as a step-by-step reduction in ``FpElem``
+    arithmetic, one field element per operation: the reduction it ran
+    before it computed residues on ints."""
+    if isinstance(x, FpElem):
+        if x.p != p:
+            raise ValueError(f"prime field mismatch: {x.p} vs {p}")
+        return x
+    if isinstance(x, int):
+        return FpElem(p, x)
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+        return FpElem(p, x.numerator) / FpElem(p, x.denominator)
+    if isinstance(x, Cyclotomic):
+        r = root_embed(x.order, p)
+        acc = FpElem(p, 0)
+        for k, c in enumerate(x.coeffs):
+            if c:
+                acc = acc + reference_to_prime_field(c, p) * r ** k
+        return acc
+    if isinstance(x, ParamCoeff):
+        raise ValueError(
+            "parameter coefficients must be specialized before finite-field "
+            "reduction")
+    raise TypeError(f"cannot reduce {type(x).__name__} into F_{p}")
+
+
 def reference_eval_mod(F: LaurentPoly, pt: tuple, p: int) -> int:
     """F at pt mod p by one ``pow`` per variable per term: the term loop
     ``verify.eval_compiled`` ran before it evaluated generated code."""
     acc = 0
     for e, c in F.sorted_terms():
-        t = to_prime_field(c, p).value
+        t = reference_to_prime_field(c, p).value
         if not t:
             continue
         for x, k in zip(pt, e):
@@ -92,9 +121,9 @@ def reference_smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
     one partial at a time, the way it ran before its loops were generated."""
     d = F.homogeneous_degree()
     if d is None or not F.is_polynomial():
-        raise ValueError("smooth_scan needs a homogeneous polynomial")
+        raise Refusal("smooth_scan needs a homogeneous polynomial")
     if p in (2, 3) or d % p == 0:
-        raise ValueError(f"bad characteristic {p} for degree {d}")
+        raise Refusal(f"bad characteristic {p} for degree {d}")
     t0 = time.perf_counter()
     n = F.n_vars
     _check_enumeration_guard(n, p)

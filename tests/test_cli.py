@@ -88,6 +88,23 @@ class TestVerify:
         assert main(["verify", "smooth", str(f)]) == 1
         assert "singular points" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["smooth", "FERMAT", "--prime", "3"], "bad characteristic 3 for degree 3"),
+        (["smooth", "FERMAT", "--prime", "1000003"], "enumeration guard exceeded"),
+        (["smooth", "SKEW"], "needs a homogeneous polynomial"),
+        (["map-degree", "SQUARES", "--prime", "10000019"], "enumeration guard exceeded"),
+    ])
+    def test_refused_scan_exit_code(self, argv, message, fermat_file, tmp_path, capsys):
+        # exit 1 is a verdict (a singular point found); a scan that never ran exits 2
+        files = {"FERMAT": fermat_file, "SKEW": tmp_path / "skew.crm",
+                 "SQUARES": tmp_path / "sq.crm"}
+        files["SKEW"].write_text("vars x1 x2 x3\npoly F = x1^3 + x2^2\nprime 7\n")
+        files["SQUARES"].write_text("vars x1 x2\npoly A = x1^2\npoly B = x2^2\nmap M = A, B\n")
+        assert main(["verify", *(str(files.get(a, a)) for a in argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+
     def test_identity_failure_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.crm"
         f.write_text(

@@ -9,6 +9,7 @@ from cremona.coeffs import (PRIME_TEST_BOUND, Cyclotomic, FpElem, ParamCoeff,
                             _reduce_vector, cyclotomic_polynomial, euler_phi, is_prime,
                             root_embed, specialize, to_prime_field)
 from cremona.poly import LaurentPoly
+from helpers_reference import reference_to_prime_field
 
 
 def z3(k=1):
@@ -211,6 +212,78 @@ class TestToPrimeField:
     def test_bad_denominator(self):
         with pytest.raises(ZeroDivisionError):
             to_prime_field(Fraction(1, 7), 7)
+
+
+def reduction_or_error(f, x, p):
+    """The reduction of x into F_p, or the type of the exception raised."""
+    try:
+        return f(x, p)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc)
+
+
+# primes = 1 mod each order, so that zeta_e embeds in F_p
+CYCLOTOMIC_PRIMES = {3: (7, 13, 31, 97), 4: (5, 13, 29, 101), 5: (11, 31, 41, 101),
+                     6: (7, 13, 37, 103)}
+
+
+@st.composite
+def small_fraction(draw, p):
+    # denominators run past p, so some vanish mod p
+    return Fraction(draw(st.integers(-10 ** 30, 10 ** 30)),
+                    draw(st.sampled_from((1, 2, 3, p - 1, p, 2 * p, p * p, 10 ** 20 + 1))))
+
+
+@st.composite
+def scalar_and_prime(draw):
+    order = draw(st.sampled_from(sorted(CYCLOTOMIC_PRIMES)))
+    p = draw(st.sampled_from(CYCLOTOMIC_PRIMES[order]))
+    kind = draw(st.sampled_from(("int", "fraction", "fp", "cyclotomic")))
+    if kind == "int":
+        return draw(st.integers(-10 ** 30, 10 ** 30)), p
+    if kind == "fraction":
+        return draw(small_fraction(p)), p
+    if kind == "fp":  # the same prime, or another one
+        return FpElem(draw(st.sampled_from((p, 7, 13))), draw(st.integers(0, 200))), p
+    coeffs = draw(st.lists(small_fraction(p) | st.just(Fraction(0)),
+                           min_size=euler_phi(order), max_size=euler_phi(order)))
+    return Cyclotomic(order, tuple(coeffs)), p
+
+
+class TestToPrimeFieldAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_and_prime())
+    def test_matches_step_by_step_reduction(self, case):
+        assert reduction_or_error(to_prime_field, *case) == \
+            reduction_or_error(reference_to_prime_field, *case)
+
+    @pytest.mark.parametrize("order", sorted(CYCLOTOMIC_PRIMES))
+    def test_every_power_of_zeta(self, order):
+        for p in CYCLOTOMIC_PRIMES[order]:
+            r = root_embed(order, p)
+            for k in range(order):
+                assert to_prime_field(Cyclotomic.zeta(order, k), p) == r ** k == \
+                    reference_to_prime_field(Cyclotomic.zeta(order, k), p)
+
+    @pytest.mark.parametrize("x, p, error", [
+        (5, 9, ValueError),                              # p not prime
+        (Fraction(1, 2), 9, ValueError),
+        (Fraction(1, 18), 9, ZeroDivisionError),         # the denominator check comes first
+        (Cyclotomic.zeta(3), 9, ValueError),
+        (Fraction(3, 14), 7, ZeroDivisionError),         # denominator = 0 mod p
+        (Cyclotomic(3, (Fraction(1), Fraction(1, 7))), 7, ZeroDivisionError),
+        (Cyclotomic.zeta(5), 7, ValueError),             # no 5th root of unity in F_7
+        (FpElem(7, 3), 13, ValueError),                  # prime mismatch
+        (ParamCoeff.param(("t1",), "t1"), 7, ValueError),
+        (Cyclotomic(3, (ParamCoeff.param(("t1",), "t1"), Fraction(0))), 7, ValueError),
+        (1.5, 7, TypeError),                             # unknown types
+        ("1", 7, TypeError),
+    ])
+    def test_refusals(self, x, p, error):
+        with pytest.raises(error):
+            to_prime_field(x, p)
+        with pytest.raises(error):
+            reference_to_prime_field(x, p)
 
 
 SYMS = ("t1", "t2")

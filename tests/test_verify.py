@@ -447,6 +447,60 @@ class TestQuotientFibers:
         assert all(rep.group_order % s == 0 for s in rep.fiber_sizes)
 
 
+class TestOrbitCheckHandBuilt:
+    """Cases the random draw rarely reaches, each against the reference."""
+
+    X = ("x0", "x1", "x2")
+    Y = ("y0", "y1", "y2", "y3", "y4")
+    G = DiagonalAction(3, ((3, (0, 1, 2)),))  # (1, z, z^2)
+    H = DiagonalAction(3, ((3, (0, 1, 1)),))  # (1, z, z): another group of order 3
+
+    def h_quotient(self):
+        """{x1^2 x2 + x2^3 = 2 x0^3} and the map by the H-invariant cubics:
+        its torus fibers are H-orbits, three points each, and no G-orbit."""
+        F = P("x1^2*x2 + x2^3 - 2*x0^3", self.X)
+        forward = RationalMap([P(m, self.X) for m in
+                               ("x0^3", "x1^3", "x1^2*x2", "x1*x2^2", "x2^3")])
+        return F, forward
+
+    def both(self, *case):
+        rep = report_or_error(map_fiber_orbit_check, *case)
+        assert rep == report_or_error(reference_map_fiber_orbit_check, *case)
+        return rep
+
+    def test_same_sizes_other_group(self):
+        F, forward = self.h_quotient()
+        target = P("y1*y3 - y2^2", self.Y)
+        assert self.both(F, self.H, forward, target, 7).ok
+        rep = self.both(F, self.G, forward, target, 7)
+        assert rep.all_on_image and set(rep.fiber_sizes) == {3} and rep.generic_fiber == 3
+        assert not rep.orbits_ok  # every fiber has |G| points, none is a G-orbit
+
+    def test_images_off_the_target(self):
+        F, forward = self.h_quotient()
+        target = P("y1 - y4", self.Y)  # holds only where x1^3 = x2^3
+        rep = self.both(F, self.H, forward, target, 13)
+        on = sum(1 for x1, x2 in itertools.product(range(1, 13), repeat=2)
+                 if (x1 ** 2 * x2 + x2 ** 3 - 2) % 13 == 0 and (x1 ** 3 - x2 ** 3) % 13 == 0)
+        assert 0 < on < rep.torus_points
+        assert not rep.all_on_image and rep.orbits_ok
+        assert rep.fiber_sizes == {3: on // 3}  # the fibers off the target are left out
+        rep = self.both(F, self.G, forward, target, 13)
+        assert not rep.all_on_image and not rep.orbits_ok
+
+    @pytest.mark.parametrize("second, error", [
+        ("x2 - x0", ValueError),          # (1, 2, 1) has the zero image
+        ("x1 - x2", ZeroDivisionError),   # (1, 2, 1) meets the pole, (1, 2, 2) the zero image
+    ])
+    def test_first_error_in_torus_order(self, second, error):
+        # F vanishes on the whole torus; images (x1 - 2 x0 : second) with
+        # x1 - 2 x0 = 0 sit on the target's pole y0 = 0
+        F = P("x1^6 - x0^6", self.X)
+        forward = RationalMap([P("x1 - 2*x0", self.X), P(second, self.X)])
+        target = P("y1*y0^-1 - 3", ("y0", "y1"))
+        assert self.both(F, DiagonalAction.trivial(3), forward, target, 7) is error
+
+
 def test_randomized_quotient_fibers_are_orbits():
     # random small actions: every torus fiber of the forward map must be a
     # single group orbit, so its size is exactly the group order
