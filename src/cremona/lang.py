@@ -17,6 +17,7 @@ spec and reparsing it is the identity.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field as dc_field
@@ -60,160 +61,273 @@ class ParseError(ValueError):
 # tokens
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<rational>\d+/\d+)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[=\[\],;+\-*^()])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+# One match per token: a rational, an integer, an identifier or a symbol.  A
+# comment, or a character no token starts with, runs to the end of the line,
+# so it can only be the last match; whitespace matches nothing.  Digits are
+# ASCII only.
+_TOKEN_RE = re.compile(r"[0-9]+/[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[=\[\],;+\-*^()]|#.*|\S.*",
+                       re.DOTALL)
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_TOKEN_START = _DIGITS | _IDENT_START | frozenset("=[],;+-*^()")
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Line:
+    """One line's token texts and a read position ``i`` into them.  The
+    texts end with "" for the end of the line.  A token's column is found
+    again only for a diagnostic."""
 
+    __slots__ = ("text", "ln", "toks", "i")
 
-def _tokenize(text: str, line_no: int) -> list[Token]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "comment":
-            break
-        if kind == "bad":
-            raise ParseError(line_no, m.start() + 1, f"unexpected character {m.group()!r}")
-        out.append(Token(kind, m.group(), line_no, m.start() + 1))
-    return out
+    def __init__(self, text: str, ln: int):
+        toks = _TOKEN_RE.findall(text)
+        if toks and toks[-1][0] not in _TOKEN_START:
+            last = toks.pop()
+            if last[0] != "#":
+                raise ParseError(ln, len(text) - len(last) + 1,
+                                 f"unexpected character {last[0]!r}")
+        toks.append("")
+        self.text, self.ln, self.toks, self.i = text, ln, toks, 0
 
+    def error(self, k: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """A diagnostic at token k; the end of the line is the column after it."""
+        if k == len(self.toks) - 1:
+            col = len(self.text) + 1
+        else:
+            col = next(itertools.islice(_TOKEN_RE.finditer(self.text), k, None)).start() + 1
+        return ParseError(self.ln, col, message, expected)
 
-class _Cursor:
-    def __init__(self, tokens: list[Token], line_no: int, line_len: int):
-        self.tokens = tokens + [None]  # the end of the line peeks as None
-        self.i = 0
-        self.line_no = line_no
-        self.line_len = line_len
+    def unexpected(self, k: int, expected: tuple[str, ...]) -> ParseError:
+        t = self.toks[k]
+        return self.error(k, f"unexpected token {t!r}" if t else "unexpected end of line",
+                          expected)
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i]
+    def at_end(self) -> bool:
+        return not self.toks[self.i]
 
-    def next(self) -> Token | None:
-        t = self.tokens[self.i]
-        if t is not None:
-            self.i += 1
-        return t
+    def expect(self, text: str):
+        if self.toks[self.i] != text:
+            raise self.unexpected(self.i, (repr(text),))
+        self.i += 1
 
-    def expect(self, text: str | None = None, kind: str | None = None,
-               expected: tuple[str, ...] = ()) -> Token:
-        t = self.peek()
-        want = expected or ((repr(text),) if text else ((kind,) if kind else ()))
-        if t is None:
-            raise ParseError(self.line_no, self.line_len + 1, "unexpected end of line", want)
-        if text is not None and t.text != text:
-            raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
-        if kind is not None and t.kind != kind:
-            raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
+    def name(self, expected: tuple[str, ...]) -> str:
+        t = self.toks[self.i]
+        if t[:1] not in _IDENT_START:
+            raise self.unexpected(self.i, expected)
         self.i += 1
         return t
 
-    def at_end(self) -> bool:
-        return self.tokens[self.i] is None
+    def integer(self, signed: bool = False) -> int:
+        """An integer token, after a "-" if ``signed``."""
+        toks = self.toks
+        k = self.i
+        t = toks[k]
+        sign = 1
+        if signed and t == "-":
+            k += 1
+            t = toks[k]
+            sign = -1
+        if t[:1] not in _DIGITS or "/" in t:
+            raise self.unexpected(k, ("integer",))
+        self.i = k + 1
+        return sign * _int(t, self, k)
+
+    def integer_list(self) -> tuple[int, ...]:
+        out = [self.integer(signed=True)]
+        while self.toks[self.i] == ",":
+            self.i += 1
+            out.append(self.integer(signed=True))
+        return tuple(out)
 
     def require_end(self):
-        t = self.peek()
-        if t is not None:
-            raise ParseError(t.line, t.col, f"trailing input {t.text!r}", ("end of line",))
+        t = self.toks[self.i]
+        if t:
+            raise self.error(self.i, f"trailing input {t!r}", ("end of line",))
+
+
+def _int(text: str, line: _Line, k: int) -> int:
+    """The integer spelled by the digits ``text`` of token k.  CPython refuses
+    to convert digit strings past a length limit (4,300 digits by default);
+    that is reported at the token like any other malformed input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise line.error(k, f"integer literal of {len(text)} digits is too long") from None
 
 
 # ---------------------------------------------------------------------------
 # expression parsing
 # ---------------------------------------------------------------------------
 #
-# Expressions are parsed on plain term dicts {exponent tuple: coefficient}.
-# A sum adds into one accumulator in place, a factor with one term shifts the
-# exponents of the other, and only products of two sums and powers of sums go
-# through LaurentPoly's product (the packed ``_expand`` kernel).  Each
-# declaration builds its LaurentPoly once, from the finished dict.
+# A sum adds its terms into one term dict {exponent tuple: coefficient} in
+# place.  A term keeps its product as one exponent list and one coefficient
+# while it has one term, and a variable factor adds to that list in place;
+# any other factor goes through ``_product``, where only products of two sums
+# (and, in ``_power``, powers of sums) reach LaurentPoly's product (the packed
+# ``_expand`` kernel).
+# Integer literals stay ints; each declaration builds its LaurentPoly once,
+# from the finished dict, which makes them Fractions.
 
 _ONE = Fraction(1)  # the coefficient of a variable atom: multiplying by it is a shift
 
 
 class _ExprContext:
     """The names an expression may use and the atoms they stand for, built
-    once per declaration set: the zero vector, a unit vector per variable and
-    a coefficient per parameter."""
+    once per declaration set: the position of each variable a token can
+    name, and a coefficient per parameter."""
 
     def __init__(self, variables, params, zeta_order: int | None):
         self.variables = tuple(variables)
         self.params = tuple(params)
         self.zeta_order = zeta_order
         self.zero = (0,) * len(self.variables)
-        self.units = {}
+        # identifiers other than the keyword zeta; a repeated name is the first
+        self.index = {}
         for i, name in enumerate(self.variables):
-            self.units.setdefault(name, self.zero[:i] + (1,) + self.zero[i + 1:])
+            if name != "zeta" and name.isascii() and name.isidentifier():
+                self.index.setdefault(name, i)
         self.param_coeffs = {name: ParamCoeff.param(self.params, name) for name in self.params}
 
     @cached_property
     def zeta(self) -> Cyclotomic:
         return Cyclotomic.zeta(self.zeta_order)
 
+    def unit(self, k: int, p: int) -> tuple[int, ...]:
+        """The exponent vector of variable k to the power p."""
+        return self.zero[:k] + (p,) + self.zero[k + 1:]
 
-def _parse_expr(cur: _Cursor, ctx: _ExprContext) -> dict:
-    acc = _parse_term(cur, ctx)
+
+def _parse_expr(line: _Line, ctx: _ExprContext) -> dict:
+    acc = {}
+    negate = False
     while True:
-        t = cur.peek()
-        if t is None or t.text not in ("+", "-"):
+        _parse_term(line, ctx, acc, negate)
+        t = line.toks[line.i]
+        if t != "+" and t != "-":
             return acc
-        cur.next()
-        negate = t.text == "-"
-        for e, c in _parse_term(cur, ctx).items():
-            if negate:
-                c = -c
-            if e not in acc:
-                acc[e] = c
-                continue
-            s = acc[e] + c
+        line.i += 1
+        negate = t == "-"
+
+
+def _parse_term(line: _Line, ctx: _ExprContext, acc: dict, negate: bool):
+    """Parse factors joined by ``*`` and add their product into ``acc``,
+    negated if ``negate``.  While the product has one term it is kept as an
+    exponent list and a coefficient, and a variable factor adds to the list
+    in place; any other factor goes through ``_product``."""
+    toks = line.toks
+    index = ctx.index
+    exps = coeff = None  # the product while it has one term
+    terms = None         # the product as a term dict while it has not
+    star = 0             # the token index of the "*" before this factor
+    i = line.i
+    while True:
+        t = toks[i]
+        neg = False
+        while t == "-":
+            neg = not neg
+            i += 1
+            t = toks[i]
+        k = index.get(t)
+        if k is None:
+            line.i = i
+            factor = _parse_factor(line, ctx)
+            i = line.i
+            if neg:
+                factor = {e: -c for e, c in factor.items()}
+        else:  # a variable, maybe raised: one term, coefficient 1
+            if toks[i + 1] == "^":
+                line.i = i + 2
+                p = line.integer(signed=True)
+                i = line.i
+            else:
+                i += 1
+                p = 1
+            # a shift, which reaches no budget unless the coefficient alone
+            # has as many terms as the term budget
+            if not neg and exps is not None and terms is None and \
+                    (not ctx.params or _scalar_terms(coeff) <= POWER_TERM_BUDGET):
+                exps[k] += p
+                factor = None
+            else:
+                factor = {ctx.unit(k, p): -_ONE if neg else _ONE}
+        if factor is not None:
+            if exps is None and terms is None:
+                terms = factor
+            else:
+                terms = _product({tuple(exps): coeff} if terms is None else terms, factor,
+                                 line, star, ctx)
+            if len(terms) == 1:
+                (e, coeff), = terms.items()
+                exps, terms = list(e), None
+        if toks[i] != "*":
+            break
+        star = i
+        i += 1
+    line.i = i
+    for e, c in terms.items() if terms is not None else ((tuple(exps), coeff),):
+        if negate:
+            c = -c
+        old = acc.get(e)
+        if old is None:
+            acc[e] = c
+        else:
+            s = old + c
             if s:
                 acc[e] = s
             else:
                 del acc[e]
 
 
-def _parse_term(cur: _Cursor, ctx: _ExprContext) -> dict:
-    acc = _parse_factor(cur, ctx)
-    while True:
-        t = cur.peek()
-        if t is None or t.text != "*":
-            return acc
-        cur.next()
-        acc = _product(acc, _parse_factor(cur, ctx), t, ctx)
-
-
-def _parse_factor(cur: _Cursor, ctx: _ExprContext) -> dict:
-    sign = 1
-    while True:
-        t = cur.peek()
-        if t is not None and t.text == "-":
-            cur.next()
-            sign = -sign
+def _parse_factor(line: _Line, ctx: _ExprContext) -> dict:
+    """An atom other than a variable, maybe raised, as a term dict."""
+    toks = line.toks
+    i = line.i
+    t = toks[i]
+    if t[:1] in _DIGITS:
+        line.i = i + 1
+        if "/" in t:
+            num, den = (_int(part, line, i) for part in t.split("/"))
+            if den == 0:
+                raise line.error(i, f"zero denominator in {t}")
+            atom = {ctx.zero: Fraction(num, den)} if num else {}
         else:
-            break
-    atom = _parse_atom(cur, ctx)
-    t = cur.peek()
-    if t is not None and t.text == "^":
-        cur.next()
-        atom = _power(atom, _parse_signed_int(cur), t, ctx)
-    return atom if sign == 1 else {e: -c for e, c in atom.items()}
+            value = _int(t, line, i)
+            atom = {ctx.zero: value} if value else {}
+    elif t == "(":
+        line.i = i + 1
+        atom = _parse_expr(line, ctx)
+        line.expect(")")
+    elif t == "zeta":
+        if not ctx.zeta_order:
+            raise line.error(i, "zeta used but no cyclotomic order declared "
+                                "(add a zeta or group line)")
+        line.i = i + 1
+        atom = {ctx.zero: ctx.zeta}
+    elif t in ctx.param_coeffs:
+        line.i = i + 1
+        atom = {ctx.zero: ctx.param_coeffs[t]}
+    else:
+        want = ("number", "variable", "parameter", "'zeta'", "'('")
+        if t[:1] in _IDENT_START:
+            raise line.error(i, f"unknown identifier {t!r}", want)
+        raise line.unexpected(i, want)
+    k = line.i
+    if toks[k] == "^":
+        line.i = k + 1
+        atom = _power(atom, line.integer(signed=True), line, k, ctx)
+    return atom
 
 
-def _product(a: dict, b: dict, tok: Token, ctx: _ExprContext) -> dict:
-    """a * b, refused at ``tok`` if over a budget.  A one-term factor shifts
+def _over_budget(value: int, budget: int, what: str, exp: int | None, line: _Line, k: int):
+    """Refuse at token k a power ``exp`` (a product if None) whose ``what``,
+    a template for ``value``, is over ``budget``."""
+    if value > budget:
+        op = "product" if exp is None else f"power {exp}"
+        raise line.error(k, f"{op} may {what.format(value)}, over the budget of {budget}")
+
+
+def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
+    """a * b, refused at token k if over a budget.  A one-term factor shifts
     the other's exponents and scales its coefficients, and does not scale
     them when its coefficient is 1; two sums are multiplied out by
     LaurentPoly's product."""
@@ -222,27 +336,17 @@ def _product(a: dict, b: dict, tok: Token, ctx: _ExprContext) -> dict:
     # without parameters the term count is the dict size: most products are
     # far inside the budget, so their supports are not measured
     if ctx.params or len(a) * len(b) > POWER_TERM_BUDGET:
-        bound = _product_term_bound(a, b)
-        if bound > POWER_TERM_BUDGET:
-            raise ParseError(tok.line, tok.col,
-                             f"product may expand to {bound} terms, over the budget "
-                             f"of {POWER_TERM_BUDGET}")
+        _over_budget(_product_term_bound(a, b), POWER_TERM_BUDGET, "expand to {} terms",
+                     None, line, k)
     if not shift:
         # the coefficients of a * b are integers of at most ma * mb over at
-        # most ma * mb, as for a power
+        # most ma * mb, as for a power; a pair of 5,000-bit coefficients costs
+        # about as much as 150 pairs of small ones
         ma, mb = _coeff_size(a), _coeff_size(b)
-        bits = max(1, (ma * mb).bit_length())
-        if bits > POWER_BIT_BUDGET:
-            raise ParseError(tok.line, tok.col,
-                             f"product may need {bits}-bit coefficients, over the budget "
-                             f"of {POWER_BIT_BUDGET}")
-        # a pair of 5,000-bit coefficients costs about as much as 150 pairs
-        # of small ones
-        work = _term_count(a) * _term_count(b) * -(-(ma.bit_length() + mb.bit_length()) // 64)
-        if work > POWER_WORK_BUDGET:
-            raise ParseError(tok.line, tok.col,
-                             f"product may take {work} term products, over the budget "
-                             f"of {POWER_WORK_BUDGET}")
+        _over_budget(max(1, (ma * mb).bit_length()), POWER_BIT_BUDGET,
+                     "need {}-bit coefficients", None, line, k)
+        _over_budget(_term_count(a) * _term_count(b) * -(-(ma.bit_length() + mb.bit_length()) // 64),
+                     POWER_WORK_BUDGET, "take {} term products", None, line, k)
     if len(mono) != 1:
         return (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms
     (m, cm), = mono.items()
@@ -251,8 +355,8 @@ def _product(a: dict, b: dict, tok: Token, ctx: _ExprContext) -> dict:
     return {tuple(map(add, e, m)): c * cm for e, c in rest.items()}
 
 
-def _power(atom: dict, exp: int, tok: Token, ctx: _ExprContext) -> dict:
-    """atom ** exp, refused at ``tok`` if over a budget.  A one-term atom is
+def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict:
+    """atom ** exp, refused at token k if over a budget.  A one-term atom is
     raised by scaling its exponents and powering its coefficient; a sum by
     LaurentPoly's power."""
     mono = len(atom) == 1
@@ -261,34 +365,24 @@ def _power(atom: dict, exp: int, tok: Token, ctx: _ExprContext) -> dict:
         if c is _ONE:  # a variable power: one term, coefficient 1, no work
             return {tuple(exp * x for x in e): _ONE}
     bound = _power_term_bound(atom, exp)
-    if bound > POWER_TERM_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"power {exp} may expand to {bound} terms, over the budget "
-                         f"of {POWER_TERM_BUDGET}")
+    _over_budget(bound, POWER_TERM_BUDGET, "expand to {} terms", exp, line, k)
     if exp == 0:
         return {ctx.zero: _ONE}
     if exp < 0:
         if not mono:
-            raise ParseError(tok.line, tok.col,
-                             f"cannot take power {exp}: negative powers only for monomials")
+            raise line.error(k, f"cannot take power {exp}: negative powers only for monomials")
         try:
-            e, c = tuple(-x for x in e), c ** -1
+            e, c = tuple(-x for x in e), (Fraction(c) if isinstance(c, int) else c) ** -1
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(tok.line, tok.col, f"cannot take power {exp}: {exc}") from None
+            raise line.error(k, f"cannot take power {exp}: {exc}") from None
         atom = {e: c}
     n = abs(exp)
-    bits = _power_bit_bound(atom, n)
-    if bits > POWER_BIT_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"power {exp} may need {bits}-bit coefficients, over the budget "
-                         f"of {POWER_BIT_BUDGET}")
+    _over_budget(_power_bit_bound(atom, n), POWER_BIT_BUDGET, "need {}-bit coefficients",
+                 exp, line, k)
     if mono:
         return {tuple(n * x for x in e): c ** n}
-    work = n * bound * len(atom)
-    if work > POWER_WORK_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"power {exp} may take {work} term products, over the budget "
-                         f"of {POWER_WORK_BUDGET}")
+    _over_budget(n * bound * len(atom), POWER_WORK_BUDGET, "take {} term products",
+                 exp, line, k)
     return (LaurentPoly(ctx.variables, atom) ** n).terms
 
 
@@ -354,9 +448,14 @@ def _power_bit_bound(atom: dict, exp: int) -> int:
     return max(1, exp * m.bit_length()) if m > 1 else 1
 
 
+def _scalar_terms(c) -> int:
+    """The terms of coefficient c, each parameter monomial counted apart."""
+    return len(c.terms) if isinstance(c, ParamCoeff) else 1
+
+
 def _term_count(atom: dict) -> int:
     """The atom's terms, each parameter monomial counted apart."""
-    return sum(len(c.terms) if isinstance(c, ParamCoeff) else 1 for c in atom.values())
+    return sum(map(_scalar_terms, atom.values()))
 
 
 def _product_term_bound(a: dict, b: dict) -> int:
@@ -373,75 +472,12 @@ def _product_term_bound(a: dict, b: dict) -> int:
     return min(pairs, box)
 
 
-def _int(text: str, tok: Token) -> int:
-    """The integer spelled by the digits ``text`` of ``tok``.  CPython refuses
-    to convert digit strings past a length limit (4,300 digits by default);
-    that is reported at the token like any other malformed input."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(tok.line, tok.col,
-                         f"integer literal of {len(text)} digits is too long") from None
-
-
-def _parse_int(cur: _Cursor) -> int:
-    tok = cur.expect(kind="int", expected=("integer",))
-    return _int(tok.text, tok)
-
-
-def _parse_signed_int(cur: _Cursor) -> int:
-    t = cur.peek()
-    sign = 1
-    if t is not None and t.text == "-":
-        cur.next()
-        sign = -1
-    return sign * _parse_int(cur)
-
-
-def _parse_atom(cur: _Cursor, ctx: _ExprContext) -> dict:
-    t = cur.peek()
-    want = ("number", "variable", "parameter", "'zeta'", "'('")
-    if t is None:
-        raise ParseError(cur.line_no, cur.line_len + 1, "unexpected end of line", want)
-    if t.text == "(":
-        cur.next()
-        inner = _parse_expr(cur, ctx)
-        cur.expect(")")
-        return inner
-    if t.kind == "rational":
-        cur.next()
-        num, den = (_int(part, t) for part in t.text.split("/"))
-        if den == 0:
-            raise ParseError(t.line, t.col, f"zero denominator in {t.text}")
-        return {ctx.zero: Fraction(num, den)} if num else {}
-    if t.kind == "int":
-        cur.next()
-        value = _int(t.text, t)
-        return {ctx.zero: Fraction(value)} if value else {}
-    if t.kind == "ident":
-        cur.next()
-        name = t.text
-        if name == "zeta":
-            if not ctx.zeta_order:
-                raise ParseError(t.line, t.col,
-                                 "zeta used but no cyclotomic order declared "
-                                 "(add a zeta or group line)")
-            return {ctx.zero: ctx.zeta}
-        if name in ctx.units:
-            return {ctx.units[name]: _ONE}
-        if name in ctx.param_coeffs:
-            return {ctx.zero: ctx.param_coeffs[name]}
-        raise ParseError(t.line, t.col, f"unknown identifier {name!r}", want)
-    raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
-
-
 def parse_poly(text: str, variables, params=(), zeta_order: int | None = None) -> LaurentPoly:
     """Parse a single polynomial expression (test and scenario convenience)."""
-    tokens = _tokenize(text, 1)
-    cur = _Cursor(tokens, 1, len(text))
+    line = _Line(text, 1)
     ctx = _ExprContext(variables, params, zeta_order)
-    terms = _parse_expr(cur, ctx)
-    cur.require_end()
+    terms = _parse_expr(line, ctx)
+    line.require_end()
     return LaurentPoly(ctx.variables, terms)
 
 
@@ -473,17 +509,28 @@ class ProblemSpec:
         return self.variables.index(self.chart)
 
 
-def _parse_int_list(cur: _Cursor) -> tuple[int, ...]:
-    out = [_parse_signed_int(cur)]
-    while not cur.at_end() and cur.peek().text == ",":
-        cur.next()
-        out.append(_parse_signed_int(cur))
-    return tuple(out)
+_KEYWORDS = ("'vars'", "'params'", "'zeta'", "'group'", "'poly'", "'map'",
+             "'chart'", "'basis'", "'prime'")
+
+
+def _names(line: _Line, what: str, taken: tuple[str, ...], other: str) -> tuple[str, ...]:
+    """The rest of a vars or params line: distinct names, none of them in
+    ``taken``, the names of the ``other`` kind."""
+    names = []
+    while not line.at_end():
+        k = line.i
+        name = line.name((f"{what} name",))
+        if name in names:
+            raise line.error(k, f"{what} {name!r} declared twice", (f"a new {what} name",))
+        if name in taken:
+            raise line.error(k, f"{what} {name!r} is already declared as a {other}",
+                             (f"a new {what} name",))
+        names.append(name)
+    return tuple(names)
 
 
 def parse_input(text: str) -> ProblemSpec:
     """Parse a full problem specification; raises ParseError with position."""
-    lines = text.splitlines()
     spec = ProblemSpec()
     poly_lines = []  # deferred until the declarations are known
     map_lines = []
@@ -491,88 +538,83 @@ def parse_input(text: str) -> ProblemSpec:
     basis_line = 1
     chart_line = 1
 
-    for ln, raw in enumerate(lines, start=1):
-        tokens = _tokenize(raw, ln)
-        if not tokens:
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = _Line(raw, ln)
+        if line.at_end():
             continue
-        cur = _Cursor(tokens, ln, len(raw))
-        head = cur.expect(kind="ident", expected=(
-            "'vars'", "'params'", "'zeta'", "'group'", "'poly'", "'map'",
-            "'chart'", "'basis'", "'prime'"))
-        kw = head.text
+        kw = line.name(_KEYWORDS)
 
         if kw == "vars":
-            names = []
-            while not cur.at_end():
-                names.append(cur.expect(kind="ident", expected=("variable name",)).text)
-            if not names:
-                raise ParseError(ln, len(raw) + 1, "vars line needs at least one name",
-                                 ("variable name",))
-            spec.variables = tuple(names)
+            spec.variables = _names(line, "variable", spec.params, "parameter")
+            if not spec.variables:
+                raise line.error(line.i, "vars line needs at least one name", ("variable name",))
         elif kw == "params":
-            names = []
-            while not cur.at_end():
-                names.append(cur.expect(kind="ident", expected=("parameter name",)).text)
-            spec.params = tuple(names)
+            spec.params = _names(line, "parameter", spec.variables, "variable")
         elif kw == "zeta":
-            cur.expect("e")
-            cur.expect("=")
-            spec.zeta_order = _parse_int(cur)
-            cur.require_end()
+            line.expect("e")
+            line.expect("=")
+            k = line.i
+            spec.zeta_order = line.integer()
+            if spec.zeta_order < 1:
+                raise line.error(k, "cyclotomic order must be positive")
+            line.require_end()
         elif kw == "group":
-            cur.expect("e")
-            cur.expect("=")
-            order = _parse_int(cur)
+            line.expect("e")
+            line.expect("=")
+            order = line.integer()
             if order < 1:
                 raise ParseError(ln, 1, "generator order must be positive")
-            cur.expect("gen")
-            cur.expect("[")
-            row = _parse_int_list(cur)
-            cur.expect("]")
-            cur.require_end()
+            line.expect("gen")
+            line.expect("[")
+            row = line.integer_list()
+            line.expect("]")
+            line.require_end()
             spec.generators = spec.generators + ((order, row),)
             gen_lines.append(ln)
         elif kw == "poly":
-            name = cur.expect(kind="ident", expected=("polynomial name",))
-            cur.expect("=")
-            poly_lines.append((ln, raw, name.text, cur))
+            k = line.i
+            name = line.name(("polynomial name",))
+            if any(name == other for _, other, _ in poly_lines):
+                raise line.error(k, f"poly {name!r} declared twice", ("a new polynomial name",))
+            line.expect("=")
+            poly_lines.append((ln, name, line))
         elif kw == "map":
-            name = cur.expect(kind="ident", expected=("map name",))
-            cur.expect("=")
-            comps = [cur.expect(kind="ident", expected=("polynomial name",)).text]
-            while not cur.at_end():
-                cur.expect(",")
-                comps.append(cur.expect(kind="ident", expected=("polynomial name",)).text)
-            map_lines.append((ln, name.text, tuple(comps)))
+            k = line.i
+            name = line.name(("map name",))
+            if any(name == other for _, other, _ in map_lines):
+                raise line.error(k, f"map {name!r} declared twice", ("a new map name",))
+            line.expect("=")
+            comps = [line.name(("polynomial name",))]
+            while not line.at_end():
+                line.expect(",")
+                comps.append(line.name(("polynomial name",)))
+            map_lines.append((ln, name, tuple(comps)))
         elif kw == "chart":
-            spec.chart = cur.expect(kind="ident", expected=("variable name",)).text
-            cur.require_end()
+            spec.chart = line.name(("variable name",))
+            line.require_end()
             chart_line = ln
         elif kw == "basis":
-            cur.expect("[")
-            rows = [_parse_int_list(cur)]
-            while cur.peek() is not None and cur.peek().text == ";":
-                cur.next()
-                rows.append(_parse_int_list(cur))
-            cur.expect("]")
-            cur.require_end()
+            line.expect("[")
+            rows = [line.integer_list()]
+            while line.toks[line.i] == ";":
+                line.i += 1
+                rows.append(line.integer_list())
+            line.expect("]")
+            line.require_end()
             spec.basis = tuple(rows)
             basis_line = ln
         elif kw == "prime":
-            tok = cur.peek()
-            p = _parse_int(cur)
-            cur.require_end()
+            k = line.i
+            p = line.integer()
+            line.require_end()
             if p >= PRIME_TEST_BOUND:
-                raise ParseError(tok.line, tok.col, f"modulus {p} is past the primality "
-                                 "test's bound", (f"a prime below {PRIME_TEST_BOUND}",))
+                raise line.error(k, f"modulus {p} is past the primality test's bound",
+                                 (f"a prime below {PRIME_TEST_BOUND}",))
             if not is_prime(p):
-                raise ParseError(tok.line, tok.col, f"non-prime modulus {p}",
-                                 ("a prime number",))
+                raise line.error(k, f"non-prime modulus {p}", ("a prime number",))
             spec.primes = spec.primes + (p,)
         else:
-            raise ParseError(head.line, head.col, f"unknown declaration {kw!r}", (
-                "'vars'", "'params'", "'zeta'", "'group'", "'poly'", "'map'",
-                "'chart'", "'basis'", "'prime'"))
+            raise line.error(0, f"unknown declaration {kw!r}", _KEYWORDS)
 
     # structural validation
     n = len(spec.variables)
@@ -596,11 +638,11 @@ def parse_input(text: str) -> ProblemSpec:
                              (f"{n - 1} rows of {n - 1} integers",))
 
     ctx = _ExprContext(spec.variables, spec.params, spec.effective_zeta_order())
-    for ln, raw, name, cur in poly_lines:
+    for ln, name, line in poly_lines:
         if n == 0:
             raise ParseError(ln, 1, "poly declared before vars")
-        terms = _parse_expr(cur, ctx)
-        cur.require_end()
+        terms = _parse_expr(line, ctx)
+        line.require_end()
         spec.polys[name] = LaurentPoly(ctx.variables, terms)
     for ln, name, comps in map_lines:
         for c in comps:

@@ -2,13 +2,20 @@
 tuple-key double loop and square-and-multiply over it, ``substitute`` built
 from those and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
 evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
-per-point loops over ``proj_points``, and a basis search that solves every
-candidate in the lattice again."""
+per-point loops over ``proj_points``, a basis search that solves every
+candidate in the lattice again, and a recursive-descent expression parser
+over token objects."""
 import itertools
+import re
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
+from cremona import lang
 from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, root_embed
+from cremona.lang import (ParseError, _coeff_size, _power_bit_bound, _power_term_bound,
+                          _product_term_bound, _term_count)
 from cremona.pipeline import (SEARCH_ENTRY_BOUND, MonomialBasis, cremona_step,
                               hnf_basis_for, rewrite_invariant)
 from cremona.poly import LaurentPoly
@@ -257,3 +264,274 @@ def reference_search_basis(X, chart, width=8, depth=6):
         if candidates[0][0] < best_score:
             best_score, best_basis = candidates[0]
     return best_basis, cremona_step(X, chart, best_basis)
+
+
+# ---------------------------------------------------------------------------
+# the expression parser
+# ---------------------------------------------------------------------------
+#
+# ``lang.parse_poly`` as it was before it read token texts and built each
+# term's monomial in place: one ``Token`` per token, a cursor over them, and a
+# term dict per factor, multiplied by ``_product`` at every "*".  Digits are
+# ASCII only, as in ``lang``.  The budgets are read from ``lang`` at each
+# check, and the bounds are ``lang``'s own.
+
+_REF_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#.*)
+  | (?P<rational>[0-9]+/[0-9]+)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym>[=\[\],;+\-*^()])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+_REF_ONE = Fraction(1)  # the coefficient of a variable atom: multiplying by it is a shift
+
+
+@dataclass(slots=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _ref_tokenize(text: str, line_no: int) -> list[_Token]:
+    out = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "comment":
+            break
+        if kind == "bad":
+            raise ParseError(line_no, m.start() + 1, f"unexpected character {m.group()!r}")
+        out.append(_Token(kind, m.group(), line_no, m.start() + 1))
+    return out
+
+
+class _Cursor:
+    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
+        self.tokens = tokens + [None]  # the end of the line peeks as None
+        self.i = 0
+        self.line_no = line_no
+        self.line_len = line_len
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token | None:
+        t = self.tokens[self.i]
+        if t is not None:
+            self.i += 1
+        return t
+
+    def expect(self, text: str | None = None, kind: str | None = None,
+               expected: tuple[str, ...] = ()) -> _Token:
+        t = self.peek()
+        want = expected or ((repr(text),) if text else ((kind,) if kind else ()))
+        if t is None:
+            raise ParseError(self.line_no, self.line_len + 1, "unexpected end of line", want)
+        if text is not None and t.text != text:
+            raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
+        if kind is not None and t.kind != kind:
+            raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
+        self.i += 1
+        return t
+
+    def require_end(self):
+        t = self.peek()
+        if t is not None:
+            raise ParseError(t.line, t.col, f"trailing input {t.text!r}", ("end of line",))
+
+
+class _RefContext:
+    def __init__(self, variables, params, zeta_order):
+        self.variables = tuple(variables)
+        self.params = tuple(params)
+        self.zeta_order = zeta_order
+        self.zero = (0,) * len(self.variables)
+        self.units = {}
+        for i, name in enumerate(self.variables):
+            self.units.setdefault(name, self.zero[:i] + (1,) + self.zero[i + 1:])
+        self.param_coeffs = {name: ParamCoeff.param(self.params, name) for name in self.params}
+
+
+def _ref_expr(cur: _Cursor, ctx: _RefContext) -> dict:
+    acc = _ref_term(cur, ctx)
+    while True:
+        t = cur.peek()
+        if t is None or t.text not in ("+", "-"):
+            return acc
+        cur.next()
+        negate = t.text == "-"
+        for e, c in _ref_term(cur, ctx).items():
+            if negate:
+                c = -c
+            if e not in acc:
+                acc[e] = c
+                continue
+            s = acc[e] + c
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
+def _ref_term(cur: _Cursor, ctx: _RefContext) -> dict:
+    acc = _ref_factor(cur, ctx)
+    while True:
+        t = cur.peek()
+        if t is None or t.text != "*":
+            return acc
+        cur.next()
+        acc = _ref_product(acc, _ref_factor(cur, ctx), t, ctx)
+
+
+def _ref_factor(cur: _Cursor, ctx: _RefContext) -> dict:
+    sign = 1
+    while True:
+        t = cur.peek()
+        if t is not None and t.text == "-":
+            cur.next()
+            sign = -sign
+        else:
+            break
+    atom = _ref_atom(cur, ctx)
+    t = cur.peek()
+    if t is not None and t.text == "^":
+        cur.next()
+        atom = _ref_power(atom, _ref_signed_int(cur), t, ctx)
+    return atom if sign == 1 else {e: -c for e, c in atom.items()}
+
+
+def _ref_product(a: dict, b: dict, tok: _Token, ctx: _RefContext) -> dict:
+    mono, rest = (b, a) if len(b) == 1 else (a, b)
+    shift = len(mono) == 1 and next(iter(mono.values())) is _REF_ONE
+    if ctx.params or len(a) * len(b) > lang.POWER_TERM_BUDGET:
+        bound = _product_term_bound(a, b)
+        if bound > lang.POWER_TERM_BUDGET:
+            raise ParseError(tok.line, tok.col,
+                             f"product may expand to {bound} terms, over the budget "
+                             f"of {lang.POWER_TERM_BUDGET}")
+    if not shift:
+        ma, mb = _coeff_size(a), _coeff_size(b)
+        bits = max(1, (ma * mb).bit_length())
+        if bits > lang.POWER_BIT_BUDGET:
+            raise ParseError(tok.line, tok.col,
+                             f"product may need {bits}-bit coefficients, over the budget "
+                             f"of {lang.POWER_BIT_BUDGET}")
+        work = _term_count(a) * _term_count(b) * -(-(ma.bit_length() + mb.bit_length()) // 64)
+        if work > lang.POWER_WORK_BUDGET:
+            raise ParseError(tok.line, tok.col,
+                             f"product may take {work} term products, over the budget "
+                             f"of {lang.POWER_WORK_BUDGET}")
+    if len(mono) != 1:
+        return (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms
+    (m, cm), = mono.items()
+    if shift:
+        return {tuple(map(add, e, m)): c for e, c in rest.items()}
+    return {tuple(map(add, e, m)): c * cm for e, c in rest.items()}
+
+
+def _ref_power(atom: dict, exp: int, tok: _Token, ctx: _RefContext) -> dict:
+    mono = len(atom) == 1
+    if mono:
+        (e, c), = atom.items()
+        if c is _REF_ONE:
+            return {tuple(exp * x for x in e): _REF_ONE}
+    bound = _power_term_bound(atom, exp)
+    if bound > lang.POWER_TERM_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"power {exp} may expand to {bound} terms, over the budget "
+                         f"of {lang.POWER_TERM_BUDGET}")
+    if exp == 0:
+        return {ctx.zero: _REF_ONE}
+    if exp < 0:
+        if not mono:
+            raise ParseError(tok.line, tok.col,
+                             f"cannot take power {exp}: negative powers only for monomials")
+        try:
+            e, c = tuple(-x for x in e), c ** -1
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(tok.line, tok.col, f"cannot take power {exp}: {exc}") from None
+        atom = {e: c}
+    n = abs(exp)
+    bits = _power_bit_bound(atom, n)
+    if bits > lang.POWER_BIT_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"power {exp} may need {bits}-bit coefficients, over the budget "
+                         f"of {lang.POWER_BIT_BUDGET}")
+    if mono:
+        return {tuple(n * x for x in e): c ** n}
+    work = n * bound * len(atom)
+    if work > lang.POWER_WORK_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"power {exp} may take {work} term products, over the budget "
+                         f"of {lang.POWER_WORK_BUDGET}")
+    return (LaurentPoly(ctx.variables, atom) ** n).terms
+
+
+def _ref_int(text: str, tok: _Token) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(tok.line, tok.col,
+                         f"integer literal of {len(text)} digits is too long") from None
+
+
+def _ref_signed_int(cur: _Cursor) -> int:
+    t = cur.peek()
+    sign = 1
+    if t is not None and t.text == "-":
+        cur.next()
+        sign = -1
+    tok = cur.expect(kind="int", expected=("integer",))
+    return sign * _ref_int(tok.text, tok)
+
+
+def _ref_atom(cur: _Cursor, ctx: _RefContext) -> dict:
+    t = cur.peek()
+    want = ("number", "variable", "parameter", "'zeta'", "'('")
+    if t is None:
+        raise ParseError(cur.line_no, cur.line_len + 1, "unexpected end of line", want)
+    if t.text == "(":
+        cur.next()
+        inner = _ref_expr(cur, ctx)
+        cur.expect(")")
+        return inner
+    if t.kind == "rational":
+        cur.next()
+        num, den = (_ref_int(part, t) for part in t.text.split("/"))
+        if den == 0:
+            raise ParseError(t.line, t.col, f"zero denominator in {t.text}")
+        return {ctx.zero: Fraction(num, den)} if num else {}
+    if t.kind == "int":
+        cur.next()
+        value = _ref_int(t.text, t)
+        return {ctx.zero: Fraction(value)} if value else {}
+    if t.kind == "ident":
+        cur.next()
+        name = t.text
+        if name == "zeta":
+            if not ctx.zeta_order:
+                raise ParseError(t.line, t.col,
+                                 "zeta used but no cyclotomic order declared "
+                                 "(add a zeta or group line)")
+            return {ctx.zero: Cyclotomic.zeta(ctx.zeta_order)}
+        if name in ctx.units:
+            return {ctx.units[name]: _REF_ONE}
+        if name in ctx.param_coeffs:
+            return {ctx.zero: ctx.param_coeffs[name]}
+        raise ParseError(t.line, t.col, f"unknown identifier {name!r}", want)
+    raise ParseError(t.line, t.col, f"unexpected token {t.text!r}", want)
+
+
+def reference_parse_poly(text: str, variables, params=(), zeta_order=None) -> LaurentPoly:
+    """``lang.parse_poly`` by the recursive-descent parser it replaced."""
+    cur = _Cursor(_ref_tokenize(text, 1), 1, len(text))
+    ctx = _RefContext(variables, params, zeta_order)
+    terms = _ref_expr(cur, ctx)
+    cur.require_end()
+    return LaurentPoly(ctx.variables, terms)

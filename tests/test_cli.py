@@ -206,6 +206,17 @@ class TestErrors:
         assert main(["transform", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,where", [
+        ("vars x1 x1 x2\npoly F = x1^3 + x2^3\n", "line 1, column 9"),
+        ("vars x1 x2\npoly F = x1^3\npoly F = x2^3\n", "line 3, column 6"),
+        ("vars x1 x2\nzeta e=0\npoly F = x1^3\n", "line 2, column 8"),
+    ], ids=["variable", "poly", "zeta-order"])
+    def test_refused_declaration_exit_code(self, tmp_path, capsys, text, where):
+        f = tmp_path / "refused.crm"
+        f.write_text(text)
+        assert main(["transform", str(f)]) == 2
+        assert f"parse error: {where}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("expr", ["1/0*x1", "(x1 + x2)^-1"])
     def test_arithmetic_input_error_exit_code(self, tmp_path, capsys, expr):
         f = tmp_path / "arith.crm"

@@ -17,7 +17,7 @@ from cremona.lang import (POWER_BIT_BUDGET, POWER_WORK_BUDGET, ParseError, Probl
                           _coeff_size, _power_bit_bound, _power_term_bound,
                           _product_term_bound, parse_input, parse_poly, render_spec)
 from cremona.poly import LaurentPoly, poly_str
-from helpers_reference import reference_mul, reference_pow
+from helpers_reference import reference_mul, reference_parse_poly, reference_pow
 
 LONG = "9" * 5000  # past the default_digit_limit fixture's 4,300 digits
 
@@ -101,6 +101,32 @@ class TestParseInput:
     def test_map_unknown_component(self):
         with pytest.raises(ParseError):
             parse_input("vars x1 x2\npoly A = x1\nmap M = A, C\n")
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("vars x1 x1 x2\n", 1, 9, "variable 'x1' declared twice"),
+        ("params t1 t2 t1\n", 1, 14, "parameter 't1' declared twice"),
+        ("vars x1 t\nparams t\n", 2, 8, "parameter 't' is already declared as a variable"),
+        ("params t\nvars x1 t\n", 2, 9, "variable 't' is already declared as a parameter"),
+        ("vars x1\npoly F = x1\npoly F = x1^2\n", 3, 6, "poly 'F' declared twice"),
+        ("vars x1\npoly F = x1\nmap M = F\nmap M = F, F\n", 4, 5, "map 'M' declared twice"),
+    ], ids=["vars", "params", "param-after-vars", "var-after-params", "poly", "map"])
+    def test_duplicate_name_is_positioned(self, text, line, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
+    def test_zero_cyclotomic_order_is_refused_at_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_input("vars x1\nzeta e=0\npoly F = zeta*x1\n")
+        assert (exc.value.line, exc.value.col) == (2, 8)
+        assert exc.value.message == "cyclotomic order must be positive"
+
+    def test_only_ascii_digits(self):
+        # U+0663 is a decimal digit to str.isdigit and to the re module's \d
+        with pytest.raises(ParseError) as exc:
+            parse_input("vars x1\npoly F = \u0663*x1\n")
+        assert (exc.value.line, exc.value.col) == (2, 10)
+        assert exc.value.message == "unexpected character '\u0663'"
 
 
 class TestExpressions:
@@ -530,3 +556,71 @@ def test_parse_matches_tree_evaluation(case):
     parsed = parse_poly(text, TREE_VARS, params, zeta_order)
     assert parsed == expected, text
     assert poly_str(parsed) == poly_str(expected), text
+
+
+# ---------------------------------------------------------------------------
+# the parser against the recursive-descent parser it replaced
+# ---------------------------------------------------------------------------
+
+def _parse_outcome(parse, text, params, zeta_order):
+    """What a parser makes of the text: the polynomial (with its rendering
+    and typed coefficients) or the diagnostic."""
+    try:
+        p = parse(text, TREE_VARS, params, zeta_order)
+    except ParseError as exc:
+        return "error", exc.message, exc.line, exc.col, exc.expected
+    return "poly", p, poly_str(p), sorted((e, repr(c)) for e, c in p.terms.items())
+
+
+@st.composite
+def parser_inputs(draw):
+    """Rendered expression trees, as they are or with one mutation: a
+    dropped ")", a doubled operator, a stray "@", a negative power of a
+    sum, a power or a product over a budget."""
+    tree, params, zeta_order = draw(expression_trees())
+    text = _render(tree)
+    kind = draw(st.sampled_from(["none", "paren", "operator", "stray", "inverse",
+                                 "power", "product-bits", "product-terms"]))
+    if kind == "paren":
+        closing = [i for i, ch in enumerate(text) if ch == ")"]
+        if closing:
+            i = draw(st.sampled_from(closing))
+            text = text[:i] + text[i + 1:]
+        else:
+            text = f"({text}"
+    elif kind == "operator":
+        ops = [i for i, ch in enumerate(text) if ch in "+-*^"]
+        if ops:
+            i = draw(st.sampled_from(ops))
+            text = text[:i + 1] + text[i:]
+    elif kind == "stray":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + "@" + text[i:]
+    elif kind == "inverse":
+        text = f"({text} + x2)^-1"
+    elif kind == "power":
+        text = f"({text} + x1 + x2 + 1)^3000"
+    elif kind == "product-bits":
+        text = f"({text})*2^5000*2^5000"
+    elif kind == "product-terms":
+        params = ("t1", "t2")
+        text = f"({text})*(x1 + x2 + t1 + t2)^8*(x1 - x2 + t1 - t2)^8"
+    return text, params, zeta_order
+
+
+@settings(max_examples=300, deadline=None)
+@given(parser_inputs())
+@example(("(5 + 2*zeta)*x1^7*x2^3 - zeta*x1^4 + 3*x2^-2", (), 3))
+@example(("x1*(2^5000*x1 + 1)*(2^5000*x2 + 1)", (), None))  # bit budget, dict by dict
+@example(("2^5000*x1*2^5000", (), None))  # bit budget, monomial by monomial
+@example(("0*2^5000*2^5000 + 2^5000*0*2^5000", (), None))  # a zero factor is no term
+@example(("x1^0*2 - (x1 + x2 - x2)*t1 + -(-x2)^2*t2^2", ("t1", "t2"), None))
+@example(("x1*(t1 + t2)^8*(t1 - t2)^150", ("t1", "t2"), None))  # term budget
+@example(("(x1 + 2)^-1 + 1/0", (), None))
+@example(("(0 + x2)^-1 - 0^0*(x1 - x1 + x2)^-1", (), None))  # zero atoms hold no term
+@example(("9" * 3100 + "*(x1)*(x2^2)", (), None))  # a factor of coefficient 1 only shifts
+@example(("9" * 3100 + "*(x1)*(2*x2)", (), None))  # any other is measured
+def test_parse_matches_reference_parser(case):
+    text, params, zeta_order = case
+    assert _parse_outcome(parse_poly, text, params, zeta_order) == \
+        _parse_outcome(reference_parse_poly, text, params, zeta_order), text
