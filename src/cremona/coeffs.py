@@ -5,7 +5,8 @@ Four coefficient domains are supported:
 * arbitrary-precision rationals (``fractions.Fraction``),
 * cyclotomic numbers Q(zeta_e), reduced modulo the e-th cyclotomic polynomial,
 * prime fields F_p with deterministic embeddings of roots of unity,
-* polynomials in named parameters with rational or cyclotomic coefficients.
+* polynomials in named parameters with rational or cyclotomic coefficients,
+  each held as one ``poly.LaurentPoly`` over the parameter symbols.
 
 All values are immutable; operations are pure functions.
 """
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .poly import LaurentPoly
 
 
 # ---------------------------------------------------------------------------
@@ -457,51 +462,45 @@ def _residue(x, p: int) -> int:
 # parameter-polynomial coefficients
 # ---------------------------------------------------------------------------
 
-def _pc_key(item):
-    exps = item[0]
-    return (sum(exps), exps)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ParamCoeff:
     """Polynomial in named parameters, with Fraction or Cyclotomic coefficients.
 
-    Only ring operations are provided; the transformation pipeline never
-    divides by a nonconstant parameter expression.
+    The value is one ``LaurentPoly`` over the parameter symbols, and every
+    ring operation is that polynomial's (the private bodies of its
+    operators): a one-term factor shifts and scales, any other product runs
+    on the packed ``poly._expand``.  Only ring operations are provided; the
+    transformation pipeline never divides by a nonconstant parameter
+    expression.
     """
 
-    symbols: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], object], ...]  # sorted, nonzero coeffs
+    poly: LaurentPoly
 
-    @staticmethod
-    def _make(symbols, mapping) -> ParamCoeff:
-        items = tuple(sorted(
-            ((e, c) for e, c in mapping.items() if c),
-            key=_pc_key, reverse=True))
-        return ParamCoeff(symbols, items)
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return self.poly.vars
 
     @staticmethod
     def const(symbols: tuple[str, ...], value) -> ParamCoeff:
-        if isinstance(value, int):
-            value = Fraction(value)
-        zero = (0,) * len(symbols)
-        return ParamCoeff._make(symbols, {zero: value})
+        from .poly import LaurentPoly  # poly imports this module
+        return ParamCoeff(LaurentPoly.constant(symbols, value))
 
     @staticmethod
     def param(symbols: tuple[str, ...], name: str) -> ParamCoeff:
-        idx = symbols.index(name)
-        e = tuple(1 if i == idx else 0 for i in range(len(symbols)))
-        return ParamCoeff._make(symbols, {e: Fraction(1)})
+        from .poly import LaurentPoly
+        return ParamCoeff(LaurentPoly.variable(symbols, name))
 
     # -- coercion -------------------------------------------------------------
 
     def _coerce(self, other):
+        """other as a polynomial over this value's symbols, or None."""
         if isinstance(other, ParamCoeff):
             if other.symbols != self.symbols:
                 raise ValueError("parameter symbol mismatch")
-            return other
+            return other.poly
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            return ParamCoeff.const(self.symbols, other)
+            c = Fraction(other) if isinstance(other, int) else other
+            return self.poly._raw(self.symbols, {(0,) * len(self.symbols): c} if c else {})
         return None
 
     # -- ring operations -------------------------------------------------------
@@ -510,46 +509,30 @@ class ParamCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in o.terms:
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return ParamCoeff._make(self.symbols, acc)
+        return ParamCoeff(self.poly._plus(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamCoeff(self.symbols, tuple((e, -c) for e, c in self.terms))
+        return ParamCoeff(self.poly._negated())
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return ParamCoeff(self.poly._plus(o._negated()))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return ParamCoeff(o._plus(self.poly._negated()))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in o.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return ParamCoeff._make(self.symbols, acc)
+        return ParamCoeff(self.poly._times(o))
 
     __rmul__ = __mul__
 
@@ -560,52 +543,48 @@ class ParamCoeff:
             other = other.constant_value()
         if isinstance(other, int):
             other = Fraction(other)
-        inv = 1 / other
-        return ParamCoeff(self.symbols, tuple((e, c * inv) for e, c in self.terms))
+        return self * (1 / other)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers of parameter expressions")
-        return power(self, n, ParamCoeff.const(self.symbols, 1))
+        return ParamCoeff(self.poly._power(n))
 
     # -- predicates -------------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.poly.terms)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e, _ in self.terms)
+        return not any(map(any, self.poly.terms))
 
     def constant_value(self):
-        if not self.terms:
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.terms[0][1]
+        return next(iter(self.poly.terms.values()), Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, ParamCoeff):
-            return self.symbols == other.symbols and self.terms == other.terms
+            return self.poly == other.poly
         if isinstance(other, (int, Fraction, Cyclotomic)):
-            if not self.terms:
-                return other == 0
-            return self.is_constant() and self.terms[0][1] == other
+            return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.symbols, self.terms))
+        return hash((self.symbols, frozenset(self.poly.terms.items())))
 
     def __repr__(self):
-        return f"ParamCoeff({self.symbols}, {self.terms})"
+        return f"ParamCoeff({self.symbols!r}, {tuple(self.poly.sorted_terms())!r})"
 
 
 def specialize(c, assignment: dict):
     """Evaluate a ParamCoeff (or pass through a plain scalar) at an assignment.
 
     Values may be exact scalars (int, Fraction, Cyclotomic) or FpElem over a
-    common prime; the two target kinds may not be mixed.
+    common prime; the two target kinds may not be mixed.  Only the symbols
+    the value uses need a value.
     """
     if not isinstance(c, ParamCoeff):
         return c
@@ -618,7 +597,7 @@ def specialize(c, assignment: dict):
     p = primes.pop() if primes else None
 
     used = [s for i, s in enumerate(c.symbols)
-            if any(e[i] for e, _ in c.terms)]
+            if any(e[i] for e in c.poly.terms)]
     missing = [s for s in used if s not in assignment]
     if missing:
         raise ValueError(f"assignment missing symbols: {missing}")
@@ -628,11 +607,8 @@ def specialize(c, assignment: dict):
             return to_prime_field(x, p)
         return Fraction(x) if isinstance(x, int) else x
 
-    acc = lift(0)
-    for e, coeff in c.terms:
-        t = lift(coeff)
-        for i, k in enumerate(e):
-            if k:
-                t = t * lift(assignment[c.symbols[i]]) ** k
-        acc = acc + t
-    return acc
+    lifted = {e: v for e, a in c.poly.terms.items() if (v := lift(a))}
+    if not lifted:
+        return lift(0)
+    return c.poly._raw(c.symbols, lifted)._at(
+        [lift(assignment[s]) if s in used else 0 for s in c.symbols])

@@ -394,7 +394,7 @@ def _supports(*atoms: dict) -> list[list[tuple[int, ...]]]:
         support = []
         for e, c in atom.items():
             if isinstance(c, ParamCoeff):
-                support.extend(e + pe for pe, _ in c.terms)
+                support.extend(e + pe for pe in c.poly.terms)
             else:
                 support.append(e)
         supports.append(support)
@@ -421,7 +421,7 @@ def _power_term_bound(atom: dict, exp: int) -> int:
 def _rationals(c) -> list:
     """The rational numbers a coefficient is written with."""
     if isinstance(c, ParamCoeff):
-        return [r for _, v in c.terms for r in _rationals(v)]
+        return [r for v in c.poly.terms.values() for r in _rationals(v)]
     if isinstance(c, Cyclotomic):
         return list(c.coeffs)
     return [c]
@@ -450,7 +450,7 @@ def _power_bit_bound(atom: dict, exp: int) -> int:
 
 def _scalar_terms(c) -> int:
     """The terms of coefficient c, each parameter monomial counted apart."""
-    return len(c.terms) if isinstance(c, ParamCoeff) else 1
+    return len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
 
 
 def _term_count(atom: dict) -> int:
@@ -511,6 +511,8 @@ class ProblemSpec:
 
 _KEYWORDS = ("'vars'", "'params'", "'zeta'", "'group'", "'poly'", "'map'",
              "'chart'", "'basis'", "'prime'")
+# declarations a spec holds one of; a second line would replace the first
+_ONCE = ("vars", "params", "zeta", "chart", "basis")
 
 
 def _names(line: _Line, what: str, taken: tuple[str, ...], other: str) -> tuple[str, ...]:
@@ -520,6 +522,9 @@ def _names(line: _Line, what: str, taken: tuple[str, ...], other: str) -> tuple[
     while not line.at_end():
         k = line.i
         name = line.name((f"{what} name",))
+        if name == "zeta":
+            raise line.error(k, f"'zeta' names the root of unity, not a {what}",
+                             (f"a new {what} name",))
         if name in names:
             raise line.error(k, f"{what} {name!r} declared twice", (f"a new {what} name",))
         if name in taken:
@@ -537,12 +542,17 @@ def parse_input(text: str) -> ProblemSpec:
     gen_lines: list[int] = []
     basis_line = 1
     chart_line = 1
+    declared: dict[str, int] = {}  # a keyword of _ONCE -> its line
 
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _Line(raw, ln)
         if line.at_end():
             continue
         kw = line.name(_KEYWORDS)
+        if kw in _ONCE:
+            if kw in declared:
+                raise line.error(0, f"{kw} declared twice, first on line {declared[kw]}")
+            declared[kw] = ln
 
         if kw == "vars":
             spec.variables = _names(line, "variable", spec.params, "parameter")

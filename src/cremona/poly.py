@@ -3,7 +3,9 @@
 A polynomial carries its full tuple of ambient variable names and a mapping
 from integer exponent vectors (negative entries allowed) to nonzero
 coefficients.  Coefficients may be Fraction, Cyclotomic, FpElem, or
-ParamCoeff; domains are never mixed implicitly, conversions go through
+ParamCoeff, which is itself a LaurentPoly over the parameter symbols with
+Fraction or Cyclotomic coefficients, so that the one product kernel below
+multiplies both; domains are never mixed implicitly, conversions go through
 ``specialize_params`` / ``reduce_mod``.
 
 Canonical term order is graded lexicographic, largest first.
@@ -121,7 +123,7 @@ class LaurentPoly:
             return LaurentPoly.constant(self.vars, other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other):
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
@@ -134,26 +136,24 @@ class LaurentPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        return LaurentPoly(self.vars, acc)
+        return LaurentPoly._raw(self.vars, acc)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+    def _negated(self):
+        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o._negated())
 
     def __rsub__(self, other):
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self._negated())
 
-    def __mul__(self, other):
+    def _times(self, other):
         """A one-term factor shifts and scales the other; two multi-term
         factors are multiplied out by ``_expand``."""
         o = self._as_poly(other)
@@ -162,21 +162,28 @@ class LaurentPoly:
         mono, rest = (o, self) if len(o.terms) == 1 else (self, o)
         if len(mono.terms) == 1:
             (m, cm), = mono.terms.items()
-            return LaurentPoly(self.vars, {tuple(map(add, e, m)): c * cm
-                                           for e, c in rest.terms.items()})
+            return LaurentPoly._raw(self.vars, {tuple(map(add, e, m)): c * cm
+                                                for e, c in rest.terms.items()})
         return _formal_product([(self, 1), (o, 1)])
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
+    def _power(self, n: int):
         if n == 0:  # the unit of the operand's domain
-            return LaurentPoly.constant(self.vars, next(iter(self.terms.values()), 1) ** 0)
+            unit = next(iter(self.terms.values()), Fraction(1)) ** 0
+            return LaurentPoly._raw(self.vars, {(0,) * len(self.vars): unit})
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
-            return LaurentPoly(self.vars, {tuple(n * x for x in e): c ** n})
+            return LaurentPoly._raw(self.vars, {tuple(n * x for x in e): c ** n})
         if n < 0:
             raise ValueError("negative powers only for monomials")
         return _formal_product([(self, n)])
+
+    # bench/tracer.py wraps the public names; ParamCoeff calls the private
+    # ones, so that its arithmetic counts as coefficient operations, not as
+    # polynomial products nested in them
+    __add__ = __radd__ = _plus
+    __neg__ = _negated
+    __mul__ = __rmul__ = _times
+    __pow__ = _power
 
     # -- degrees -----------------------------------------------------------------
 
@@ -266,7 +273,7 @@ class LaurentPoly:
 
     # -- evaluation / substitution ---------------------------------------------------
 
-    def evaluate(self, point):
+    def _at(self, point):
         """Exact evaluation at a point of scalars; poles raise ZeroDivisionError."""
         if len(point) != self.n_vars:
             raise ValueError("point length mismatch")
@@ -285,6 +292,8 @@ class LaurentPoly:
         if acc is None:
             return Fraction(0)
         return acc
+
+    evaluate = _at  # coeffs.specialize calls _at, as ParamCoeff calls _plus above
 
     def substitute(self, images: dict[str, LaurentPoly]) -> LaurentPoly:
         """Substitute polynomials for variables (the one exact expansion, see
@@ -310,7 +319,7 @@ def _domain(scalars):
     if set(map(type, scalars)) == {Fraction}:
         return None, None, None
     inner = [a for c in scalars
-             for a in ([a for _, a in c.terms] if isinstance(c, ParamCoeff) else [c])]
+             for a in (c.poly.terms.values() if isinstance(c, ParamCoeff) else [c])]
     orders = {a.order for a in inner if isinstance(a, Cyclotomic)}
     primes = {a.p for a in inner if isinstance(a, FpElem)}
     symbols = {c.symbols for c in scalars if isinstance(c, ParamCoeff)}
@@ -334,7 +343,7 @@ def _parts(items, n_params: int) -> list:
         if isinstance(c, Cyclotomic):
             out += [(ex + tail, j, v) for j, v in enumerate(c.coeffs) if v]
         elif isinstance(c, ParamCoeff):
-            out += _parts([(ex + pe, a) for pe, a in c.terms], 0)
+            out += _parts([(ex + pe, a) for pe, a in c.poly.terms.items()], 0)
         else:
             out.append((ex + tail, 0, c.value if isinstance(c, FpElem) else c))
     return out
@@ -557,7 +566,7 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         by_mono: dict = {}
         for d, c in out.items():
             by_mono.setdefault(d[:n], {})[d[n:]] = c
-        out = {mono: ParamCoeff._make(symbols, pcs) for mono, pcs in by_mono.items()}
+        out = {mono: ParamCoeff(LaurentPoly._raw(symbols, pcs)) for mono, pcs in by_mono.items()}
     return LaurentPoly._raw(target_vars, out)
 
 
@@ -566,7 +575,7 @@ def _formal_product(factors: list[tuple[LaurentPoly, int]]) -> LaurentPoly:
     formal monomial whose coefficient is the one of the first factor's
     domain, so that F_p factors stay in F_p."""
     if not all(f.terms for f, _ in factors):
-        return LaurentPoly.zero(factors[0][0].vars)
+        return LaurentPoly._raw(factors[0][0].vars, {})
     unit = next(iter(factors[0][0].terms.values())) ** 0
     names = tuple(f"f{i}" for i in range(len(factors)))
     formal = LaurentPoly._raw(names, {tuple(k for _, k in factors): unit})
@@ -805,19 +814,15 @@ def scalar_str(c) -> str:
         return str(c.value)
     if isinstance(c, ParamCoeff):
         parts = []
-        for e, a in c.terms:
-            factors = []
+        for e, a in c.poly.sorted_terms():
             a_str = scalar_str(a)
-            if a_str not in ("1",) or not any(e):
-                factors.append(a_str)
+            factors = [a_str] if a_str != "1" or not any(e) else []
             for i, k in enumerate(e):
                 if k == 1:
                     factors.append(c.symbols[i])
                 elif k:
                     factors.append(f"{c.symbols[i]}^{k}")
-            if factors and factors[0] == "1" and len(factors) > 1:
-                factors = factors[1:]
-            parts.append("*".join(factors) if factors else "1")
+            parts.append("*".join(factors))
         if not parts:
             return "0"
         body = " + ".join(parts)

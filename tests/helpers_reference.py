@@ -1,6 +1,7 @@
 """Naive references: the product and power of ``LaurentPoly`` as a
-tuple-key double loop and square-and-multiply over it, ``substitute`` built
-from those and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
+tuple-key double loop and square-and-multiply over it, with the product of
+two ``ParamCoeff``s as one more such loop, ``substitute`` built from those
+and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
 evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
 per-point loops over ``proj_points``, a basis search that solves every
 candidate in the lattice again, and a recursive-descent expression parser
@@ -24,16 +25,36 @@ from cremona.verify import (FiberHistogram, QuotientFiberReport, Refusal, ScanRe
                             normalize_point, proj_points)
 
 
+def reference_param_mul(a: ParamCoeff, b: ParamCoeff) -> ParamCoeff:
+    """a * b by a double loop over tuple keys and scalar objects: the
+    product ``ParamCoeff.__mul__`` ran before it held a ``LaurentPoly``."""
+    if a.symbols != b.symbols:
+        raise ValueError("parameter symbol mismatch")
+    acc: dict = {}
+    for e1, c1 in a.poly.terms.items():
+        for e2, c2 in b.poly.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    return ParamCoeff(LaurentPoly(a.symbols, acc))
+
+
 def reference_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """a * b by a double loop over tuple keys and coefficient objects: the
-    product ``LaurentPoly.__mul__`` ran before it used the packed kernel."""
+    product ``LaurentPoly.__mul__`` ran before it used the packed kernel.
+    Two ``ParamCoeff`` coefficients multiply by ``reference_param_mul``, so
+    that no reference product reaches the kernel."""
     if a.vars != b.vars:
         raise ValueError(f"variable sets differ: {a.vars} vs {b.vars}")
     acc: dict = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            s = acc.get(e, 0) + c1 * c2
+            both = isinstance(c1, ParamCoeff) and isinstance(c2, ParamCoeff)
+            s = acc.get(e, 0) + (reference_param_mul(c1, c2) if both else c1 * c2)
             if s:
                 acc[e] = s
             else:

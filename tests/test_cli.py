@@ -210,7 +210,9 @@ class TestErrors:
         ("vars x1 x1 x2\npoly F = x1^3 + x2^3\n", "line 1, column 9"),
         ("vars x1 x2\npoly F = x1^3\npoly F = x2^3\n", "line 3, column 6"),
         ("vars x1 x2\nzeta e=0\npoly F = x1^3\n", "line 2, column 8"),
-    ], ids=["variable", "poly", "zeta-order"])
+        ("vars x1\nvars x1 x2\npoly F = x1^3 + x2^3\n", "line 2, column 1"),
+        ("vars x1 zeta\npoly F = x1^3\n", "line 1, column 9"),
+    ], ids=["variable", "poly", "zeta-order", "repeated-vars", "zeta-variable"])
     def test_refused_declaration_exit_code(self, tmp_path, capsys, text, where):
         f = tmp_path / "refused.crm"
         f.write_text(text)

@@ -109,7 +109,18 @@ class TestParseInput:
         ("params t\nvars x1 t\n", 2, 9, "variable 't' is already declared as a parameter"),
         ("vars x1\npoly F = x1\npoly F = x1^2\n", 3, 6, "poly 'F' declared twice"),
         ("vars x1\npoly F = x1\nmap M = F\nmap M = F, F\n", 4, 5, "map 'M' declared twice"),
-    ], ids=["vars", "params", "param-after-vars", "var-after-params", "poly", "map"])
+        # a second single-valued declaration would replace the first, and a
+        # variable or parameter named zeta could never be used
+        ("vars x1\nvars x2 x3\n", 2, 1, "vars declared twice, first on line 1"),
+        ("params t1\nvars x1\n params t2\n", 3, 2, "params declared twice, first on line 1"),
+        ("zeta e=3\nzeta e=5\n", 2, 1, "zeta declared twice, first on line 1"),
+        ("vars x1 x2\nchart x1\nchart x2\n", 3, 1, "chart declared twice, first on line 2"),
+        ("vars x1 x2\nbasis [1]\nbasis [2]\n", 3, 1, "basis declared twice, first on line 2"),
+        ("vars x1 zeta\n", 1, 9, "'zeta' names the root of unity, not a variable"),
+        ("params zeta\n", 1, 8, "'zeta' names the root of unity, not a parameter"),
+    ], ids=["vars", "params", "param-after-vars", "var-after-params", "poly", "map",
+            "second-vars", "second-params", "second-zeta", "second-chart", "second-basis",
+            "zeta-variable", "zeta-parameter"])
     def test_duplicate_name_is_positioned(self, text, line, col, message):
         with pytest.raises(ParseError) as exc:
             parse_input(text)
@@ -173,7 +184,7 @@ class TestExpressions:
         text = " + ".join(f"x1^{a}*x2^{b}*t1^{c}" for a, b, c in monomials)
         atom = parse_poly(text, ("x1", "x2"), ("t1",))
         power = atom ** exp
-        n_terms = sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
+        n_terms = sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
                       for c in power.terms.values())
         assert _power_term_bound(atom.terms, exp) >= n_terms
 
@@ -202,7 +213,7 @@ class TestExpressions:
         atom = parse_poly(text, ("x1", "x2"), params)
         rationals = []
         for c in (atom ** exp).terms.values():
-            rationals += [v for _, v in c.terms] if isinstance(c, ParamCoeff) else [c]
+            rationals += list(c.poly.terms.values()) if isinstance(c, ParamCoeff) else [c]
         bits = max((max(abs(r.numerator), r.denominator).bit_length() for r in rationals),
                    default=0)
         assert _power_bit_bound(atom.terms, exp) >= bits
@@ -230,7 +241,7 @@ class TestExpressions:
         a, b = (parse_poly(" + ".join(f"x1^{i}*x2^{j}*t1^{k}" for i, j, k in side) or "0",
                            ("x1", "x2"), ("t1",)) for side in (left, right))
         product = a * b
-        n_terms = sum(len(c.terms) if isinstance(c, ParamCoeff) else 1
+        n_terms = sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
                       for c in product.terms.values())
         assert _product_term_bound(a.terms, b.terms) >= n_terms
         with patch("cremona.lang.POWER_TERM_BUDGET", 0):  # measure the boxes too
@@ -249,7 +260,7 @@ class TestExpressions:
                 for side in (left, right))
         rationals = []
         for c in reference_mul(a, b).terms.values():
-            rationals += [v for _, v in c.terms] if isinstance(c, ParamCoeff) else [c]
+            rationals += list(c.poly.terms.values()) if isinstance(c, ParamCoeff) else [c]
         bound = _coeff_size(a.terms) * _coeff_size(b.terms)
         assert all(max(abs(r.numerator), r.denominator) <= bound for r in rationals)
 
