@@ -145,22 +145,11 @@ class RationalMap:
 
 
 def _strip_monomial_content(comps):
-    n = len(comps[0].vars)
-    mins = [None] * n
-    for c in comps:
-        if not c:
-            continue
-        for j in range(n):
-            mj = c.min_deg_in_var(j)
-            mins[j] = mj if mins[j] is None else min(mins[j], mj)
-    shift = tuple(-(m or 0) for m in mins)
+    shift = tuple(map(min, zip(*(e for c in comps for e in c.terms))))
     if not any(shift):
         return comps
-    shifted = []
-    for c in comps:
-        shifted.append(LaurentPoly(
-            c.vars, {tuple(a + b for a, b in zip(e, shift)): v for e, v in c.terms.items()}))
-    return tuple(shifted)
+    return tuple(LaurentPoly._raw(c.vars, {tuple(map(sub, e, shift)): v
+                                           for e, v in c.terms.items()}) for c in comps)
 
 
 def compose_maps(g: RationalMap, f: RationalMap) -> RationalMap:
@@ -188,7 +177,7 @@ def compose_maps(g: RationalMap, f: RationalMap) -> RationalMap:
                 if gcd.homogeneous_degree() == 0:
                     gcd = None
                     break
-        if gcd is not None and gcd.homogeneous_degree() != 0:
+        if gcd is not None:
             comps = [divide_exact(comp, gcd) if comp else comp for comp in comps]
     return RationalMap(comps)
 

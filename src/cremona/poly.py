@@ -618,11 +618,6 @@ def divide_exact(a: LaurentPoly, b: LaurentPoly):
     return LaurentPoly(a.vars, out)
 
 
-def _leading_coeff(p: LaurentPoly):
-    e, c = p.sorted_terms()[0]
-    return c
-
-
 def _as_univariate(p: LaurentPoly, i: int) -> dict[int, LaurentPoly]:
     out: dict[int, dict] = {}
     for e, c in p.terms.items():
@@ -648,8 +643,8 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     the gcd is x^min(m_a, m_b) times the gcd of what is left of a = x^m_a *
     a' and b = x^m_b * b', and that is the operand of lower degree (fewer
     terms on ties) when it divides the other.  Only the remaining pairs run
-    the primitive pseudo-remainder sequence, recursing on the variable
-    count.  The result is normalized with leading coefficient 1.
+    the primitive pseudo-remainder sequence, whose contents come back here.
+    The result is normalized with leading coefficient 1.
     """
     if a.vars != b.vars:
         raise ValueError("variable sets differ")
@@ -661,12 +656,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         raise ValueError("gcd requires polynomials")
     (ma, a), (mb, b) = a.monomial_content(), b.monomial_content()
     low, high = sorted((a, b), key=lambda p: (p.total_degree(), len(p.terms)))
-    if divide_exact(high, low) is not None:
-        g = _monic(low)
-    else:
-        used = [i for i in range(a.n_vars)
-                if any(e[i] for e in a.terms) or any(e[i] for e in b.terms)]
-        g = _monic(_gcd_rec(a, b, used))
+    g = _monic(low if divide_exact(high, low) is not None else _gcd_prs(a, b))
     m = tuple(map(min, ma, mb))
     return LaurentPoly._raw(g.vars, {tuple(map(add, e, m)): c for e, c in g.terms.items()})
 
@@ -674,107 +664,50 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def _monic(p: LaurentPoly) -> LaurentPoly:
     if not p:
         return p
-    lc = _leading_coeff(p)
+    lc = p.sorted_terms()[0][1]
     return p.map_coeffs(lambda c: c / lc)
 
 
-def _gcd_rec(a: LaurentPoly, b: LaurentPoly, used: list[int]) -> LaurentPoly:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(used) == 0:  # two nonzero constants
-        return _monic(a)
-    if len(used) == 1:
-        return _gcd_univar(a, b, used[0])
-    v = used[0]
-    rest = used[1:]
+def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The primitive PRS (Brown, J. ACM 1971) of two nonzero polynomials in
+    the first variable either involves, the other variables in the
+    coefficients: gcd(a, b) = gcd(cont a, cont b) * the last nonzero
+    remainder, each remainder made primitive.  Up to a scalar.  A of lower
+    degree than B is its own remainder, so the first round orders the pair."""
+    v = next(i for i in range(a.n_vars) if any(e[i] for e in (*a.terms, *b.terms)))
+    (A, ca), (B, cb) = _primitive(_as_univariate(a, v)), _primitive(_as_univariate(b, v))
+    while R := _pseudo_rem(A, B):
+        A, B = B, _primitive(R)[0]
+    return poly_gcd(ca, cb) * _from_univariate(B, v, a.vars)
 
-    ua, ub = _as_univariate(a, v), _as_univariate(b, v)
-    ca = _content(list(ua.values()), rest)
-    cb = _content(list(ub.values()), rest)
-    cont = _gcd_rec(ca, cb, rest)
-    pa = _from_univariate({k: _must_divide(p, ca) for k, p in ua.items()}, v, a.vars)
-    pb = _from_univariate({k: _must_divide(p, cb) for k, p in ub.items()}, v, a.vars)
 
-    # primitive PRS on the primitive parts, univariate in v
-    A, B = pa, pb
-    while True:
-        da = A.deg_in_var(v) if A else -1
-        db = B.deg_in_var(v) if B else -1
-        if db < 0:
-            g = A
+def _primitive(U: dict[int, LaurentPoly]) -> tuple[dict[int, LaurentPoly], LaurentPoly]:
+    """(U / c, c) for c the monic gcd of U's coefficients."""
+    c = None
+    for p in U.values():
+        c = _monic(p) if c is None else poly_gcd(c, p)
+        if not c.total_degree():
             break
-        if da < db:
-            A, B = B, A
-            continue
-        R = _pseudo_rem(A, B, v)
-        if not R:
-            g = B
-            break
-        uR = _as_univariate(R, v)
-        cR = _content(list(uR.values()), rest)
-        R = _from_univariate({k: _must_divide(p, cR) for k, p in uR.items()}, v, a.vars)
-        A, B = B, R
-    ug = _as_univariate(g, v)
-    cg = _content(list(ug.values()), rest)
-    pp = _from_univariate({k: _must_divide(p, cg) for k, p in ug.items()}, v, a.vars)
-    return cont * pp
-
-
-def _content(polys: list[LaurentPoly], used: list[int]) -> LaurentPoly:
-    acc = polys[0]
-    for p in polys[1:]:
-        acc = _gcd_rec(acc, p, used)
-        if acc.homogeneous_degree() == 0:
-            break
-    return _monic(acc)
-
-
-def _must_divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q = divide_exact(a, b)
-    if q is None:
+    out = {k: divide_exact(p, c) for k, p in U.items()}
+    if None in out.values():
         raise ArithmeticError("content division failed")
-    return q
+    return out, c
 
 
-def _gcd_univar(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
-    A, B = a, b
-    while B:
-        da = A.deg_in_var(v) if A else -1
-        db = B.deg_in_var(v)
-        if da < db:
-            A, B = B, A
-            continue
-        A, B = B, _pseudo_rem(A, B, v)
+def _pseudo_rem(A: dict[int, LaurentPoly], B: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
+    """Remainder of lc(B)^k * A modulo B, both univariate with polynomial
+    coefficients."""
+    db = max(B)
+    lb = B[db]
+    while A and (da := max(A)) >= db:
+        la = A[da]
+        # A = lb*A - la * x^(da-db) * B
+        new = {k: lb * p for k, p in A.items()}
+        for k, p in B.items():
+            k += da - db
+            new[k] = new[k] - la * p if k in new else -(la * p)
+        A = {k: p for k, p in new.items() if p}
     return A
-
-
-def _pseudo_rem(A: LaurentPoly, B: LaurentPoly, v: int) -> LaurentPoly:
-    """Remainder of lc(B)^k * A modulo B, univariate in v with poly coefficients."""
-    ua = _as_univariate(A, v)
-    ub = _as_univariate(B, v)
-    db = max(ub)
-    lb = ub[db]
-    rem = dict(ua)
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        la = rem[da]
-        # rem = lb*rem - la * x^(da-db) * B
-        new: dict[int, LaurentPoly] = {}
-        for k, p in rem.items():
-            new[k] = lb * p
-        for k, p in ub.items():
-            key = da - db + k
-            q = new.get(key, LaurentPoly.zero(A.vars)) - la * p
-            if q:
-                new[key] = q
-            else:
-                new.pop(key, None)
-        rem = new
-    return _from_univariate(rem, v, A.vars)
 
 
 # ---------------------------------------------------------------------------

@@ -640,8 +640,7 @@ class TestGcd:
 
 def gcd_by_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """poly_gcd without its shortcuts: the primitive PRS on the whole pair."""
-    used = [i for i in range(a.n_vars) if any(e[i] for e in (*a.terms, *b.terms))]
-    return poly._monic(poly._gcd_rec(a, b, used))
+    return poly._monic(poly._gcd_prs(a, b))
 
 
 def typed_terms(p: LaurentPoly) -> str:
@@ -659,7 +658,11 @@ GCD_SHAPES = [  # (label, a, b, zeta order, prime)
     ("coprime", "x1^2 + x2*x3 + 1", "x1*x2 - x3^2", None, None),
     ("coprime, shifted", "x1*x2*(x1 + x3)", "x2^2*(x1 - x3)", None, None),
     ("common factor, neither divides", "(x1 + x2)*(x1 - x3)", "(x1 + x2)*(x2 + x3)", None, None),
+    ("one variable", "(x1 - 2)*(x1^2 + 1)", "(x1 - 2)*(x1 + 3)", None, None),
+    ("x1 in one operand", "(x2 + x3)*(x1 + x2)", "(x2 + x3)*(x2 - x3)", None, None),
+    ("content in x1", "(x2 + x3)*(x1 + x2)", "(x2 + x3)*(x1 - x3)", None, None),
     ("F_7 divisor", "x1^2 - x2^2", "3*x1 + 3*x2", None, 7),
+    ("F_7 one variable", "(x1 + 3)*(x1^2 + 2)", "(x1 + 3)*(x1 - 1)", None, 7),
     ("F_7 shifted", "x3*(x1^2 + 2*x1*x2 + x2^2)", "x1*(x1^2 - x2^2)", None, 7),
     ("Q(zeta3) x^m*G and x^n*G", "x1*(x1 + zeta*x2)*(x2 - x3)", "x3*(x1 + zeta*x2)*(x2 - x3)",
      3, None),
@@ -691,6 +694,48 @@ def test_gcd_shortcuts_agree_with_the_prs(label, a, b, order, prime):
     assert as_sympy(poly_gcd(a, b)) == want
 
 
+@pytest.mark.parametrize("order", [None, 3], ids=["F_7", "Q(zeta3)"])
+def test_prs_against_gf7_gcd(order):
+    # g*h1 and g*h2 for random homogeneous g, h1, h2 over V3, kept when
+    # neither operand divides the other after their monomial contents, so
+    # that poly_gcd runs the PRS; homogeneous operands keep their degree mod 7,
+    # so a gcd over Q(zeta3) is at most as large as the gcd of their reductions
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x1 x2 x3")
+    rng = random.Random(47)
+    z = Cyclotomic.zeta(3)
+
+    def form(deg):
+        monos = [e for e in itertools.product(range(deg + 1), repeat=3) if sum(e) == deg]
+        terms = {e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                 for e in rng.sample(monos, min(len(monos), rng.randint(2, 3)))}
+        if order is not None:
+            terms = {e: c + rng.randint(-2, 2) * z for e, c in terms.items()}
+        f = LaurentPoly(V3, terms)
+        return f if order is not None else f.reduce_mod(7)
+
+    def gf7(p):
+        return sympy.Poly({e: int(c.value) for e, c in p.reduce_mod(7).terms.items()},
+                          *xs, domain=sympy.GF(7))
+
+    kept = 0
+    while kept < 25:
+        g = form(rng.randint(1, 2))
+        a, b = g * form(rng.randint(1, 2)), g * form(rng.randint(1, 2))
+        ha, hb = a.monomial_content()[1], b.monomial_content()[1]
+        if divide_exact(ha, hb) is not None or divide_exact(hb, ha) is not None:
+            continue
+        kept += 1
+        got = poly_gcd(a, b)
+        want = sympy.gcd(gf7(a), gf7(b))
+        if order is None:
+            assert gf7(got) == want.monic()
+        else:
+            assert divide_exact(a, got) is not None and divide_exact(b, got) is not None
+            assert divide_exact(got, g) is not None
+            assert got.total_degree() <= want.total_degree()
+
+
 @pytest.mark.parametrize("order", [None, 3], ids=["Q", "Q(zeta3)"])
 def test_projection_after_linear_model_runs_no_prs(order, monkeypatch):
     # F = x1*A + B, a cubic over 5 variables with a 4-term A; the composite's
@@ -708,8 +753,8 @@ def test_projection_after_linear_model_runs_no_prs(order, monkeypatch):
                          **{(0,) + e: coeff() for e in rng.sample(cubics, 6)}})
     model = parametrize_linear(F, 0)
     calls = []
-    real = poly._gcd_rec
-    monkeypatch.setattr(poly, "_gcd_rec", lambda *a: calls.append(1) or real(*a))
+    real = poly._gcd_prs
+    monkeypatch.setattr(poly, "_gcd_prs", lambda *a: calls.append(1) or real(*a))
     back = compose_maps(RationalMap.coordinate_projection(V5, 0), model)
     scale = next(iter(back.components[0].terms.values()))
     assert back.components == tuple(c * scale for c in RationalMap.identity(model.source_vars)
