@@ -9,7 +9,12 @@ the point loops of P^n(F_p) (one block per lead coordinate, in
 ``proj_points`` order) or of the torus x0 = 1, x_i != 0 for its
 polynomials and prime, with each polynomial nested Horner-fashion in the
 loop variables and powers read from per-prime tables, and either yields the
-points where its polynomials vanish or each point's normalized image.
+points where its polynomials vanish or each point's normalized image.  The
+first zero test fixed by the last coordinate is not tested per value: the
+innermost loop runs over the bucket of a per-prime root table, keyed by the
+test's coefficients that vary, which holds only the values where it
+vanishes.  The table is used when it has no more buckets than the
+enclosing loops have iterations.
 ``compile_mod`` generates one straight-line function per polynomial and
 prime (straight-line programs; Buergisser, Clausen and Shokrollahi,
 *Algebraic Complexity Theory*, 1997); ``eval_compiled`` runs it at computed
@@ -43,7 +48,8 @@ ENUMERATION_GUARD = 10 ** 7
 
 class Refusal(ValueError):
     """A check declined its input before running: a characteristic its
-    argument does not cover, a polynomial it does not apply to, or an
+    argument does not cover, a polynomial it does not apply to, a map with
+    more or fewer components than its target has variables, or an
     enumeration past ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
 
 
@@ -224,7 +230,21 @@ def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool 
     distinct exponent of the last variable.  A polynomial whose value is
     fixed before the innermost loop is tested (or finished) at the level
     where it is fixed.  Powers come from per-prime tables unpacked by the
-    ``for`` statement.  Exponents are reduced by ``_fermat``.  A negative
+    ``for`` statement.
+
+    The first of ``zeros`` fixed at the innermost level is sum c_k * x^k in the
+    last variable x, each c_k an int literal or a name of a value in [0, p)
+    fixed by the outer loops.  Its test is replaced by a root table, built
+    here once per shape: the varying coefficients, flattened to one index
+    ``c + p*c' + ...``, select the bucket of the x in the loop's range where
+    the sum vanishes, in increasing order and as the rows of that loop's
+    power table, and the loop runs over that bucket only.  The table has
+    p^(varying coefficients) buckets and is used when that is at most the
+    number of iterations of the enclosing loops; otherwise, and for every
+    other test fixed there, the loop tests each x.  Either way the points
+    are yielded in the same order.
+
+    Exponents are reduced by ``_fermat``.  A negative
     exponent in a projective enumeration of two or more coordinates raises
     ``ZeroDivisionError``: some point there has that coordinate zero.  The
     source holds only int literals and positional names.
@@ -250,7 +270,8 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
            p: int, tables: dict) -> list[str]:
     """The lines of one block of ``compile_enumeration``: x_i = 0 for
     i < lead, x_lead = 1, and loops over x_i in [start, p) for i > lead.
-    ``tables`` maps each power set to the name and rows of its table."""
+    ``tables`` maps each power set to the name and rows of its table, and
+    each root-table shape to the name and buckets of its table."""
     free = range(lead + 1, n_vars)
     m = len(free)
     # each polynomial as {exponents of the free variables: coefficient}
@@ -280,16 +301,37 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
                 g = groups[q] = {}
                 for mu, c in cs.items():
                     g.setdefault(mu[1:], []).append((c, mu[0]))
+        # the first zero test fixed at the innermost level is read from its
+        # root table, if that has no more buckets than the enclosing loops
+        # have iterations
+        solved = next((q for q in range(n_zeros) if final[q] == t == m), None)
+        if solved is not None:
+            root = groups[solved][()]
+            keys = list(dict.fromkeys(c for c, _ in root if isinstance(c, str)))
+            if p ** len(keys) > (p - start) ** (m - 1):
+                solved = None
+            else:
+                del groups[solved]
+        # the powers of x_i that the loop body uses
         ks = tuple(sorted({k for g in groups.values() for parts in g.values()
                            for _, k in parts if k not in (0, 1)}))
-        if ks:
+        if solved is not None:
+            # one table per shape: literal coefficients, key slots, powers
+            shape = (ks, tuple((c if isinstance(c, int) else str(keys.index(c)), k)
+                               for c, k in root))
+            if shape not in tables:
+                tables[shape] = (f"R{len(tables)}",
+                                 _root_table(root, keys, _power_rows(ks, start, p), p))
+            index = " + ".join(c if j == 0 else f"{p ** j}*{c}" for j, c in enumerate(keys))
+            source = f"{tables[shape][0]}[{index or 0}]"
+        elif ks:
             if ks not in tables:  # one table per power set, rows (x, x^k, ...)
-                tables[ks] = (f"T{len(tables)}", tuple((x,) + tuple(pow(x, k, p) for k in ks)
-                                                        for x in range(start, p)))
-            names = ", ".join(_power_name(i, k) for k in (1,) + ks)
-            lines.append(f"{pad[4:]}for {names} in {tables[ks][0]}:")
+                tables[ks] = (f"T{len(tables)}", _power_rows(ks, start, p))
+            source = tables[ks][0]
         else:
-            lines.append(f"{pad[4:]}for x{i} in range({start}, {p}):")
+            source = f"range({start}, {p})"
+        names = ", ".join(_power_name(i, k) for k in (1,) + ks)
+        lines.append(f"{pad[4:]}for {names} in {source}:")
         # tests first, so a failed one skips the other polynomials' updates
         order = sorted(groups, key=lambda q: (q >= n_zeros or final[q] != t, q))
         for q in order:
@@ -323,6 +365,49 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
     else:
         _normalize(lines, pad, value[n_zeros:], point if n_zeros else None, p)
     return lines
+
+
+def _power_rows(ks: tuple[int, ...], start: int, p: int) -> tuple:
+    """The rows ``(x, x^k for k in ks)`` for x in [start, p), or the plain x
+    when ``ks`` is empty."""
+    if not ks:
+        return tuple(range(start, p))
+    return tuple((x,) + tuple(pow(x, k, p) for k in ks) for x in range(start, p))
+
+
+def _root_table(parts, keys: list[str], rows: tuple, p: int) -> tuple:
+    """The root table of ``sum c * x^k`` over ``parts``, where each c is an
+    int literal or one of ``keys``, a name of a value in [0, p).  Bucket
+    ``sum v_j * p^j`` holds, in their order, the ``rows`` (x first) at which
+    the sum vanishes when ``keys[j]`` is v_j.
+
+    At each x the sum is linear in the key values, so one key whose
+    multiplier is nonzero at x is solved for, once per value of the others:
+    the table costs p^len(keys) buckets and as many appends, not an
+    evaluation per bucket and row."""
+    r = len(keys)
+    buckets: list[list] = [[] for _ in range(p ** r)]
+    for row in rows:
+        x = row[0] if isinstance(row, tuple) else row
+        powers = [pow(x, k, p) for _, k in parts]
+        # the keys' part of the sum must be rest
+        rest = -sum(c * xk for (c, _), xk in zip(parts, powers) if isinstance(c, int)) % p
+        mult = [sum(xk for (c, _), xk in zip(parts, powers) if c == key) % p for key in keys]
+        pivot = max((j for j in range(r) if mult[j]), default=None)
+        if pivot is None:  # no key reaches the sum at x
+            if not rest:
+                for bucket in buckets:
+                    bucket.append(row)
+            continue
+        # (the other keys' part of the sum, their part of the index), per value
+        others = [(0, 0)]
+        for j in range(r):
+            if j != pivot:
+                others = [(s + u * mult[j], i + u * p ** j) for s, i in others for u in range(p)]
+        inv, weight = pow(mult[pivot], -1, p), p ** pivot
+        for s, i in others:
+            buckets[(rest - s) * inv % p * weight + i].append(row)
+    return tuple(map(tuple, buckets))
 
 
 def _normalize(lines: list[str], pad: str, values: list, point, p: int) -> None:
@@ -407,7 +492,7 @@ def on_variety(rmap: RationalMap, F_target: LaurentPoly) -> bool:
     """True iff F_target composed with the map is the identically-zero
     polynomial, decided by the exact expansion ``LaurentPoly.substitute``."""
     if len(rmap.components) != F_target.n_vars:
-        raise ValueError(
+        raise Refusal(
             f"map has {len(rmap.components)} components, target expects {F_target.n_vars}")
     return not F_target.substitute(dict(zip(F_target.vars, rmap.components)))
 

@@ -3,7 +3,7 @@ tuple-key double loop and square-and-multiply over it, with the product of
 two ``ParamCoeff``s as one more such loop, ``substitute`` built from those
 and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
 evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
-per-point loops over ``proj_points``, a basis search that solves every
+per-point loops over ``proj_points`` or the torus, a basis search that solves every
 candidate in the lattice again, and a recursive-descent expression parser
 over token objects."""
 import itertools
@@ -142,6 +142,28 @@ def reference_eval_mod(F: LaurentPoly, pt: tuple, p: int) -> int:
                 t = t * pow(x, k, p)
         acc += t
     return acc % p
+
+
+def reference_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool = False):
+    """The sequence ``verify.compile_enumeration(...)()`` yields, as a filter
+    over ``proj_points`` (or the torus points (1, x1, ...) with every x_i in
+    [1, p), last coordinate fastest) that evaluates each polynomial by
+    ``reference_eval_mod``."""
+    if torus:
+        points = ((1,) + tail for tail in itertools.product(range(1, p), repeat=n_vars - 1))
+    else:
+        points = proj_points(n_vars, p)
+    out = []
+    for pt in points:
+        if any(reference_eval_mod(f, pt, p) for f in zeros):
+            continue
+        if images is None:
+            out.append(pt)
+            continue
+        value = tuple(reference_eval_mod(c, pt, p) for c in images)
+        image = normalize_point(value, p) if any(value) else None
+        out.append((pt, image) if zeros else image)
+    return out
 
 
 def reference_smooth_scan(F: LaurentPoly, p: int) -> ScanReport:

@@ -93,13 +93,17 @@ class TestVerify:
         (["smooth", "FERMAT", "--prime", "1000003"], "enumeration guard exceeded"),
         (["smooth", "SKEW"], "needs a homogeneous polynomial"),
         (["map-degree", "SQUARES", "--prime", "10000019"], "enumeration guard exceeded"),
+        (["identity", "SHORT", "--map", "M", "--target", "F"],
+         "map has 2 components, target expects 3"),
     ])
     def test_refused_scan_exit_code(self, argv, message, fermat_file, tmp_path, capsys):
         # exit 1 is a verdict (a singular point found); a scan that never ran exits 2
         files = {"FERMAT": fermat_file, "SKEW": tmp_path / "skew.crm",
-                 "SQUARES": tmp_path / "sq.crm"}
+                 "SQUARES": tmp_path / "sq.crm", "SHORT": tmp_path / "short.crm"}
         files["SKEW"].write_text("vars x1 x2 x3\npoly F = x1^3 + x2^2\nprime 7\n")
         files["SQUARES"].write_text("vars x1 x2\npoly A = x1^2\npoly B = x2^2\nmap M = A, B\n")
+        files["SHORT"].write_text("vars x1 x2 x3\npoly A = x1\npoly F = x1^3 + x2^3 + x3^3\n"
+                                  "map M = A, A\n")
         assert main(["verify", *(str(files.get(a, a)) for a in argv)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

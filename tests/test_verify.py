@@ -1,6 +1,10 @@
 import dataclasses
+import io
 import itertools
+import keyword
 import random
+import re
+import tokenize
 from fractions import Fraction
 
 import hypothesis
@@ -8,19 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cremona import verify as verify_module
 from cremona.action import DiagonalAction, InvariantHypersurface
 from cremona.lang import parse_poly
 from cremona.pipeline import (MonomialBasis, RationalMap, cremona_step,
                               parametrize_linear)
-from cremona.scenarios import EX3_BASIS, PAIR_ACTION, ex3_family
+from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, C7_PARAMS, EX1_ACTION, EX1_BASIS,
+                               EX3_BASIS, PAIR_ACTION, c3c3_family, ex1_family, ex3_family)
 from cremona.poly import LaurentPoly
 from cremona.verify import (compile_enumeration, compile_mod, default_prime,
                             diagonal_form_smooth, eval_compiled, fiber_histogram,
                             map_fiber_orbit_check, normalize_point, on_variety,
                             proj_point_count, proj_points, quotient_fiber_check, smooth_scan)
-from helpers_reference import (reference_eval_mod, reference_fiber_histogram,
-                               reference_map_fiber_orbit_check, reference_smooth_scan,
-                               reference_substitute)
+from helpers_reference import (reference_enumeration, reference_eval_mod,
+                               reference_fiber_histogram, reference_map_fiber_orbit_check,
+                               reference_smooth_scan, reference_substitute)
 
 V3 = ("x1", "x2", "x3")
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -297,6 +303,156 @@ class TestGeneratedEnumerations:
         monkeypatch.setattr("cremona.verify.compile_mod", generated)
         with pytest.raises(ValueError, match="enumeration guard"):
             run()
+
+
+# ---------------------------------------------------------------------------
+# root tables: the innermost zero test read from a per-prime table
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def generated(monkeypatch):
+    """The ``(source, namespace)`` of every program generated while the test
+    runs, with the namespace as it is handed to ``exec``."""
+    seen = []
+    define = verify_module._define
+
+    def record(lines, filename, namespace):
+        seen.append(("\n".join(lines), dict(namespace)))
+        return define(lines, filename, namespace)
+
+    monkeypatch.setattr(verify_module, "_define", record)
+    return seen
+
+
+def innermost_loops(source):
+    """The header and body lines of each loop with no loop inside it."""
+    lines = source.splitlines()
+
+    def indent(line):
+        return len(line) - len(line.lstrip())
+
+    loops = []
+    for j, line in enumerate(lines):
+        if line.lstrip().startswith("for "):
+            body = list(itertools.takewhile(lambda b: indent(b) > indent(line), lines[j + 1:]))
+            if not any(b.lstrip().startswith("for ") for b in body):
+                loops.append((line.strip(), [b.strip() for b in body]))
+    return loops
+
+
+def from_root_table(header):
+    return re.search(r" in R\d+\[", header) is not None
+
+
+# (variables, prime, torus, zeros, images, innermost loops read from a root
+# table, innermost loops that keep a per-x test)
+ROOT_TABLE_SHAPES = {
+    # x2^3 + 3*x2^2 + 5 at x0 = 1, and x2^3 at (0, 1, x2)
+    "literal coefficients only": (3, 7, False, ["x2^3 + 3*x0*x2^2 + 5*x0^3"], None, 2, 0),
+    "varying constant term": (3, 7, False, ["x2^3 + 2*x0*x1^2 + x0^3"], None, 2, 0),
+    "varying x^k coefficient (ex1)": (
+        5, 7, True, ["x1^3 + x2^3 + (x3 + x4 + x0)*x1*x2 + x3^3 + x4^3 + x0^3"],
+        ["x1*x2", "x3^2", "x4 - x1"], 1, 0),
+    "negative exponent on the torus": (5, 7, True, ["x4^-2 + x1*x4 + x2*x3"], None, 1, 0),
+    "two zero tests fixed innermost": (4, 7, True, ["x3^2 + x1*x2", "x3 + x1 + 3"],
+                                       ["x3", "x1^2"], 1, 1),
+    # 7 buckets for x2^2 + x1, against 6 iterations of the loop over x1
+    "over the size rule": (3, 7, True, ["x2^2 + x1"], None, 0, 1),
+}
+
+
+@pytest.mark.parametrize("shape", ROOT_TABLE_SHAPES.values(), ids=ROOT_TABLE_SHAPES)
+def test_root_tables_yield_the_reference_sequence(shape, generated):
+    n, p, torus, zeros, images, tabled, tested = shape
+    zeros = [P(z, names("x", n)) for z in zeros]
+    images = images and [P(c, names("x", n)) for c in images]
+    got = list(compile_enumeration(n, p, zeros=zeros, images=images, torus=torus)())
+    assert got == reference_enumeration(n, p, zeros, images, torus)  # order included
+    (source, _), = generated
+    loops = innermost_loops(source)
+    assert sum(from_root_table(header) for header, _ in loops) == tabled
+    assert sum("continue" in body for _, body in loops) == tested
+
+
+@st.composite
+def enumeration_case(draw):
+    # up to three zero tests and three images over small random polynomials,
+    # with exponents past p and, on the torus, negative ones
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    torus = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-3 if torus else 0, p + 2)] * n)
+    poly = st.lists(st.tuples(exps, coefficient(p)), max_size=6).map(
+        lambda terms: LaurentPoly(names("x", n), {e: Fraction(c) for e, c in terms}))
+    zeros = draw(st.lists(poly, max_size=3))
+    images = draw(st.none() | st.lists(poly, min_size=1, max_size=3))
+    return n, p, zeros, images, torus
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumeration_case())
+def test_enumerations_match_the_reference_filter(case):
+    n, p, zeros, images, torus = case
+    assert list(compile_enumeration(n, p, zeros=zeros, images=images, torus=torus)()) == \
+        reference_enumeration(n, p, zeros, images, torus)
+
+
+QFANO_40057 = P("x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x1 + x5^3")
+QUOTIENT_KERNELS = {
+    "ex1": (ex1_family().specialize_params({t: 1 for t in C7_PARAMS}), EX1_ACTION,
+            EX1_BASIS, 19),
+    "c3c3": (c3c3_family().specialize_params({t: 1 for t in C7_PARAMS}), C3C3_ACTION,
+             C3C3_BASIS, 19),
+    "qfano_40057": (QFANO_40057, DiagonalAction(5, ((5, (1, 3, 4, 2, 0)),)),
+                    MonomialBasis(((0, 1, 0, 1), (0, 1, 3, 0), (0, 0, 2, 1), (1, 0, 0, 2))),
+                    11),
+}
+
+
+@pytest.mark.parametrize("case", QUOTIENT_KERNELS.values(), ids=QUOTIENT_KERNELS)
+def test_quotient_kernels_test_nothing_innermost(case, generated):
+    F, action, basis, p = case
+    X = InvariantHypersurface(F, action)
+    assert quotient_fiber_check(X, cremona_step(X, 4, basis), p).ok
+    (source,) = [src for src, _ in generated if "yield" in src]
+    ((header, body),) = innermost_loops(source)
+    assert from_root_table(header) and "continue" not in body
+
+
+GENERATED_NAME = re.compile(r"x\d+(_m?\d+)?|[TR]\d+|INV|a\d+_\d+_\d+|v\d+|s|w|f")
+
+
+def int_tuples(value):
+    return isinstance(value, tuple) and all(
+        isinstance(v, int) or int_tuples(v) for v in value)
+
+
+def test_generated_sources_hold_only_literals_and_positional_names(generated):
+    rng = random.Random(101)
+    long_sum = LaurentPoly(("x0", "x1"), {(100 - k, k): Fraction(rng.randrange(1, 101))
+                                          for k in rng.sample(range(101), 80)})
+    x5 = names("x", 5)
+    ex1 = P("x1^3 + x2^3 + (x3 + x4 + x0)*x1*x2 + x3^3 + x4^3 + x0^3", x5)
+    compile_enumeration(5, 7, zeros=[ex1], images=[P("x1^-1*x2", x5), ex1], torus=True)
+    compile_enumeration(3, 7, zeros=[P("x2^2 + x1", names("x", 3))], torus=True)  # per-x test
+    compile_enumeration(2, 101, images=[long_sum, long_sum])  # sums past one statement
+    compile_enumeration(5, 7, zeros=[FERMAT.partial_deriv(i) for i in range(5)])
+    compile_mod(P("x1^-2*x2 + 3*x3^4", V3), 7)
+    sources = [src for src, _ in generated]
+    assert any(from_root_table(h) for src in sources for h, _ in innermost_loops(src))
+    assert any("continue" in b for src in sources for _, b in innermost_loops(src))
+    assert any(src.startswith("def f(pt):") for src in sources)
+    for source, namespace in generated:
+        straight_line = source.startswith("def f(pt):")  # compile_mod's evaluator
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.STRING:
+                # the pole message, fixed in the generator: no input text
+                assert straight_line and tok.string == "'pole at zero coordinate'"
+            elif tok.type == tokenize.NAME:
+                assert keyword.iskeyword(tok.string) or tok.string in ("pow", "range") \
+                    or GENERATED_NAME.fullmatch(tok.string) \
+                    or straight_line and tok.string in ("pt", "ZeroDivisionError"), tok.string
+        assert all(int_tuples(v) for v in namespace.values())
 
 
 class TestSmoothScan:
