@@ -281,6 +281,10 @@ def _cmd_verify(args) -> int:
         return 0 if scan.ok else 1
     if args.what == "map-degree":
         rmap = _pick_map(spec, args.map)
+        n_comps, n_coords = len(rmap.components), len(rmap.source_vars)
+        if n_comps < n_coords:  # its fibers are positive-dimensional: no degree to infer
+            raise Refusal(f"map has {n_comps} components on {n_coords} source coordinates, "
+                          "so it cannot be generically finite")
         p = args.prime or _pick_prime(spec, action, None)
         hist = fiber_histogram(rmap, p)
         payload = {

@@ -3,6 +3,8 @@
 Matrices are tuples of tuples of Python ints; rows of a basis span a lattice.
 The single canonical form used everywhere is the row-style Hermite normal
 form with positive pivots and entries above pivots reduced into [0, pivot).
+It is also the only elimination loop: the Smith normal form is built from
+rounds of it on a matrix and its transpose.
 """
 from __future__ import annotations
 
@@ -119,75 +121,37 @@ def hnf_basis(M: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Returns (S, U, V) with S = U*M*V diagonal, d_i | d_{i+1}, U, V unimodular."""
+    """Returns (S, U, V) with S = U*M*V and U, V unimodular.  S is diagonal
+    with nonnegative entries d_i | d_{i+1}, its zero entries last.
+
+    Built from Hermite normal form rounds (Kannan & Bachem, 1979): a round
+    takes the HNF of S and then the HNF of its transpose, and rounds repeat
+    until S is diagonal.  Then, while some d_i != 0 does not divide a later
+    d_j, column j is added to column i and rounds resume, which leaves
+    gcd(d_i, d_j) at (i, i).  The loop ends: a round either leaves S
+    diagonal or lowers a pivot, and each column addition replaces d_i by a
+    proper divisor of it.
+    """
     m = len(M)
     n = len(M[0]) if m else 0
-    A = [list(r) for r in M]
-    U = [list(r) for r in identity(m)]
-    V = [list(r) for r in identity(n)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_sub(i, j, q):
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    for k in range(min(m, n)):
-        while True:
-            entries = [(abs(A[i][j]), i, j)
-                       for i in range(k, m) for j in range(k, n) if A[i][j] != 0]
-            if not entries:
-                break
-            _, i, j = min(entries)
-            if i != k:
-                swap_rows(k, i)
-            if j != k:
-                swap_cols(k, j)
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    row_sub(i, k, A[i][k] // A[k][k])
-                    if A[i][k]:
-                        dirty = True
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    col_sub(j, k, A[k][j] // A[k][k])
-                    if A[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            if any(A[i][k] for i in range(k + 1, m)) or any(A[k][j] for j in range(k + 1, n)):
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            bad = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if A[i][j] % A[k][k] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_sub(k, bad, -1)  # add the offending row onto the pivot row
-        if k < min(m, n) and A[k][k] < 0:
-            A[k] = [-a for a in A[k]]
-            U[k] = [-a for a in U[k]]
-    return tuple(map(tuple, A)), tuple(map(tuple, U)), tuple(map(tuple, V))
+    S, U, V = tuple(map(tuple, M)), identity(m), identity(n)
+    if not (m and n):  # transpose cannot represent an m x 0 matrix
+        return S, U, V
+    while True:
+        S, P = hermite_normal_form(S)
+        T, Q = hermite_normal_form(transpose(S))
+        S, U, V = transpose(T), matmul(P, U), matmul(V, transpose(Q))
+        if any(S[i][j] for i in range(m) for j in range(n) if i != j):
+            continue
+        d = [S[i][i] for i in range(min(m, n))]
+        bad = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+                    if d[i] and d[j] % d[i]), None)
+        if bad is None:
+            return S, U, V
+        i, j = bad
+        # I + e_j e_i^T: adds column j to column i
+        E = tuple(tuple(int(r == c or (r, c) == (j, i)) for c in range(n)) for r in range(n))
+        S, V = matmul(S, E), matmul(V, E)
 
 
 def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:

@@ -49,8 +49,9 @@ ENUMERATION_GUARD = 10 ** 7
 class Refusal(ValueError):
     """A check declined its input before running: a characteristic its
     argument does not cover, a polynomial it does not apply to, a map with
-    more or fewer components than its target has variables, or an
-    enumeration past ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
+    more or fewer components than its target has variables (or, for a
+    degree, fewer than its source has coordinates), or an enumeration past
+    ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
 
 
 def default_prime(orders=(), degree: int | None = None) -> int:
@@ -334,18 +335,21 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
         lines.append(f"{pad[4:]}for {names} in {source}:")
         # tests first, so a failed one skips the other polynomials' updates
         order = sorted(groups, key=lambda q: (q >= n_zeros or final[q] != t, q))
+        named: dict[tuple[str, ...], str] = {}  # products -> the name of their sum mod p
         for q in order:
             new = {}
             for j, (inner, parts) in enumerate(groups[q].items()):
                 if len(parts) == 1 and parts[0][1] == 0:
                     new[inner] = parts[0][0]  # independent of x_i: kept as it is
                     continue
+                products = tuple(str(c) if k == 0 else _power_name(i, k) if c == 1
+                                 else f"{c}*{_power_name(i, k)}" for c, k in parts)
                 if len(parts) == 1 and parts[0][0] == 1:
                     expr = name = _power_name(i, parts[0][1])  # a power, already in [0, p)
+                elif products in named:
+                    expr = name = named[products]  # an equal sum, assigned in this body
                 else:
-                    products = [str(c) if k == 0 else _power_name(i, k) if c == 1
-                                else f"{c}*{_power_name(i, k)}" for c, k in parts]
-                    expr = _sum_mod(lines, pad, products, p)
+                    expr = _sum_mod(lines, pad, list(products), p)
                     name = f"v{q}" if final[q] == t else f"a{q}_{t}_{j}"
                 if final[q] == t and q < n_zeros:
                     lines.append(f"{pad}if {expr}:")
@@ -353,6 +357,7 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
                     continue
                 if name != expr:
                     lines.append(f"{pad}{name} = {expr}")
+                    named[products] = name
                 if final[q] == t:
                     value[q] = name
                 else:

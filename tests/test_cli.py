@@ -95,6 +95,7 @@ class TestVerify:
         (["map-degree", "SQUARES", "--prime", "10000019"], "enumeration guard exceeded"),
         (["identity", "SHORT", "--map", "M", "--target", "F"],
          "map has 2 components, target expects 3"),
+        (["map-degree", "SHORT", "--prime", "7"], "cannot be generically finite"),
     ])
     def test_refused_scan_exit_code(self, argv, message, fermat_file, tmp_path, capsys):
         # exit 1 is a verdict (a singular point found); a scan that never ran exits 2

@@ -48,6 +48,28 @@ class TestSNF:
         assert S == ((2, 0), (0, 4))
         assert matmul(matmul(U, M), V) == S
 
+    # input: its S, and the sizes of the square U and V
+    EDGE_CASES = {
+        (): ((), 0, 0),
+        ((),): (((),), 1, 0),
+        ((), ()): (((), ()), 2, 0),
+        ((0, 0),): (((0, 0),), 1, 2),
+        ((-3,),): (((3,),), 1, 1),
+        ((2, 0), (0, 3)): (((1, 0), (0, 6)), 2, 2),
+        ((0, 0), (0, 5)): (((5, 0), (0, 0)), 2, 2),
+        ((-2, 0), (0, -4)): (((2, 0), (0, 4)), 2, 2),
+    }
+
+    @pytest.mark.parametrize("M", EDGE_CASES, ids=str)
+    def test_edge_cases(self, M):
+        expected, m, n = self.EDGE_CASES[M]
+        S, U, V = smith_normal_form(M)
+        assert S == expected
+        assert len(U) == m and all(len(row) == m for row in U)
+        assert len(V) == n and all(len(row) == n for row in V)
+        assert matmul(matmul(U, M), V) == S
+        assert abs(det(U)) == 1 and abs(det(V)) == 1
+
 
 def _random_matrix(rng, max_dim=6, bound=100):
     m = rng.randint(1, max_dim)

@@ -374,6 +374,21 @@ def test_root_tables_yield_the_reference_sequence(shape, generated):
     assert sum("continue" in body for _, body in loops) == tested
 
 
+def test_loop_bodies_assign_each_sum_once(generated):
+    n, p, torus, zeros, images, _, _ = ROOT_TABLE_SHAPES["varying x^k coefficient (ex1)"]
+    compile_enumeration(n, p, zeros=[P(z, names("x", n)) for z in zeros],
+                        images=[P(c, names("x", n)) for c in images], torus=torus)
+    (source, _), = generated
+    lines = source.splitlines()
+    for j, line in enumerate(lines):
+        if line.lstrip().startswith("for "):
+            pad = " " * (len(line) - len(line.lstrip()) + 4)
+            body = itertools.takewhile(lambda b: b.startswith(pad), lines[j + 1:])
+            assigned = [b.split(" = ", 1)[1] for b in body
+                        if not b.startswith(pad + " ") and " = " in b]
+            assert len(assigned) == len(set(assigned)), line
+
+
 @st.composite
 def enumeration_case(draw):
     # up to three zero tests and three images over small random polynomials,
