@@ -143,6 +143,25 @@ def power(base, n: int, one):
         base = base * base
 
 
+# The field operations Cyclotomic and FpElem derive from their own +, -, * and
+# inverse: one body each, named in both class bodies (not inherited, so that
+# each class keeps all its operators in its own dict).
+
+def _rsub(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else o - self
+
+
+def _truediv(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else self * o.inverse()
+
+
+def _rtruediv(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else o * self.inverse()
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -203,11 +222,7 @@ class Cyclotomic:
             return NotImplemented
         return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -243,17 +258,8 @@ class Cyclotomic:
         norm = (self * conj).coeffs[0]
         return Cyclotomic(e, tuple(c / norm for c in conj.coeffs))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
 
     def __pow__(self, n: int):
         if n < 0:
@@ -344,11 +350,7 @@ class FpElem:
             return NotImplemented
         return FpElem(self.p, self.value - o.value)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -363,17 +365,8 @@ class FpElem:
             raise ZeroDivisionError(f"division by zero in F_{self.p}")
         return FpElem(self.p, pow(self.value, self.p - 2, self.p))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
 
     def __pow__(self, n: int):
         if n < 0:

@@ -628,9 +628,11 @@ def parse_input(text: str) -> ProblemSpec:
 
     # structural validation
     n = len(spec.variables)
+    if n == 0:  # declarations come in any order, so this means no vars line at all
+        first = min([*gen_lines, *(ln for ln, _, _ in poly_lines),
+                     *([basis_line] if spec.basis is not None else [])], default=1)
+        raise ParseError(first, 1, "no vars line declares the variables", ("a vars line",))
     for (order, row), ln in zip(spec.generators, gen_lines):
-        if n == 0:
-            raise ParseError(ln, 1, "group declared before vars", ("a vars line first",))
         if len(row) != n:
             raise ParseError(ln, 1,
                              f"generator row has {len(row)} entries, expected {n}",
@@ -639,9 +641,6 @@ def parse_input(text: str) -> ProblemSpec:
         raise ParseError(chart_line, 1, f"chart {spec.chart!r} is not a declared variable",
                          ("a declared variable name",))
     if spec.basis is not None:
-        if n == 0:
-            raise ParseError(basis_line, 1, "basis declared before vars",
-                             ("a vars line first",))
         if len(spec.basis) != n - 1 or any(len(r) != n - 1 for r in spec.basis):
             raise ParseError(basis_line, 1,
                              f"basis must be {n - 1}x{n - 1} over the non-chart variables",
@@ -649,8 +648,6 @@ def parse_input(text: str) -> ProblemSpec:
 
     ctx = _ExprContext(spec.variables, spec.params, spec.effective_zeta_order())
     for ln, name, line in poly_lines:
-        if n == 0:
-            raise ParseError(ln, 1, "poly declared before vars")
         terms = _parse_expr(line, ctx)
         line.require_end()
         spec.polys[name] = LaurentPoly(ctx.variables, terms)

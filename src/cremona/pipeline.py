@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from . import lattice
-from .action import DiagonalAction, InvariantHypersurface, subgroup_index
+from .action import DiagonalAction, InvariantHypersurface, common_chart, subgroup_index
 from .coeffs import ParamCoeff
 from .poly import LaurentPoly, divide_exact, poly_gcd, poly_str
 
@@ -387,7 +387,7 @@ class CremonaChain:
         recorded residual action, so that a step on them may follow prev."""
         if F != prev.image:
             raise ValueError("chain broken: step input differs from previous image")
-        if action != prev.residual:
+        if action != prev.residual and not _same_group(action, prev.residual):
             raise ValueError("chain broken: step action differs from recorded residual")
 
     def accumulated_order(self, start: int = 0) -> int:
@@ -403,6 +403,18 @@ class CremonaChain:
         if acc is None:
             raise ValueError("empty chain")
         return acc
+
+
+def _same_group(a: DiagonalAction, b: DiagonalAction) -> bool:
+    """True iff two actions, however presented, are one group: the same
+    invariant lattice on a coordinate that both leave fixed."""
+    if a.n_vars != b.n_vars:
+        return False
+    try:
+        c = common_chart(a, b)
+    except ValueError:  # no common trivial coordinate
+        return False
+    return lattice.spans_same_lattice(a.invariant_lattice(c), b.invariant_lattice(c))
 
 
 def chain_parametrization(chain: CremonaChain, model: RationalMap,

@@ -391,21 +391,19 @@ def _digits(x: int, B: int, N: int, phi: int) -> list[int]:
     return out + [x]
 
 
-def _share(terms: dict, hats: list, split: bool) -> tuple[int, tuple | None]:
-    """(j, m) for a multi-term image x^m * hats[j], m None for x^0.  Split,
-    m is the per-variable minimum exponent and an equal hat already in
-    ``hats`` is reused; otherwise the hat is appended."""
-    m, hat = None, terms
-    if split:
-        m = tuple(map(min, *terms))
-        if any(m):
-            hat = {tuple(map(sub, e, m)): c for e, c in terms.items()}
-        else:
-            m = None
-        for j, h in enumerate(hats):
-            if h == hat:
-                return j, m
-    hats.append(hat)
+def _share(terms: dict, hats: list) -> tuple[int, tuple | None]:
+    """(j, m) for a multi-term image x^m * hats[j], m its per-variable
+    minimum exponent or None for x^0; an equal hat already in ``hats`` is
+    reused, otherwise the hat is appended."""
+    m = tuple(map(min, *terms))
+    if any(m):
+        terms = {tuple(map(sub, e, m)): c for e, c in terms.items()}
+    else:
+        m = None
+    for j, h in enumerate(hats):
+        if h == terms:
+            return j, m
+    hats.append(terms)
     return len(hats) - 1, m
 
 
@@ -413,9 +411,9 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     """Sum over the terms c*x^e of F of c * prod_i images[x_i]^e_i, exactly.
 
     Monomial images fold into the term scalars by coefficient arithmetic,
-    negative powers included; zero images kill their terms.  When F has
-    more than one live term, every other image is split as x^m * hat, m its
-    per-variable minimum exponent, and images with equal hats share one
+    negative powers included; zero images kill their terms.  Every other
+    image is split as x^m * hat, m its per-variable minimum exponent, and
+    images with equal hats (the factors of ``a * a`` too) share one
     packed table, denominator scale, exponent box and ladder of powers;
     x^(k*m) joins the term's exponent shift like a monomial image.  Hats
     are compared by value: the domain, which sets the result's coefficient
@@ -464,14 +462,12 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     if not terms:
         return LaurentPoly.zero(target_vars)
 
-    # a lone term has no product to share, so its images stay whole
-    split = len(terms) > 1
     hats, hat_of, groups = [], {}, {}  # hat_of[name] = (j, m); signature -> [(shift, scalar)]
     for scalar, shift, factors in terms:
         sig = {}
         for name, k in factors:
             if name not in hat_of:
-                hat_of[name] = _share(images[name].terms, hats, split)
+                hat_of[name] = _share(images[name].terms, hats)
             j, m = hat_of[name]
             sig[j] = sig.get(j, 0) + k
             if m is not None:
@@ -715,78 +711,52 @@ def _pseudo_rem(A: dict[int, LaurentPoly], B: dict[int, LaurentPoly]) -> dict[in
 # ---------------------------------------------------------------------------
 
 def scalar_str(c) -> str:
-    """Render a coefficient; multi-term values come back parenthesized."""
+    """Render a coefficient; multi-term values come back parenthesized.  A
+    Cyclotomic is a polynomial in zeta, lowest power first, rendered as
+    ``poly_str`` renders a polynomial; a ParamCoeff joins its terms with
+    " + ", each sign kept in its coefficient: "(-1*t1 + t2)"."""
     if isinstance(c, int):
         c = Fraction(c)
     if isinstance(c, Fraction):
         return str(c)
-    if isinstance(c, Cyclotomic):
-        parts = []
-        for k, a in enumerate(c.coeffs):
-            if not a:
-                continue
-            if k == 0:
-                parts.append(str(a))
-            else:
-                z = "zeta" if k == 1 else f"zeta^{k}"
-                if a == 1:
-                    parts.append(z)
-                elif a == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{a}*{z}")
-        if not parts:
-            return "0"
-        body = parts[0]
-        for p in parts[1:]:
-            body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        if len(parts) > 1:
-            return f"({body})"
-        return body
     if isinstance(c, FpElem):
         return str(c.value)
-    if isinstance(c, ParamCoeff):
+    if isinstance(c, Cyclotomic):
+        parts = [_term_str(("zeta",), (k,), a) for k, a in enumerate(c.coeffs) if a]
+        body = _sum_str(parts)
+    elif isinstance(c, ParamCoeff):
         parts = []
         for e, a in c.poly.sorted_terms():
             a_str = scalar_str(a)
             factors = [a_str] if a_str != "1" or not any(e) else []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(c.symbols[i])
-                elif k:
-                    factors.append(f"{c.symbols[i]}^{k}")
-            parts.append("*".join(factors))
-        if not parts:
-            return "0"
-        body = " + ".join(parts)
-        if len(parts) > 1:
-            return f"({body})"
-        return body
-    raise TypeError(f"cannot render coefficient of type {type(c).__name__}")
+            parts.append("*".join(factors + _factors(c.symbols, e)))
+        body = " + ".join(parts) or "0"
+    else:
+        raise TypeError(f"cannot render coefficient of type {type(c).__name__}")
+    return f"({body})" if len(parts) > 1 else body
+
+
+def _factors(variables, e) -> list[str]:
+    """The variable factors of the monomial x^e: "x1", "x2^3", ..."""
+    return [v if k == 1 else f"{v}^{k}" for v, k in zip(variables, e) if k]
 
 
 def _term_str(variables, e, c) -> str:
-    mono = []
-    for i, k in enumerate(e):
-        if k == 1:
-            mono.append(variables[i])
-        elif k:
-            mono.append(f"{variables[i]}^{k}")
+    mono = "*".join(_factors(variables, e))
     cs = scalar_str(c)
     if not mono:
         return cs
     if cs == "1":
-        return "*".join(mono)
+        return mono
     if cs == "-1":
-        return "-" + "*".join(mono)
-    return cs + "*" + "*".join(mono)
+        return "-" + mono
+    return cs + "*" + mono
 
 
-def poly_str(p: LaurentPoly) -> str:
-    """Canonical plain-text rendering; round-trips through the input parser."""
-    if not p.terms:
+def _sum_str(parts: list[str]) -> str:
+    """Rendered terms joined by " + ", or by " - " before a negative one."""
+    if not parts:
         return "0"
-    parts = [_term_str(p.vars, e, c) for e, c in p.sorted_terms()]
     out = parts[0]
     for s in parts[1:]:
         if s.startswith("-") and not s.startswith("-("):
@@ -794,3 +764,8 @@ def poly_str(p: LaurentPoly) -> str:
         else:
             out += " + " + s
     return out
+
+
+def poly_str(p: LaurentPoly) -> str:
+    """Canonical plain-text rendering; round-trips through the input parser."""
+    return _sum_str([_term_str(p.vars, e, c) for e, c in p.sorted_terms()])

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .action import InvariantHypersurface
-from .coeffs import is_prime, root_embed, to_prime_field
+from .coeffs import ParamCoeff, is_prime, root_embed, to_prime_field
 from .pipeline import CremonaStep, RationalMap
 from .poly import LaurentPoly
 
@@ -119,6 +119,9 @@ def _terms_mod(poly: LaurentPoly, p: int) -> list[tuple[int, tuple[int, ...]]]:
     """The ``(coeff, exps)`` terms of ``poly`` whose coefficient is nonzero mod p."""
     terms = []
     for e, c in poly.sorted_terms():
+        if isinstance(c, ParamCoeff):  # no F_p check applies before specialize_params
+            raise Refusal("parameter coefficients must be specialized before "
+                          "finite-field reduction")
         v = to_prime_field(c, p).value
         if v:
             terms.append((v, e))

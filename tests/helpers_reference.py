@@ -4,8 +4,9 @@ two ``ParamCoeff``s as one more such loop, ``substitute`` built from those
 and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
 evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
 per-point loops over ``proj_points`` or the torus, a basis search that solves every
-candidate in the lattice again, and a recursive-descent expression parser
-over token objects."""
+candidate in the lattice again, a recursive-descent expression parser
+over token objects, and a coefficient renderer that builds each Cyclotomic
+sum by hand."""
 import itertools
 import re
 import time
@@ -40,6 +41,59 @@ def reference_param_mul(a: ParamCoeff, b: ParamCoeff) -> ParamCoeff:
             else:
                 acc.pop(e, None)
     return ParamCoeff(LaurentPoly(a.symbols, acc))
+
+
+def reference_scalar_str(c) -> str:
+    """A coefficient as ``poly.scalar_str`` renders it, with each Cyclotomic
+    part and the join built by hand, as ``scalar_str`` did before it rendered
+    a Cyclotomic as a polynomial in zeta."""
+    if isinstance(c, int):
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return str(c)
+    if isinstance(c, Cyclotomic):
+        parts = []
+        for k, a in enumerate(c.coeffs):
+            if not a:
+                continue
+            if k == 0:
+                parts.append(str(a))
+            else:
+                z = "zeta" if k == 1 else f"zeta^{k}"
+                if a == 1:
+                    parts.append(z)
+                elif a == -1:
+                    parts.append(f"-{z}")
+                else:
+                    parts.append(f"{a}*{z}")
+        if not parts:
+            return "0"
+        body = parts[0]
+        for p in parts[1:]:
+            body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        if len(parts) > 1:
+            return f"({body})"
+        return body
+    if isinstance(c, FpElem):
+        return str(c.value)
+    if isinstance(c, ParamCoeff):
+        parts = []
+        for e, a in c.poly.sorted_terms():
+            a_str = reference_scalar_str(a)
+            factors = [a_str] if a_str != "1" or not any(e) else []
+            for i, k in enumerate(e):
+                if k == 1:
+                    factors.append(c.symbols[i])
+                elif k:
+                    factors.append(f"{c.symbols[i]}^{k}")
+            parts.append("*".join(factors))
+        if not parts:
+            return "0"
+        body = " + ".join(parts)
+        if len(parts) > 1:
+            return f"({body})"
+        return body
+    raise TypeError(f"cannot render coefficient of type {type(c).__name__}")
 
 
 def reference_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

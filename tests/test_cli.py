@@ -96,11 +96,17 @@ class TestVerify:
         (["identity", "SHORT", "--map", "M", "--target", "F"],
          "map has 2 components, target expects 3"),
         (["map-degree", "SHORT", "--prime", "7"], "cannot be generically finite"),
+        (["smooth", "PARAMS"], "must be specialized"),
+        (["map-degree", "PARAMS", "--map", "M"], "must be specialized"),
     ])
     def test_refused_scan_exit_code(self, argv, message, fermat_file, tmp_path, capsys):
         # exit 1 is a verdict (a singular point found); a scan that never ran exits 2
         files = {"FERMAT": fermat_file, "SKEW": tmp_path / "skew.crm",
-                 "SQUARES": tmp_path / "sq.crm", "SHORT": tmp_path / "short.crm"}
+                 "SQUARES": tmp_path / "sq.crm", "SHORT": tmp_path / "short.crm",
+                 "PARAMS": tmp_path / "params.crm"}
+        files["PARAMS"].write_text("vars x1 x2 x3\nparams t1\npoly F = t1*x1^3 + x2^3 + x3^3\n"
+                                   "poly A = t1*x1^2\npoly B = x2^2\npoly C = x3^2\n"
+                                   "map M = A, B, C\nprime 7\n")
         files["SKEW"].write_text("vars x1 x2 x3\npoly F = x1^3 + x2^2\nprime 7\n")
         files["SQUARES"].write_text("vars x1 x2\npoly A = x1^2\npoly B = x2^2\nmap M = A, B\n")
         files["SHORT"].write_text("vars x1 x2 x3\npoly A = x1\npoly F = x1^3 + x2^3 + x3^3\n"
@@ -217,7 +223,12 @@ class TestErrors:
         ("vars x1 x2\nzeta e=0\npoly F = x1^3\n", "line 2, column 8"),
         ("vars x1\nvars x1 x2\npoly F = x1^3 + x2^3\n", "line 2, column 1"),
         ("vars x1 zeta\npoly F = x1^3\n", "line 1, column 9"),
-    ], ids=["variable", "poly", "zeta-order", "repeated-vars", "zeta-variable"])
+        ("", "line 1, column 1: no vars line"),
+        ("# only a comment\n\n", "line 1, column 1: no vars line"),
+        ("params t1\nzeta e=3\nprime 7\n", "line 1, column 1: no vars line"),
+        ("prime 7\npoly F = x1^3\n", "line 2, column 1: no vars line"),
+    ], ids=["variable", "poly", "zeta-order", "repeated-vars", "zeta-variable",
+            "no-vars-empty", "no-vars-comments", "no-vars-declarations", "no-vars-poly"])
     def test_refused_declaration_exit_code(self, tmp_path, capsys, text, where):
         f = tmp_path / "refused.crm"
         f.write_text(text)
@@ -287,6 +298,16 @@ class TestChain:
         assert main(["chain", str(a), str(b)]) == 2
         assert "chain broken: step input differs" in capsys.readouterr().err
         b.write_text("vars x1 x2 x3\npoly G = x1*x3^2 + x2^3 + x3^3\nchart x3\n")
+        assert main(["chain", str(a), str(b)]) == 0
+        assert "accumulated quotient order: 3" in capsys.readouterr().out
+
+    def test_trivial_group_spelled_out_continues_the_chain(self, tmp_path, capsys):
+        # the recorded residual is the trivial action with no generators; a
+        # generator of weight 0 everywhere presents the same group
+        a = tmp_path / "a.crm"
+        a.write_text("vars x1 x2 x3\ngroup e=3 gen [1,2,0]\npoly F = x1^3 + x2^3 + x3^3\n")
+        b = tmp_path / "b.crm"
+        b.write_text("vars x1 x2 x3\ngroup e=3 gen [0,0,0]\n")
         assert main(["chain", str(a), str(b)]) == 0
         assert "accumulated quotient order: 3" in capsys.readouterr().out
 

@@ -149,6 +149,43 @@ def test_inverse_and_mul_agree_with_sympy():
                 assert a.inverse() == from_sympy(sympy.invert(to_sympy(a), mod, x), e)
 
 
+F7 = [FpElem(7, v) for v in range(7)]
+
+
+@pytest.mark.parametrize("op, want", [
+    (lambda: 2 - z3(), Cyclotomic(3, (Fraction(2), Fraction(-1)))),
+    (lambda: Fraction(1, 2) - z3(2), Cyclotomic(3, (Fraction(3, 2), Fraction(1)))),
+    (lambda: z3() / z3(2), z3(2)),
+    (lambda: (1 + z3()) / 2, Cyclotomic(3, (Fraction(1, 2), Fraction(1, 2)))),
+    (lambda: 1 / z3(), z3(2)),
+    (lambda: Fraction(3) / z3(2), 3 * z3()),
+    (lambda: 3 - F7[5], F7[5]),
+    (lambda: F7[3] / F7[5], F7[2]),
+    (lambda: F7[3] / 2, F7[5]),
+    (lambda: 1 / F7[3], F7[5]),
+    (lambda: 4 / F7[2], F7[2]),
+], ids=["cyc-int-rsub", "cyc-fraction-rsub", "cyc-div", "cyc-div-int", "cyc-int-rdiv",
+        "cyc-fraction-rdiv", "fp-int-rsub", "fp-div", "fp-div-int", "fp-int-rdiv",
+        "fp-int-rdiv-2"])
+def test_derived_field_operations(op, want):
+    # a - b, a / b and b / a with the other operand an int, a Fraction or
+    # the same field's element, against values computed by hand
+    got = op()
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("op", [
+    lambda: z3() / "x", lambda: "x" / z3(), lambda: "x" - z3(),
+    lambda: z3() / F7[1], lambda: F7[1] / z3(),
+    lambda: F7[1] / Fraction(1, 2), lambda: Fraction(1, 2) / F7[1],
+    lambda: Fraction(1, 2) - F7[1],
+], ids=["cyc/str", "str/cyc", "str-cyc", "cyc/fp", "fp/cyc", "fp/fraction", "fraction/fp",
+        "fraction-fp"])
+def test_derived_field_operations_refuse_foreign_operands(op):
+    with pytest.raises(TypeError):
+        op()
+
+
 class TestPrimeField:
     def test_basics(self):
         x = FpElem(7, 10)

@@ -126,6 +126,22 @@ class TestParseInput:
             parse_input(text)
         assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
 
+    @pytest.mark.parametrize("text,line", [
+        ("", 1), ("# heading\n\n", 1), ("params t1\nzeta e=3\nprime 7\n", 1),
+        ("chart x1\n", 1), ("prime 7\ngroup e=3 gen [1,0]\npoly F = x1\n", 2),
+        ("prime 7\nbasis [1]\n", 2), ("prime 7\n\npoly F = x1\ngroup e=3 gen [1,0]\n", 3),
+    ], ids=["empty", "comments", "declarations", "chart", "group", "basis", "poly"])
+    def test_missing_vars_line_is_positioned(self, text, line):
+        # at the first line that needs the variables, or at line 1
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert (exc.value.line, exc.value.col) == (line, 1)
+        assert exc.value.message == "no vars line declares the variables"
+
+    def test_vars_line_may_come_last(self):
+        spec = parse_input("poly F = x1^2\ngroup e=2 gen [1,0]\nvars x1 x2\n")
+        assert spec.variables == ("x1", "x2") and spec.generators == ((2, (1, 0)),)
+
     def test_zero_cyclotomic_order_is_refused_at_its_line(self):
         with pytest.raises(ParseError) as exc:
             parse_input("vars x1\nzeta e=0\npoly F = zeta*x1\n")

@@ -14,8 +14,8 @@ from cremona.pipeline import (CremonaChain, MonomialBasis, RationalMap,
                               validate_basis)
 from cremona.poly import LaurentPoly, poly_str
 from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, EX1_ACTION, EX1_BASIS,
-                               EX1_PARAMS, EX3_BASIS, FERMAT, PAIR_ACTION, X5,
-                               c3c3_family, ex1_family, ex3_family)
+                               EX1_PARAMS, EX3_BASIS, FERMAT, MAIN_G, MAIN_G1, PAIR_ACTION,
+                               X5, c3c3_family, ex1_family, ex3_family)
 from cremona.verify import on_variety
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -259,6 +259,26 @@ class TestChain:
         X = InvariantHypersurface(ex1_family(), EX1_ACTION)
         step = cremona_step(X, 4, EX1_BASIS)
         assert CremonaChain((step,)).accumulated_order() == 3
+
+    def test_link_compares_groups_not_generators(self):
+        # main_parametrization's order-3 residual, presented by the square of
+        # its generator, is the same group; an order-3 group that also fixes
+        # the image but has other invariants is not
+        X = InvariantHypersurface(FERMAT, MAIN_G1)
+        step1 = cremona_step(X, 1, hnf_basis_for(MAIN_G1, chart=1), parent_action=MAIN_G)
+        (order, row), = step1.residual.generators
+        squared = DiagonalAction(5, ((order, tuple(2 * w for w in row)),))
+        assert squared != step1.residual
+        chart = squared.default_chart()
+        step2 = cremona_step(InvariantHypersurface(step1.image, squared), chart,
+                             hnf_basis_for(squared, chart))
+        assert CremonaChain((step1, step2)).accumulated_order(start=1) == 3
+        other = DiagonalAction(5, ((3, (0, 0, 1, 0, 0)),))
+        assert InvariantHypersurface(step1.image, other)
+        with pytest.raises(ValueError, match="step action differs"):
+            CremonaChain.check_link(step1, step1.image, other)
+        with pytest.raises(ValueError, match="step action differs"):
+            CremonaChain.check_link(step1, step1.image, DiagonalAction.trivial(5))
 
     def test_broken_chain_rejected(self):
         X = InvariantHypersurface(ex1_family(), EX1_ACTION)

@@ -14,7 +14,8 @@ from cremona.pipeline import RationalMap, compose_maps, parametrize_linear
 from cremona.scenarios import explicit_degree3_map
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
 from cremona.verify import on_variety
-from helpers_reference import reference_mul, reference_pow, reference_substitute
+from helpers_reference import (reference_mul, reference_pow, reference_scalar_str,
+                               reference_substitute)
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -543,6 +544,44 @@ class TestRendering:
     def test_round_trip(self, text, variables, params, order):
         p = parse_poly(text, variables, params, order)
         assert parse_poly(poly_str(p), variables, params, order) == p
+
+
+@pytest.mark.parametrize("e", range(1, 13))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scalar_str_matches_reference(e, data):
+    # a Cyclotomic renders as a polynomial in zeta, lowest power first; the
+    # reference builds the same string by hand, zero and +-1 parts included
+    c = data.draw(st.one_of(st.just(Cyclotomic.from_rational(e, 0)), cyclotomics(e)))
+    assert poly.scalar_str(c) == reference_scalar_str(c)
+    inner = st.one_of(small_fractions, cyclotomics(e))
+    x = ParamCoeff(LaurentPoly(("t1", "t2"), data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), inner, max_size=4))))
+    assert poly.scalar_str(x) == reference_scalar_str(x)
+
+
+@pytest.mark.parametrize("domain", ["Q", "Q(zeta3)", "params over Q(zeta3)", "F_7"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_of_shifted_operands_match_reference(domain, data):
+    # each operand is x^m * hat, m a Laurent monomial content the expansion
+    # splits off every multi-term factor; a * a shares one hat
+    coeffs = SHARED_COEFFS[domain]
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def shifted():
+        hat = data.draw(st.dictionaries(exps, coeffs.filter(bool), min_size=2, max_size=4))
+        m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        return LaurentPoly(V2, {(e[0] + m[0], e[1] + m[1]): c for e, c in hat.items()})
+
+    a, b = shifted(), shifted()
+    k = data.draw(st.integers(0, 4))
+    for got, want in ((a * b, reference_mul(a, b)), (a * a, reference_mul(a, a)),
+                      (b ** k, reference_pow(b, k)),
+                      ((a * b) ** 2, reference_pow(reference_mul(a, b), 2))):
+        assert got == want
+        assert poly_str(got) == poly_str(want)
+    assert a * a == a ** 2
 
 
 class TestGcd:
