@@ -201,7 +201,10 @@ def lattice_contains(B: IntMatrix, v: tuple[int, ...]) -> bool:
 
 
 def spans_same_lattice(B1: IntMatrix, B2: IntMatrix) -> bool:
-    """True iff two full-rank bases span the same lattice (equal HNFs)."""
+    """True iff two full-rank bases span the same lattice (equal HNFs).  An
+    empty basis spans the zero lattice, which only an empty basis matches."""
+    if not B1 or not B2:
+        return not B1 and not B2
     if len(B1[0]) != len(B2[0]):
         raise ValueError("ambient dimension mismatch")
     H1 = hnf_basis(B1)

@@ -355,14 +355,21 @@ def _box(parts):
     return list(map(min, cols)), list(map(max, cols))
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict[int, int] = {}
+def _mac(out: dict, a: dict, b: dict) -> dict:
+    """out + a * b on packed keys, accumulated into out: the one loop over
+    term pairs.  Zero sums are kept; ``_expand`` folds what it reuses."""
     get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
+    return out
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    """a * b on packed keys: a rung of a hat's ladder, or a product of hat
+    powers."""
+    return _mac({}, a, b)
 
 
 def _radix(order: int, bound: int) -> tuple[int, int]:
@@ -420,7 +427,15 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     types, is read from every image before sharing, so a rational
     Cyclotomic hat may stand for a Fraction one.  Terms with one signature,
     the sorted (hat, total exponent) pairs, merge their shifted scalars
-    into one cofactor, which multiplies their product of hat powers once.
+    into one cofactor.  The common part, each hat's least exponent over all
+    signatures, is factored out: the inner sum of each cofactor times its
+    remaining hat powers is formed first, its zero entries dropped, and only
+    a nonzero inner sum is multiplied, once, by the common hat powers.  So a
+    linear model's identity check (signatures A^d and A^(d-1)*B) forms the
+    cancelling sum of cofactor*A and cofactor*B and builds no rung of A,
+    while a one-signature expansion (every ``*`` and ``**``) multiplies its
+    cofactor by its product of hat powers, as before.  Rungs are built on
+    demand, from one ladder per hat.
 
     The products run on Kronecker-packed integer keys (Monagan & Pearce,
     Maple 14, 2009): one slot per target variable and parameter symbol, each
@@ -433,7 +448,11 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     of |cofactor|_1 * prod_j |hat_j|_1^k, L1 norms of cleared integer parts
     and R_e the largest of a reduced zeta^z; ``_radix`` takes the least b at
     which such a sum's balanced residue mod N splits into balanced base-B
-    digits, its coefficients in 1, zeta, ..., zeta^(phi-1).  Only keys that
+    digits, its coefficients in 1, zeta, ..., zeta^(phi-1).  The inner sum
+    is exact in the same way: it is a ring identity in Z, Z/N and Z/p, its
+    entries obey the same bound, and per slot its exponent box is the
+    result's box less the common powers' boxes, never wider, so its packed
+    keys cannot collide and a zero table means a zero sum.  Only keys that
     survive the sum are decoded.  The result's coefficients lie in the
     inputs' common domain: Q, Q(zeta_e), parameters over either, or F_p.
     """
@@ -486,13 +505,13 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         scale.append(d)
         hat_ints.append([(s, z, v.numerator * (d // v.denominator)) for s, z, v in parts])
         hat_box.append(_box(parts))
-    cofactors, lo, hi = [], None, None
+    cofactors, lo, hi = {}, None, None
     for sig, members in groups.items():
         s_scale = prod(scale[j] ** k for j, k in sig)
         parts = _parts(members, n_params)
         if s_scale != 1:
             parts = [(s, z, Fraction(v) / s_scale) for s, z, v in parts]
-        cofactors.append(parts)
+        cofactors[sig] = parts
         t_lo, t_hi = _box(parts)
         for j, k in sig:
             i_lo, i_hi = hat_box[j]
@@ -502,22 +521,24 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         hi = t_hi if hi is None else list(map(max, hi, t_hi))
     radices = [b - a + 1 for a, b in zip(lo, hi)]
     weights = [prod(radices[:j]) for j in range(len(radices))]
-    den = lcm(*(v.denominator for parts in cofactors for _, _, v in parts))
-    cofactors = [[(s, z, v.numerator * (den // v.denominator)) for s, z, v in parts]
-                 for parts in cofactors]
+    den = lcm(*(v.denominator for parts in cofactors.values() for _, _, v in parts))
+    cofactors = {sig: [(s, z, v.numerator * (den // v.denominator)) for s, z, v in parts]
+                 for sig, parts in cofactors.items()}
 
     B, N = 1, prime  # F_p values are residues mod p on every rung
     if order is not None:
-        norm = [sum(abs(v) for _, _, v in ps) for ps in hat_ints + cofactors]
+        def l1(parts):
+            return sum(abs(v) for _, _, v in parts)
+
         R = max(sum(map(abs, _reduce_vector(order, [0] * z + [1]))) for z in range(order))
-        B, N = _radix(order, R * sum(norm[len(hats) + g] * prod(norm[j] ** k for j, k in sig)
-                                     for g, sig in enumerate(groups)))
+        B, N = _radix(order, R * sum(l1(ps) * prod(l1(hat_ints[j]) ** k for j, k in sig)
+                                     for sig, ps in cofactors.items()))
 
     def key(s):
         return sum(map(mul, s, weights))
 
-    def fold(table: dict) -> dict:  # residues mod N, zeros dropped
-        return {k: r for k, v in table.items() if (r := v % N)} if N else table
+    def fold(table: dict) -> dict:  # residues mod N (values where N is None), zeros dropped
+        return {k: r for k, v in table.items() if (r := v % N if N else v)}
 
     def pack(parts) -> dict:
         table: dict[int, int] = {}
@@ -526,20 +547,28 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
             table[k] = table.get(k, 0) + v * B ** z
         return fold(table)
 
-    powers = [[pack(ps)] for ps in hat_ints]  # powers[j][k - 1]
-    total: dict[int, int] = {}
-    get = total.get
-    for sig, parts in zip(groups, cofactors):
+    powers = [[pack(ps)] for ps in hat_ints]  # powers[j][k - 1], built on demand
+
+    def hat_product(sig) -> dict:  # prod_j hat_j^k over the (j, k > 0) of sig
         product = {0: 1}
         for i, (j, k) in enumerate(sig):
             pows = powers[j]
             while len(pows) < k:
                 pows.append(fold(_pmul(pows[-1], pows[0])))
             product = pows[k - 1] if not i else fold(_pmul(product, pows[k - 1]))
-        for sk, sv in pack(parts).items():
-            for k, pv in product.items():
-                k += sk
-                total[k] = get(k, 0) + sv * pv
+        return product
+
+    # the hat powers every signature shares multiply the inner sum once
+    shared = {j: c for j in range(len(hats)) if (c := min(dict(sig).get(j, 0) for sig in groups))}
+    common = tuple(shared.items())  # as a signature; at most one signature is common
+    inner = pack(cofactors.pop(common, ()))
+    for sig, parts in cofactors.items():
+        _mac(inner, pack(parts), hat_product([(j, k - shared.get(j, 0)) for j, k in sig
+                                              if k > shared.get(j, 0)]))
+    inner = fold(inner)
+    if not inner:
+        return LaurentPoly.zero(target_vars)
+    total = _mac({}, inner, hat_product(common)) if common else inner
 
     def value(x):  # a numerator over den, or a residue mod the prime
         if prime is not None:

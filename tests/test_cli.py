@@ -123,6 +123,26 @@ class TestVerify:
             "map M = A, B\n")
         assert main(["verify", "identity", str(f), "--map", "M", "--target", "T"]) == 1
 
+    def test_identity_of_a_linear_model(self, tmp_path, capsys):
+        # F = x1*A + B over Q(zeta3) and its linear model x1 -> -B, x_j ->
+        # x_j*A; the twin T adds one term, which the model does not kill
+        f = tmp_path / "model.crm"
+        f.write_text(
+            "vars x1 x2 x3 x4\nzeta e=3\n"
+            "poly F = x1*(x2^2 + zeta*x3*x4 - 2*x4^2)"
+            " + zeta^2*x2^3 - x3^3 + (1 + zeta)*x2*x3*x4 + 1/2*x4^3\n"
+            "poly T = x1*(x2^2 + zeta*x3*x4 - 2*x4^2)"
+            " + zeta^2*x2^3 - x3^3 + (1 + zeta)*x2*x3*x4 + 1/2*x4^3 + zeta*x1*x2*x3\n"
+            "poly P1 = -1*(zeta^2*x2^3 - x3^3 + (1 + zeta)*x2*x3*x4 + 1/2*x4^3)\n"
+            "poly P2 = x2*(x2^2 + zeta*x3*x4 - 2*x4^2)\n"
+            "poly P3 = x3*(x2^2 + zeta*x3*x4 - 2*x4^2)\n"
+            "poly P4 = x4*(x2^2 + zeta*x3*x4 - 2*x4^2)\n"
+            "map M = P1, P2, P3, P4\n")
+        assert main(["verify", "identity", str(f), "--map", "M", "--target", "F"]) == 0
+        assert capsys.readouterr().out == "identity holds\n"
+        assert main(["verify", "identity", str(f), "--map", "M", "--target", "T"]) == 1
+        assert capsys.readouterr().out == "identity FAILS\n"
+
     def test_map_degree(self, tmp_path, capsys):
         f = tmp_path / "sq.crm"
         f.write_text("vars x1 x2\npoly A = x1^2\npoly B = x2^2\nmap M = A, B\n"

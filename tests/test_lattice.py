@@ -192,6 +192,16 @@ class TestSpans:
         with pytest.raises(ValueError):
             spans_same_lattice(((1, 2), (2, 4)), identity(2))
 
+    def test_empty_bases_span_the_zero_lattice(self):
+        # the invariant lattice of an action on one coordinate has no rows
+        assert spans_same_lattice((), ())
+        assert spans_same_lattice(identity(0), ())
+
+    @pytest.mark.parametrize("B", [identity(1), identity(2), ((2, 0), (0, 3))])
+    def test_empty_basis_against_a_nonempty_one(self, B):
+        assert not spans_same_lattice((), B)
+        assert not spans_same_lattice(B, ())
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cremona.action import DiagonalAction, InvariantHypersurface
 from cremona.lang import parse_poly
-from cremona.pipeline import (CremonaChain, MonomialBasis, RationalMap,
+from cremona.pipeline import (CremonaChain, MonomialBasis, RationalMap, _same_group,
                               chain_parametrization, compose_maps, cremona_step,
                               hnf_basis_for, linear_witness, parametrize_linear,
                               residual_action, rewrite_invariant, search_basis,
@@ -279,6 +279,16 @@ class TestChain:
             CremonaChain.check_link(step1, step1.image, other)
         with pytest.raises(ValueError, match="step action differs"):
             CremonaChain.check_link(step1, step1.image, DiagonalAction.trivial(5))
+
+    def test_one_coordinate_actions_compare_as_groups(self):
+        # on one coordinate every action is the trivial projective group:
+        # both invariant lattices are empty bases
+        a = DiagonalAction(1, ((3, (0,)),))
+        b = DiagonalAction(1, ((5, (0,)), (2, (0,))))
+        assert a != b and a.invariant_lattice(0) == b.invariant_lattice(0) == ()
+        assert _same_group(a, b)
+        assert _same_group(a, DiagonalAction.trivial(1))
+        assert not _same_group(a, DiagonalAction.trivial(2))
 
     def test_broken_chain_rejected(self):
         X = InvariantHypersurface(ex1_family(), EX1_ACTION)

@@ -318,6 +318,47 @@ class TestSharedFactors:
         # which only the second multiplies two powers
         assert len(calls) <= 3 + 2
 
+    def count_pairs(self, monkeypatch):
+        """len(a) * len(b) of every product: _mac is the one loop over term
+        pairs, under the ladder's rungs, the products of hat powers and the
+        cofactor products alike."""
+        pairs = []
+        real = poly._mac
+        monkeypatch.setattr(poly, "_mac",
+                            lambda out, a, b: pairs.append(len(a) * len(b)) or real(out, a, b))
+        return pairs
+
+    def test_linear_model_identity_forms_one_inner_sum(self, monkeypatch):
+        # F = x1*A + B of degree 4 over 6 variables with |A| = 8, |B| = 14:
+        # the signatures (A, 4) and (A, 3)(-B, 1) share A^3, so the check
+        # forms the inner sum B*A - A*B, which cancels, and builds no rung:
+        # 2*8*14 pairs, where a full product per signature formed 15,300
+        rng = random.Random(20)
+        V6 = tuple(f"x{i}" for i in range(1, 7))
+        cubics = [e for e in itertools.product(range(4), repeat=5) if sum(e) == 3]
+        quartics = [e for e in itertools.product(range(5), repeat=5) if sum(e) == 4]
+        A = {(1,) + e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+             for e in rng.sample(cubics, 8)}
+        B = {(0,) + e: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+             for e in rng.sample(quartics, 14)}
+        F = LaurentPoly(V6, {**A, **B})
+        model = parametrize_linear(F, 0)
+        pairs = self.count_pairs(monkeypatch)
+        assert on_variety(model, F)
+        assert sum(pairs) <= 2 * 8 * 14
+
+    def test_one_signature_products_form_the_same_pairs(self, monkeypatch):
+        # a * b and a ** 3 have one signature, all of it common: the ladder
+        # and the product of hat powers, then one pair per result term for
+        # the one-term cofactor, as before the common part was factored out
+        a, b = P("x1 + 2*x2 - x3", V3), P("x1^2 - x2*x3 + 4", V3)
+        pairs = self.count_pairs(monkeypatch)
+        assert a * b == reference_mul(a, b)
+        assert sum(pairs) == 3 * 3 + 9
+        pairs.clear()
+        assert a ** 3 == reference_pow(a, 3)
+        assert sum(pairs) == 3 * 3 + 6 * 3 + 10
+
     def test_degree13_identity_folds_zeta_on_every_rung(self, monkeypatch):
         # zeta rides in the value mod Phi_3(2^b), reduced after every rung, so
         # a component packs into one entry per monomial: 198,456 pairs, where
@@ -582,6 +623,69 @@ def test_products_of_shifted_operands_match_reference(domain, data):
         assert got == want
         assert poly_str(got) == poly_str(want)
     assert a * a == a ** 2
+
+
+U3 = ("u1", "u2", "u3")
+# one coefficient type per domain, so that the reference's types are the
+# result's: it keeps a Fraction where the expansion lifts it into Q(zeta_e)
+MULTI_COEFFS = {"Q": small_fractions, "Q(zeta3)": cyclotomics(3), "Q(zeta5)": cyclotomics(5),
+                "params over Q(zeta3)": st.dictionaries(
+                    st.tuples(st.integers(0, 2), st.integers(0, 2)), cyclotomics(3).filter(bool),
+                    min_size=1, max_size=2).map(lambda d: ParamCoeff(LaurentPoly(("t1", "t2"), d))),
+                "F_7": st.integers(1, 6).map(lambda v: FpElem(7, v))}
+
+
+@pytest.mark.parametrize("case", ["cancellation", "one-term twin", "no common part"])
+@pytest.mark.parametrize("domain", MULTI_COEFFS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_multi_signature_substitute_matches_reference(domain, case, data):
+    # the linear model of F = x1*A + B scaled by c*u^m, a Laurent monomial:
+    # x1 -> -c*u^m*B and x_j -> c*u^m*u_(j-1)*A, so the images have two hats
+    # and every signature shares A^a; x5 -> a monomial.  Its terms vanish
+    # as one inner sum, a twin's extra term survives it, and targets that
+    # keep the hats apart have signatures with no common part
+    coeffs = MULTI_COEFFS[domain].filter(bool)
+    a = data.draw(st.integers(1, 2))
+
+    def form(degree):  # 2-4 terms of one degree in three variables
+        monos = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+        return data.draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=2,
+                                         max_size=4))
+
+    A, B = form(a), form(a + 1)
+    c = data.draw(coeffs)
+    m = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    scaled = [LaurentPoly(U3, {tuple(x + (i == j) for i, x in enumerate(m)): c})
+              for j in range(-1, 3)]
+    images = {"x1": -scaled[0] * LaurentPoly(U3, B),
+              **{f"x{j + 2}": scaled[j + 1] * LaurentPoly(U3, A) for j in range(3)},
+              "x5": LaurentPoly(U3, {data.draw(st.tuples(*[st.integers(-2, 2)] * 3)):
+                                     data.draw(coeffs)})}
+    shifts = data.draw(st.sets(st.integers(0, 2), min_size=1))
+    if case == "no common part":  # a term in x1 alone and one in x2..x4 alone, at least
+        in_b = st.tuples(st.integers(1, 2), st.just((0, 0, 0)))
+        in_a = st.tuples(st.just(0), st.tuples(*[st.integers(0, 2)] * 3).filter(any))
+        keys = [data.draw(in_b), data.draw(in_a)] + data.draw(
+            st.lists(st.one_of(in_b, in_a, st.just((0, (0, 0, 0)))), max_size=4))
+        F = LaurentPoly(V5, {(i, *f, data.draw(st.sampled_from(sorted(shifts)))): data.draw(coeffs)
+                             for i, f in keys})
+    else:
+        F = LaurentPoly(V5, {**{(1, *f, k): v for f, v in A.items() for k in shifts},
+                             **{(0, *f, k): v for f, v in B.items() for k in shifts}})
+        if case == "one-term twin":
+            f = data.draw(st.sampled_from(list(A) + list(B)))
+            k = data.draw(st.integers(0, 2))
+            F = F + LaurentPoly(V5, {(int(sum(f) == a), *f, k): data.draw(coeffs)})
+    got = F.substitute(images)
+    want = reference_substitute(F, images)
+    assert got == want
+    assert poly_str(got) == poly_str(want)
+    assert typed_terms(got) == typed_terms(want)
+    if case == "cancellation":
+        assert not got
+    elif case == "one-term twin":
+        assert got
 
 
 class TestGcd:
