@@ -74,21 +74,19 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (dense, ascending), den monic-up-to-sign."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
+def _divmod(num, den) -> tuple[list, list]:
+    """(q, r) with num = q * den + r and len(r) = deg den: long division of
+    dense ascending coefficient lists, int or Fraction entries, by a monic
+    integer polynomial.  Zero entries of q and den are skipped."""
+    r, n = list(num), len(den) - 1
+    q = [0] * max(len(r) - n, 0)
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q[i] = c // lead
-        for j, dj in enumerate(den):
-            num[i + j] -= q[i] * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return q
+        c = q[i] = r[i + n]
+        if c:
+            for j in range(n):
+                if den[j]:
+                    r[i + j] -= c * den[j]
+    return q, r[:n] + [0] * (n - len(r))
 
 
 @lru_cache(maxsize=None)
@@ -103,32 +101,15 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (e - 1) + [1]  # x^e - 1
     for d in range(1, e):
         if e % d == 0:
-            poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def euler_phi(e: int) -> int:
     return len(cyclotomic_polynomial(e)) - 1
-
-
-@lru_cache(maxsize=None)
-def _power_reductions(e: int) -> tuple[tuple[int, ...], ...]:
-    """zeta_e^k in the basis 1, zeta, ..., zeta^{phi-1} for k = phi(e) .. e-1,
-    as integer vectors (Phi_e is monic with integer coefficients)."""
-    phi = euler_phi(e)
-    mod = cyclotomic_polynomial(e)
-    # x^phi = -(c_0 + ... + c_{phi-1} x^{phi-1})  since Phi_e is monic
-    cur = [-c for c in mod[:phi]]
-    rows = []
-    for _ in range(phi, e):
-        rows.append(tuple(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(phi):
-                cur[j] -= top * mod[j]
-    return tuple(rows)
 
 
 def power(base, n: int, one):
@@ -292,20 +273,13 @@ class Cyclotomic:
 
 def _reduce_vector(order: int, conv) -> tuple:
     """Fold sum_k conv[k] * zeta^k, of any length, into the power basis
-    1, zeta, ..., zeta^{phi-1}.  Works on Fraction or int entries."""
-    phi = euler_phi(order)
-    out = list(conv[:phi]) + [0] * (phi - len(conv))
-    rows = _power_reductions(order)
-    for k in range(phi, len(conv)):
-        c = conv[k]
-        if c:
-            k %= order  # zeta^order = 1
-            if k < phi:
-                out[k] += c
-            else:
-                for j, r in enumerate(rows[k - phi]):
-                    out[j] += c * r
-    return tuple(out)
+    1, zeta, ..., zeta^{phi-1}: zeta^order = 1 first, then the remainder
+    mod Phi_order.  Works on Fraction or int entries."""
+    folded = list(conv[:order])
+    for k in range(order, len(conv)):
+        if conv[k]:
+            folded[k % order] += conv[k]
+    return tuple(_divmod(folded, cyclotomic_polynomial(order))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Matrices are tuples of tuples of Python ints; rows of a basis span a lattice.
 The single canonical form used everywhere is the row-style Hermite normal
 form with positive pivots and entries above pivots reduced into [0, pivot).
-It is also the only elimination loop: the Smith normal form is built from
-rounds of it on a matrix and its transpose.
+It is also the only unimodular elimination loop: the Smith normal form is
+built from rounds of it on a matrix and its transpose.  ``det`` runs its own
+fraction-free (Bareiss) elimination, which needs no unimodular transform.
 """
 from __future__ import annotations
 

@@ -366,12 +366,6 @@ def _mac(out: dict, a: dict, b: dict) -> dict:
     return out
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    """a * b on packed keys: a rung of a hat's ladder, or a product of hat
-    powers."""
-    return _mac({}, a, b)
-
-
 def _radix(order: int, bound: int) -> tuple[int, int]:
     """(B, N) for the least B = 2^b at which ``_digits`` recovers every
     vector v of phi(order) integers at most ``bound`` in absolute value from
@@ -554,8 +548,8 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         for i, (j, k) in enumerate(sig):
             pows = powers[j]
             while len(pows) < k:
-                pows.append(fold(_pmul(pows[-1], pows[0])))
-            product = pows[k - 1] if not i else fold(_pmul(product, pows[k - 1]))
+                pows.append(fold(_mac({}, pows[-1], pows[0])))
+            product = pows[k - 1] if not i else fold(_mac({}, product, pows[k - 1]))
         return product
 
     # the hat powers every signature shares multiply the inner sum once

@@ -39,16 +39,17 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .action import InvariantHypersurface
-from .coeffs import ParamCoeff, is_prime, root_embed, to_prime_field
+from .coeffs import is_prime, root_embed, to_prime_field
 from .pipeline import CremonaStep, RationalMap
-from .poly import LaurentPoly
+from .poly import LaurentPoly, scalar_str
 
 ENUMERATION_GUARD = 10 ** 7
 
 
 class Refusal(ValueError):
     """A check declined its input before running: a characteristic its
-    argument does not cover, a polynomial it does not apply to, a map with
+    argument does not cover, a polynomial it does not apply to (among them
+    one with a coefficient that has no residue mod p), a map with
     more or fewer components than its target has variables (or, for a
     degree, fewer than its source has coordinates), or an enumeration past
     ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
@@ -116,13 +117,14 @@ _TERMS_PER_STATEMENT = 64
 
 
 def _terms_mod(poly: LaurentPoly, p: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The ``(coeff, exps)`` terms of ``poly`` whose coefficient is nonzero mod p."""
+    """The ``(coeff, exps)`` terms of ``poly`` whose coefficient is nonzero
+    mod p; a coefficient with no residue mod p is refused."""
     terms = []
     for e, c in poly.sorted_terms():
-        if isinstance(c, ParamCoeff):  # no F_p check applies before specialize_params
-            raise Refusal("parameter coefficients must be specialized before "
-                          "finite-field reduction")
-        v = to_prime_field(c, p).value
+        try:
+            v = to_prime_field(c, p).value
+        except (ZeroDivisionError, ValueError) as exc:
+            raise Refusal(f"coefficient {scalar_str(c)} has no residue mod {p}: {exc}") from exc
         if v:
             terms.append((v, e))
     return terms

@@ -98,15 +98,23 @@ class TestVerify:
         (["map-degree", "SHORT", "--prime", "7"], "cannot be generically finite"),
         (["smooth", "PARAMS"], "must be specialized"),
         (["map-degree", "PARAMS", "--map", "M"], "must be specialized"),
+        (["smooth", "SEVENTHS"], "coefficient 3/7 has no residue mod 7"),
+        (["smooth", "SEVENTHS", "--prime", "7"], "coefficient 3/7 has no residue mod 7"),
+        (["map-degree", "ZETA5"], "coefficient zeta has no residue mod 7"),
     ])
     def test_refused_scan_exit_code(self, argv, message, fermat_file, tmp_path, capsys):
         # exit 1 is a verdict (a singular point found); a scan that never ran exits 2
         files = {"FERMAT": fermat_file, "SKEW": tmp_path / "skew.crm",
                  "SQUARES": tmp_path / "sq.crm", "SHORT": tmp_path / "short.crm",
-                 "PARAMS": tmp_path / "params.crm"}
+                 "PARAMS": tmp_path / "params.crm", "SEVENTHS": tmp_path / "sevenths.crm",
+                 "ZETA5": tmp_path / "zeta5.crm"}
         files["PARAMS"].write_text("vars x1 x2 x3\nparams t1\npoly F = t1*x1^3 + x2^3 + x3^3\n"
                                    "poly A = t1*x1^2\npoly B = x2^2\npoly C = x3^2\n"
                                    "map M = A, B, C\nprime 7\n")
+        # the default prime 7 divides a denominator; F_7* has no element of order 5
+        files["SEVENTHS"].write_text("vars x1 x2 x3\npoly F = 1/7*x1^3 + x2^3 + x3^3\n")
+        files["ZETA5"].write_text("vars x1 x2 x3\nzeta e=5\npoly A = x1^2\npoly B = zeta*x2^2\n"
+                                  "poly C = x3^2\nmap M = A, B, C\nprime 7\n")
         files["SKEW"].write_text("vars x1 x2 x3\npoly F = x1^3 + x2^2\nprime 7\n")
         files["SQUARES"].write_text("vars x1 x2\npoly A = x1^2\npoly B = x2^2\nmap M = A, B\n")
         files["SHORT"].write_text("vars x1 x2 x3\npoly A = x1\npoly F = x1^3 + x2^3 + x3^3\n"

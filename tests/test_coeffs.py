@@ -75,6 +75,32 @@ def test_reduce_vector_any_length(e):
         assert Cyclotomic(e, tuple(Fraction(c) for c in fold)) == Cyclotomic.zeta(e) ** k
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    # Phi_105 is the first with a coefficient other than 0 and +-1
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for e in range(1, 121):
+        want = sympy.Poly(sympy.cyclotomic_poly(e, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(e) == tuple(map(int, want)), e
+    assert min(cyclotomic_polynomial(105)) == -2
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 21])
+def test_reduce_vector_matches_sympy_rem(e):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    mod = sympy.cyclotomic_poly(e, x)
+    rng = random.Random(e)
+    for length in range(3 * e + 1):
+        for entry in (lambda: rng.randint(-9, 9),
+                      lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+            v = [entry() for _ in range(length)]
+            rem = sympy.rem(sum(sympy.Rational(c) * x ** k for k, c in enumerate(v)), mod, x)
+            want = sympy.Poly(rem, x).all_coeffs()[::-1]
+            want += [0] * (euler_phi(e) - len(want))
+            assert _reduce_vector(e, v) == tuple(Fraction(str(c)) for c in want)
+
+
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=5)
 

@@ -213,6 +213,14 @@ def test_ring_axioms(data):
     assert poly_str(a ** n) == poly_str(want)
 
 
+def count_mac(monkeypatch):
+    """One entry per product: _mac is the one loop over term pairs."""
+    calls = []
+    real = poly._mac
+    monkeypatch.setattr(poly, "_mac", lambda out, a, b: calls.append(1) or real(out, a, b))
+    return calls
+
+
 class TestPackedProduct:
     SUMS = {"Q": P("x1 + 1/2*x2^-1", V2), "Q(zeta3)": P("x1 + zeta*x2", V2, zeta_order=3),
             "params": P("t1*x1 - x2", V2, ("t1",)), "F_7": P("x1 + 2*x2", V2).reduce_mod(7)}
@@ -220,9 +228,7 @@ class TestPackedProduct:
     @pytest.mark.parametrize("domain", SUMS)
     def test_multi_term_operands_reach_the_kernel(self, monkeypatch, domain):
         f = self.SUMS[domain]
-        calls = []
-        real = poly._pmul
-        monkeypatch.setattr(poly, "_pmul", lambda a, b: calls.append(1) or real(a, b))
+        calls = count_mac(monkeypatch)
         m = LaurentPoly(V2, dict([next(iter(f.terms.items()))]))
         f * m, m * f, m ** 3
         assert not calls  # a one-term factor only shifts and scales
@@ -237,9 +243,9 @@ class TestPackedProduct:
         # ladder of f ** 40 multiplies values of up to 147 bits
         f = P("3*x1 + 5*x2 + 6", V2).reduce_mod(7)
         values = []
-        real = poly._pmul
-        monkeypatch.setattr(poly, "_pmul",
-                            lambda a, b: values.extend([*a.values(), *b.values()]) or real(a, b))
+        real = poly._mac
+        monkeypatch.setattr(poly, "_mac", lambda out, a, b:
+                            values.extend([*a.values(), *b.values()]) or real(out, a, b))
         got = f ** 40
         assert values and all(0 <= v < 7 for v in values)
         assert got == reference_pow(f, 40)
@@ -295,12 +301,6 @@ class TestSharedFactors:
     """Images equal up to a monomial share one hat: its powers are built
     once, and the terms of one factor signature share one product."""
 
-    def count_pmul(self, monkeypatch):
-        calls = []
-        real = poly._pmul
-        monkeypatch.setattr(poly, "_pmul", lambda a, b: calls.append(1) or real(a, b))
-        return calls
-
     def test_linear_model_builds_one_ladder(self, monkeypatch):
         # F = x1*A + B over 6 variables, A an 8-term cubic; the model sends
         # x_j to y_j*A, so every image but -B has the hat of A
@@ -312,11 +312,11 @@ class TestSharedFactors:
         B = {(0,) + e: Fraction(rng.randint(-9, 9) or 1) for e in rng.sample(quartics, 30)}
         F = LaurentPoly(V6, {**A, **B})
         model = parametrize_linear(F, 0)
-        calls = self.count_pmul(monkeypatch)
+        calls = count_mac(monkeypatch)
         assert on_variety(model, F)
-        # A^2, A^3, A^4 once each; signatures (A, 4) and (A, 3)(-B, 1), of
-        # which only the second multiplies two powers
-        assert len(calls) <= 3 + 2
+        # signatures (A, 4) and (A, 3)(-B, 1) share A^3: two products form
+        # the inner sum, which cancels, and no rung of A is built
+        assert len(calls) == 2
 
     def count_pairs(self, monkeypatch):
         """len(a) * len(b) of every product: _mac is the one loop over term
@@ -361,25 +361,26 @@ class TestSharedFactors:
 
     def test_degree13_identity_folds_zeta_on_every_rung(self, monkeypatch):
         # zeta rides in the value mod Phi_3(2^b), reduced after every rung, so
-        # a component packs into one entry per monomial: 198,456 pairs, where
-        # a key slot for the zeta power formed 619,936.  The count is exact,
-        # so putting zeta back into the key fails here
+        # a component packs into one entry per monomial: per component two
+        # rungs and one cofactor product, 205,020 pairs in all (198,456 of
+        # them on the rungs), where a key slot for the zeta power formed
+        # 619,936 on the rungs alone.  The count is exact, so putting zeta
+        # back into the key fails here
         emap = explicit_degree3_map()
-        pairs = []
-        real = poly._pmul
-        monkeypatch.setattr(poly, "_pmul",
-                            lambda a, b: pairs.append(len(a) * len(b)) or real(a, b))
+        pairs = self.count_pairs(monkeypatch)
         assert on_variety(emap, FERMAT) is True
-        assert sum(pairs) <= 198_456
+        assert (len(pairs), sum(pairs)) == (15, 205_020)
 
     def test_equal_images_share_one_power(self, monkeypatch):
         s = P("u1 + u2 + 1", U2)
         images = {"x1": s, "x2": P("u1^-1", U2) * s, "x3": 2 * s}
         F = P("x1^2 + x1*x2 + x2^2 + x3^2", V3)
-        calls = self.count_pmul(monkeypatch)
+        calls = count_mac(monkeypatch)
         got = F.substitute(images)
         assert got == reference_substitute(F, images)
-        assert len(calls) == 2  # s^2 once, (2*s)^2 once: x1 and x2 share s
+        # s^2 once and (2*s)^2 once, each times its one cofactor: x1 and x2
+        # share s, so x1^2, x1*x2 and x2^2 have one signature
+        assert len(calls) == 2 + 2
 
     @pytest.mark.parametrize("scalars", [
         (Fraction(1), Fraction(2), Cyclotomic(3, (Fraction(1), Fraction(0))),
