@@ -393,8 +393,9 @@ def to_prime_field(x, p: int) -> FpElem:
 
     The residue is computed on ints (a fraction as its numerator times the
     inverse of its denominator, an element of Q(zeta_e) as sum c_k r^k with r
-    = ``root_embed(e, p)``) and wrapped in one ``FpElem``, which checks that
-    p is prime."""
+    = ``root_embed(e, p)``, a rational one as its constant coefficient, which
+    needs no such r) and wrapped in one ``FpElem``, which checks that p is
+    prime."""
     if isinstance(x, FpElem):
         if x.p != p:
             raise ValueError(f"prime field mismatch: {x.p} vs {p}")
@@ -411,6 +412,8 @@ def _residue(x, p: int) -> int:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
         return x.numerator * pow(x.denominator, p - 2, p)
     if isinstance(x, Cyclotomic):
+        if x.is_rational():  # needs no root of unity in F_p
+            return _residue(x.coeffs[0], p)
         r = root_embed(x.order, p).value
         acc, power = 0, 1
         for c in x.coeffs:

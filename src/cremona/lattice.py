@@ -172,14 +172,16 @@ def lattice_index(B: IntMatrix) -> int:
     return abs(d)
 
 
-def solve_in_lattice(B: IntMatrix, target: tuple[int, ...]):
+def solve_in_lattice(B: IntMatrix, target: tuple[int, ...], *, reduced=None):
     """Integer coefficients c with sum(c_i * B_i) == target, or None.
 
-    B must have Z-linearly independent rows.
+    B must have Z-linearly independent rows.  A caller that solves many
+    targets in one basis passes ``reduced``, the ``hermite_normal_form(B)``
+    it holds, so that B is reduced once.
     """
     if not B:
         return () if not any(target) else None
-    H, U = hermite_normal_form(B)
+    H, U = hermite_normal_form(B) if reduced is None else reduced
     if any(not any(row) for row in H):
         raise ValueError("basis rows are not linearly independent")
     t = list(target)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, sub
 
 from . import lattice
 from .action import DiagonalAction, InvariantHypersurface, common_chart, subgroup_index
@@ -51,9 +51,13 @@ class MonomialBasis:
 
 @dataclass(frozen=True)
 class BasisDiagnosis:
+    """The verdict of ``validate_basis``; ``group_order`` is the action's
+    order once the check has computed it (always when ``ok``)."""
+
     ok: bool
     reason: str | None = None
     sublattice_index: int | None = None
+    group_order: int | None = None
 
 
 def validate_basis(action: DiagonalAction, chart: int, basis: MonomialBasis) -> BasisDiagnosis:
@@ -71,9 +75,9 @@ def validate_basis(action: DiagonalAction, chart: int, basis: MonomialBasis) -> 
     order = action.group_order()
     if abs(d) != order:
         idx = abs(d) // order
-        return BasisDiagnosis(
-            False, f"rows span a proper sublattice of index {idx}", sublattice_index=idx)
-    return BasisDiagnosis(True)
+        return BasisDiagnosis(False, f"rows span a proper sublattice of index {idx}",
+                              sublattice_index=idx, group_order=order)
+    return BasisDiagnosis(True, group_order=order)
 
 
 def hnf_basis_for(action: DiagonalAction, chart: int | None = None) -> MonomialBasis:
@@ -189,16 +193,19 @@ def compose_maps(g: RationalMap, f: RationalMap) -> RationalMap:
 def rewrite_invariant(f: LaurentPoly, chart: int, basis: MonomialBasis):
     """Write the chart equation f as p/q in the basis monomials, gcd(p, q) = 1.
 
-    Returns (p, q) over variables u1..un; q is a single monomial.
+    Returns (p, q) over variables u1..un; q is a single monomial.  The basis
+    is reduced to Hermite normal form once, and every term is solved against
+    that one reduction.
     """
     n = basis.size
     u_vars = tuple(f"u{i + 1}" for i in range(n))
+    reduced = lattice.hermite_normal_form(basis.rows)
     coords: dict[tuple[int, ...], object] = {}
     for e, c in f.terms.items():
         alpha = e[:chart] + e[chart + 1:]
         if e[chart] != 0:
             raise ValueError("chart variable still occurs after dehomogenization")
-        sol = lattice.solve_in_lattice(basis.rows, alpha)
+        sol = lattice.solve_in_lattice(basis.rows, alpha, reduced=reduced)
         if sol is None:
             raise ValueError(
                 f"term with exponents {alpha} is not generated by the basis "
@@ -316,7 +323,7 @@ def cremona_step(X: InvariantHypersurface, chart: int,
         residual = DiagonalAction.trivial(n)
     return CremonaStep(
         input=X, chart=chart, basis=basis, p=p_u, q=q_u, image=image, degree=d,
-        forward=forward, residual=residual, group_order=action.group_order())
+        forward=forward, residual=residual, group_order=diag.group_order)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +444,12 @@ def chain_parametrization(chain: CremonaChain, model: RationalMap,
 SEARCH_ENTRY_BOUND = 16
 
 
-def _search_entry(rows, coords):
-    """A beam entry: basis rows, coordinate rows, the coordinates' column
-    sums, each coordinate row's shift max(0, -min(row)) and their total."""
+def _search_entry(key, rows, coords):
+    """A beam entry: the basis's key and rows, the chart equation's
+    coordinate rows, their column sums, each coordinate row's shift
+    max(0, -min(row)) and their total."""
     shifts = tuple(max(0, -min(r)) for r in coords)
-    return rows, coords, tuple(map(sum, zip(*coords))), shifts, sum(shifts)
+    return key, rows, coords, tuple(map(sum, zip(*coords))), shifts, sum(shifts)
 
 
 def search_basis(X: InvariantHypersurface, chart: int,
@@ -454,12 +462,25 @@ def search_basis(X: InvariantHypersurface, chart: int,
     of ``depth`` >= 0 levels.  Candidates are ranked by (total degree of the
     rewritten chart equation p, rows); that degree is the output degree.
 
-    A beam entry carries the coordinates of the chart equation's terms in
-    its basis, one row per basis row, with their column sums and shifts, so
-    that p's degree is max(column sums) + total shift.  Adding k times basis
-    row j to row i subtracts k times coordinate row i from coordinate row j,
-    and negating basis row i subtracts twice coordinate row i from itself
-    (Cohen, Sec. 2.4).  Either way the column sums lose a multiple of
+    Each basis is keyed by one int (Monagan & Pearce, 2009).  Let M be the
+    larger of SEARCH_ENTRY_BOUND and the largest |entry| of the start: a
+    move keeps every entry within M, because a row sum must stay within the
+    bound and a negation keeps |x|.  The key writes the n^2 entries, first
+    entry most significant, as signed digits in radix R = 2M + 1; it differs
+    by a constant from the number whose digits are the entries plus M, all
+    in [0, 2M], so int order on keys is the lexicographic order of the rows,
+    and the ranking's tie-breaks are the rows'.  With w_i the weight of slot
+    i and P(row) the row written in the same radix, adding k times row r to
+    row i adds k * P(row r) * w_i to the key, and negating row i subtracts
+    2 * P(row i) * w_i.  So the seen set holds keys, the sort and the best
+    compare (degree, key) pairs, and row tuples are built for survivors only.
+
+    A beam entry also carries the coordinates of the chart equation's terms
+    in its basis, one row per basis row, with their column sums and shifts,
+    so that p's degree is max(column sums) + total shift.  Adding k times
+    basis row j to row i subtracts k times coordinate row i from coordinate
+    row j, and negating basis row i subtracts twice coordinate row i from
+    itself (Cohen, Sec. 2.4).  Either way the column sums lose a multiple of
     coordinate row i and one shift changes, so a candidate is scored from
     its parent's entry in O(terms).  Only the survivors of a level get
     entries, and only the start and the winner build a step.
@@ -469,49 +490,66 @@ def search_basis(X: InvariantHypersurface, chart: int,
     start = hnf_basis_for(X.action, chart)
     step = cremona_step(X, chart, start)  # validates the chart, F and the start basis once
     (q_exp,) = step.q.terms
-    beam = [_search_entry(start.rows, tuple(tuple(e[j] - qj for e in step.p.terms)
-                                            for j, qj in enumerate(q_exp)))]
-    _, _, cols, _, total = beam[0]
-    best = (max(cols) + total, start.rows)
-    seen = {start.rows}
+    n = start.size
+    radix = 2 * max([SEARCH_ENTRY_BOUND] + [abs(x) for row in start.rows for x in row]) + 1
+    digits = tuple(radix ** (n - 1 - k) for k in range(n))
+    slots = tuple(radix ** (n * (n - 1 - i)) for i in range(n))
+
+    def pack(row):
+        return sum(x * w for x, w in zip(row, digits))
+
+    key = sum(pack(row) * w for row, w in zip(start.rows, slots))
+    beam = [_search_entry(key, start.rows, tuple(
+        tuple(e[j] - qj for e in step.p.terms) for j, qj in enumerate(q_exp)))]
+    *_, cols, _, total = beam[0]
+    best = (max(cols) + total, key, start.rows)
+    seen = {key}
     for _ in range(depth):
         # every move keeps the rows invariant and |det| equal to the group
         # order, so every candidate is a valid basis; a candidate is (degree,
-        # rows, parent, r, i, m): coordinate row r of the parent loses m
+        # key, parent, r, i, m): coordinate row r of the parent loses m
         # times its coordinate row i
         candidates = []
-        for b, (rows, coords, cols, shifts, total) in enumerate(beam):
-            for i, (ri, ci) in enumerate(zip(rows, coords)):
-                head, tail = rows[:i], rows[i + 1:]
+        for b, (key, rows, coords, cols, shifts, total) in enumerate(beam):
+            packed = [pack(r) for r in rows]
+            sizes = [max(map(abs, r)) for r in rows]
+            for i, (ri, pi, ci, wi) in enumerate(zip(rows, packed, coords, slots)):
                 down, up = tuple(map(sub, cols, ci)), tuple(map(add, cols, ci))
-                rows2 = head + (tuple(map(neg, ri)),) + tail
-                if rows2 not in seen:
-                    seen.add(rows2)
+                key2 = key - 2 * pi * wi
+                if key2 not in seen:
+                    seen.add(key2)
                     degree = max(map(sub, down, ci)) + total - shifts[i] + max(0, max(ci))
-                    candidates.append((degree, rows2, b, i, i, 2))
-                # row i +/- row j: coordinate row j -/+ coordinate row i
+                    candidates.append((degree, key2, b, i, i, 2))
+                # row i +/- row j: coordinate row j -/+ coordinate row i.  A
+                # seen key is skipped before the bound is checked: a move past
+                # the bound is skipped either way, and only moves within it
+                # enter seen.  Rows whose sizes sum to at most the bound give
+                # a row within it.
                 signs = ((1, add, sub, max(down) + total), (-1, sub, add, max(up) + total))
-                for j, (rj, cj) in enumerate(zip(rows, coords)):
+                room = SEARCH_ENTRY_BOUND - sizes[i]
+                for j, (rj, pj, cj, sj) in enumerate(zip(rows, packed, coords, sizes)):
                     if j == i:
                         continue
+                    move = pj * wi
                     for m, row_op, coord_op, top in signs:
-                        row = tuple(map(row_op, ri, rj))
-                        if max(map(abs, row)) > SEARCH_ENTRY_BOUND:
+                        key2 = row_op(key, move)
+                        if key2 in seen or sj > room and \
+                                max(map(abs, map(row_op, ri, rj))) > SEARCH_ENTRY_BOUND:
                             continue
-                        rows2 = head + (row,) + tail
-                        if rows2 in seen:
-                            continue
-                        seen.add(rows2)
+                        seen.add(key2)
                         degree = top - shifts[j] + max(0, -min(map(coord_op, cj, ci)))
-                        candidates.append((degree, rows2, b, j, i, m))
+                        candidates.append((degree, key2, b, j, i, m))
         if not candidates:
             break
-        candidates.sort()  # (degree, rows) differ, so the tails are never compared
-        best = min(best, candidates[0][:2])
+        candidates.sort()  # (degree, key) differ, so the tails are never compared
         parents, beam = beam, []
-        for _, rows2, b, r, i, m in candidates[:width]:
-            coords = parents[b][1]
-            row = tuple(a - m * x for a, x in zip(coords[r], coords[i]))
-            beam.append(_search_entry(rows2, coords[:r] + (row,) + coords[r + 1:]))
-    basis = MonomialBasis(best[1])
+        for _, key, b, r, i, m in candidates[:width]:
+            _, rows, coords = parents[b][:3]
+            k = -m if r == i else m  # basis row i gains k times basis row r
+            row = tuple(a + k * x for a, x in zip(rows[i], rows[r]))
+            coord = tuple(a - m * x for a, x in zip(coords[r], coords[i]))
+            beam.append(_search_entry(key, rows[:i] + (row,) + rows[i + 1:],
+                                      coords[:r] + (coord,) + coords[r + 1:]))
+        best = min(best, (candidates[0][0],) + beam[0][:2])
+    basis = MonomialBasis(best[2])
     return basis, cremona_step(X, chart, basis)

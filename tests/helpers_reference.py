@@ -164,6 +164,8 @@ def reference_to_prime_field(x, p: int) -> FpElem:
             raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
         return FpElem(p, x.numerator) / FpElem(p, x.denominator)
     if isinstance(x, Cyclotomic):
+        if not any(x.coeffs[1:]):
+            return reference_to_prime_field(x.coeffs[0], p)
         r = root_embed(x.order, p)
         acc = FpElem(p, 0)
         for k, c in enumerate(x.coeffs):

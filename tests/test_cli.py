@@ -124,6 +124,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and message in captured.err
 
+    def test_rational_cyclotomic_coefficient_reduces(self, tmp_path, capsys):
+        # zeta*zeta^4 = 1 needs no 5th root of unity in F_7, where zeta does
+        f = tmp_path / "zeta5.crm"
+        f.write_text("vars x1 x2 x3\nzeta e=5\npoly A = x1^2\npoly B = zeta*zeta^4*x2^2\n"
+                     "poly C = x3^2\nmap M = A, B, C\nprime 7\n")
+        assert main(["verify", "map-degree", str(f)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "inferred degree: 4" in captured.out
+
     def test_identity_failure_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.crm"
         f.write_text(

@@ -276,6 +276,16 @@ class TestToPrimeField:
         with pytest.raises(ZeroDivisionError):
             to_prime_field(Fraction(1, 7), 7)
 
+    def test_rational_cyclotomic_needs_no_root(self):
+        # F_7* has no element of order 5, and a rational element needs none
+        assert to_prime_field(Cyclotomic.from_rational(5, Fraction(3)), 7) == FpElem(7, 3)
+        assert to_prime_field(Cyclotomic.zeta(5) * Cyclotomic.zeta(5, 4), 7) == FpElem(7, 1)
+        assert to_prime_field(Cyclotomic.from_rational(5, Fraction(1, 2)), 7) == FpElem(7, 4)
+        with pytest.raises(ZeroDivisionError):
+            to_prime_field(Cyclotomic.from_rational(5, Fraction(1, 7)), 7)
+        with pytest.raises(ValueError, match="no element of order 5"):
+            to_prime_field(Cyclotomic.zeta(5), 7)
+
 
 def reduction_or_error(f, x, p):
     """The reduction of x into F_p, or the type of the exception raised."""

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cremona.action import DiagonalAction, InvariantHypersurface
 from cremona.lang import parse_poly
-from cremona.pipeline import (CremonaChain, MonomialBasis, RationalMap, _same_group,
+from cremona.pipeline import (SEARCH_ENTRY_BOUND, BasisDiagnosis, CremonaChain,
+                              MonomialBasis, RationalMap, _same_group,
                               chain_parametrization, compose_maps, cremona_step,
                               hnf_basis_for, linear_witness, parametrize_linear,
                               residual_action, rewrite_invariant, search_basis,
@@ -28,7 +29,7 @@ def P(text, variables=V5, params=(), zeta_order=None):
 
 class TestValidateBasis:
     def test_worked_bases_ok(self):
-        assert validate_basis(EX1_ACTION, 4, EX1_BASIS).ok
+        assert validate_basis(EX1_ACTION, 4, EX1_BASIS) == BasisDiagnosis(True, group_order=3)
         assert validate_basis(C3C3_ACTION, 4, C3C3_BASIS).ok
         assert validate_basis(PAIR_ACTION, 4, EX3_BASIS).ok
 
@@ -69,8 +70,26 @@ class TestRewriteInvariant:
 
     def test_non_lattice_term_rejected(self):
         f = P("x1 + x2", V3).dehomogenize(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"term with exponents \(1, 0\) is not generated "
+                                             r"by the basis \(non-invariant polynomial"):
             rewrite_invariant(f, 2, MonomialBasis(((2, 0), (0, 1))))
+
+    def test_reduces_the_basis_once(self, monkeypatch):
+        # every term is solved against one Hermite normal form of the basis
+        import cremona.lattice
+        calls = []
+        hnf = cremona.lattice.hermite_normal_form
+
+        def counted(M):
+            calls.append(M)
+            return hnf(M)
+
+        monkeypatch.setattr(cremona.lattice, "hermite_normal_form", counted)
+        f = ex1_family().dehomogenize(4)
+        assert len(f.terms) >= 6
+        p, _ = rewrite_invariant(f, 4, EX1_BASIS)
+        assert calls == [EX1_BASIS.rows]
+        assert len(p.terms) == len(f.terms)
 
     def test_follow_up_rewrite_has_trivial_denominator(self):
         # second step of the first worked chain: everything is polynomial in
@@ -113,6 +132,20 @@ class TestCremonaStep:
         comps = [P(s) for s in
                  ("x1^2*x2", "x2^2*x5", "x1*x3*x5", "x1*x4*x5", "x1*x5^2")]
         assert list(step.forward.components) == comps
+
+    def test_group_order_computed_once(self, monkeypatch):
+        # validate_basis computes the order, and the step record reuses it
+        X = InvariantHypersurface(ex1_family(), EX1_ACTION)
+        calls = []
+        order = DiagonalAction.group_order
+
+        def counted(self):
+            calls.append(self)
+            return order(self)
+
+        monkeypatch.setattr(DiagonalAction, "group_order", counted)
+        step = cremona_step(X, 4, EX1_BASIS)
+        assert calls == [EX1_ACTION] and step.group_order == 3
 
     def test_default_basis_is_hnf(self):
         X = InvariantHypersurface(ex1_family(), EX1_ACTION)
@@ -374,6 +407,34 @@ class TestSearchBasis:
     def test_matches_reference_search(self, width, depth):
         from helpers_reference import reference_search_basis
         for X, chart in self._reference_cases():
+            basis, step = search_basis(X, chart, width, depth)
+            ref_basis, ref_step = reference_search_basis(X, chart, width, depth)
+            assert basis.rows == ref_basis.rows
+            assert (step.image, step.p, step.q, step.forward) == \
+                (ref_step.image, ref_step.p, ref_step.q, ref_step.forward)
+
+    @staticmethod
+    def _large_order_cases():
+        from helpers_random import random_cyclic_case
+        F = P("x1^2*x2^5 + x3^7 + x3^2*x4^5 + x4^7", ("x1", "x2", "x3", "x4"))
+        yield InvariantHypersurface(F, DiagonalAction(4, ((27, (1, 5, 0, 0)),))), 3
+        # a start entry equal to the bound: in radix 32 instead of 33, the
+        # rows (0, 16) and (1, -16) would share a key
+        F = P("x1^8*x3^9 + 6*x1*x2^16", V3)
+        yield InvariantHypersurface(F, DiagonalAction(3, ((16, (0, 3, 0)),))), 2
+        for seed in range(36):
+            yield random_cyclic_case(random.Random(seed))
+
+    @pytest.mark.parametrize("width,depth", [(8, 6), (2, 3), (1, 1)])
+    def test_matches_reference_on_large_orders(self, width, depth):
+        # cyclic orders 17-32: most start bases have an entry above the
+        # entry bound, which then sets the radix of the search's keys
+        from helpers_reference import reference_search_basis
+        cases = list(self._large_order_cases())
+        starts = [hnf_basis_for(X.action, chart).rows for X, chart in cases]
+        assert starts[:2] == [((1, 16, 0), (0, 27, 0), (0, 0, 1)), ((1, 0), (0, 16))]
+        assert sum(max(map(abs, sum(rows, ()))) > SEARCH_ENTRY_BOUND for rows in starts) >= 20
+        for X, chart in cases:
             basis, step = search_basis(X, chart, width, depth)
             ref_basis, ref_step = reference_search_basis(X, chart, width, depth)
             assert basis.rows == ref_basis.rows
