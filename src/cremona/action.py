@@ -8,7 +8,7 @@ constructor rejects generator sets violating this.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import lattice
 from .poly import LaurentPoly
@@ -18,6 +18,7 @@ from .poly import LaurentPoly
 class DiagonalAction:
     n_vars: int
     generators: tuple[tuple[int, tuple[int, ...]], ...]
+    _order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = []
@@ -33,6 +34,8 @@ class DiagonalAction:
             raise ValueError(
                 "no coordinate has trivial character for every generator; "
                 "rescale the generators so a fixed coordinate hyperplane exists")
+        object.__setattr__(self, "_order", lattice.lattice_index(self.invariant_lattice())
+                           if self.generators else 1)
 
     @classmethod
     def trivial(cls, n_vars: int) -> DiagonalAction:
@@ -78,6 +81,8 @@ class DiagonalAction:
         """HNF basis of the lattice of invariant Laurent monomials in the
         non-chart coordinates."""
         c = self.default_chart() if chart is None else chart
+        if not 0 <= c < self.n_vars:
+            raise ValueError(f"chart {c} out of range for {self.n_vars} coordinates")
         if any(row[c] for _, row in self.generators):
             raise ValueError(f"coordinate {c} does not have trivial character")
         if not self.generators:
@@ -88,10 +93,8 @@ class DiagonalAction:
         return lattice.congruence_kernel(W, orders)
 
     def group_order(self) -> int:
-        """Order of the induced projective group (= invariant lattice index)."""
-        if not self.generators:
-            return 1
-        return lattice.lattice_index(self.invariant_lattice())
+        """Order of the induced projective group, fixed at construction."""
+        return self._order
 
 
 def common_chart(a: DiagonalAction, b: DiagonalAction) -> int:
@@ -104,16 +107,13 @@ def common_chart(a: DiagonalAction, b: DiagonalAction) -> int:
 def subgroup_index(action: DiagonalAction, subaction: DiagonalAction) -> int:
     """Index [G : G1] computed as the lattice index of invariants.
 
-    ``subaction``'s invariant lattice must contain ``action``'s.
+    Every G-invariant monomial must have trivial G1-character.
     """
     if action.n_vars != subaction.n_vars:
         raise ValueError("ambient dimension mismatch")
     c = common_chart(action, subaction)
-    L_act = action.invariant_lattice(c)
-    L_sub = subaction.invariant_lattice(c)
-    for row in L_act:
-        if not lattice.lattice_contains(L_sub, row):
-            raise ValueError("containment violated: not a subgroup situation")
+    if any(any(subaction.character(row, chart=c)) for row in action.invariant_lattice(c)):
+        raise ValueError("containment violated: not a subgroup situation")
     big, small = action.group_order(), subaction.group_order()
     if big % small:
         raise ArithmeticError("lattice indices are not compatible")

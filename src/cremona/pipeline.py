@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from . import lattice
-from .action import DiagonalAction, InvariantHypersurface, common_chart, subgroup_index
+from .action import DiagonalAction, InvariantHypersurface, subgroup_index
 from .coeffs import ParamCoeff
 from .poly import LaurentPoly, divide_exact, poly_gcd, poly_str
 
@@ -231,8 +231,9 @@ def residual_action(parent: DiagonalAction, sub: DiagonalAction,
                     basis: MonomialBasis, chart: int) -> DiagonalAction:
     """The induced action of parent/sub on the output coordinates.
 
-    Output coordinate j transforms by the parent-character of basis row j;
-    the chart slot is fixed.  The result's order equals [parent : sub].
+    Output coordinate j transforms by the parent-character of basis row j,
+    whose x_i / x_chart carries the weight of x_i less the chart's; the
+    chart slot is fixed.  The result's order equals [parent : sub].
     """
     idx = subgroup_index(parent, sub)
     diag = validate_basis(sub, chart, basis)
@@ -240,7 +241,7 @@ def residual_action(parent: DiagonalAction, sub: DiagonalAction,
         raise ValueError(f"basis invalid for the subgroup: {diag.reason}")
     gens = []
     for order, row in parent.generators:
-        rest = row[:chart] + row[chart + 1:]
+        rest = tuple(w - row[chart] for w in row[:chart] + row[chart + 1:])
         w = tuple(sum(a * b for a, b in zip(rest, brow)) % order for brow in basis.rows)
         if any(w):
             gens.append((order, w[:chart] + (0,) + w[chart:]))
@@ -413,15 +414,12 @@ class CremonaChain:
 
 
 def _same_group(a: DiagonalAction, b: DiagonalAction) -> bool:
-    """True iff two actions, however presented, are one group: the same
-    invariant lattice on a coordinate that both leave fixed."""
-    if a.n_vars != b.n_vars:
-        return False
+    """True iff two actions, however presented, are one group: b is a
+    subgroup of a of index 1."""
     try:
-        c = common_chart(a, b)
-    except ValueError:  # no common trivial coordinate
+        return subgroup_index(a, b) == 1
+    except ValueError:  # other ambient, no common fixed coordinate, or b not in a
         return False
-    return lattice.spans_same_lattice(a.invariant_lattice(c), b.invariant_lattice(c))
 
 
 def chain_parametrization(chain: CremonaChain, model: RationalMap,

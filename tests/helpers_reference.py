@@ -4,7 +4,8 @@ two ``ParamCoeff``s as one more such loop, ``substitute`` built from those
 and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
 evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
 per-point loops over ``proj_points`` or the torus, a basis search that solves every
-candidate in the lattice again, a recursive-descent expression parser
+candidate in the lattice again, subgroup containment and group equality
+as lattice solves and HNF comparisons, a recursive-descent expression parser
 over token objects, and a coefficient renderer that builds each Cyclotomic
 sum by hand."""
 import itertools
@@ -15,9 +16,11 @@ from fractions import Fraction
 from operator import add
 
 from cremona import lang
+from cremona.action import common_chart
 from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, root_embed
 from cremona.lang import (ParseError, _coeff_size, _power_bit_bound, _power_term_bound,
                           _product_term_bound, _term_count)
+from cremona.lattice import lattice_contains, lattice_index, spans_same_lattice
 from cremona.pipeline import (SEARCH_ENTRY_BOUND, MonomialBasis, cremona_step,
                               hnf_basis_for, rewrite_invariant)
 from cremona.poly import LaurentPoly
@@ -363,6 +366,32 @@ def reference_search_basis(X, chart, width=8, depth=6):
         if candidates[0][0] < best_score:
             best_score, best_basis = candidates[0]
     return best_basis, cremona_step(X, chart, best_basis)
+
+
+def reference_subgroup_index(action, subaction):
+    """``action.subgroup_index`` as it was before it tested containment by
+    characters: both invariant lattices on a common fixed coordinate, one
+    lattice solve per row of the action's, and the index as the quotient of
+    the two lattice indices."""
+    if action.n_vars != subaction.n_vars:
+        raise ValueError("ambient dimension mismatch")
+    c = common_chart(action, subaction)
+    L_act, L_sub = action.invariant_lattice(c), subaction.invariant_lattice(c)
+    if not all(lattice_contains(L_sub, row) for row in L_act):
+        raise ValueError("containment violated: not a subgroup situation")
+    return lattice_index(L_act) // lattice_index(L_sub)
+
+
+def reference_same_group(a, b):
+    """``pipeline._same_group`` as it was before it read the subgroup index:
+    equal HNFs of the invariant lattices on a coordinate both fix."""
+    if a.n_vars != b.n_vars:
+        return False
+    try:
+        c = common_chart(a, b)
+    except ValueError:
+        return False
+    return spans_same_lattice(a.invariant_lattice(c), b.invariant_lattice(c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cremona.action import (DiagonalAction, InvariantHypersurface, common_chart,
                             subgroup_index)
 from cremona.lang import parse_poly
 from cremona.lattice import (lattice_contains, lattice_index, smith_normal_form,
                              spans_same_lattice)
+from cremona.pipeline import _same_group
+from helpers_reference import reference_same_group, reference_subgroup_index
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
 EX1 = DiagonalAction(5, ((3, (1, 2, 0, 0, 0)),))
@@ -109,12 +114,36 @@ class TestInvariantLattice:
         with pytest.raises(ValueError):
             EX1.invariant_lattice(chart=0)
 
+    @pytest.mark.parametrize("chart", [-1, 5, 6])
+    def test_chart_out_of_range(self, chart):
+        # -1 would otherwise read as the last coordinate
+        with pytest.raises(ValueError, match="out of range"):
+            EX1.invariant_lattice(chart=chart)
+
 
 class TestGroupOrder:
     def test_orders(self):
         assert EX1.group_order() == 3
         assert C3C3.group_order() == 9
         assert QFANO2.group_order() == 5
+
+    def test_order_fixed_at_construction(self, monkeypatch):
+        # the constructor reduces the invariant lattice once; the order is
+        # not part of the action's value
+        calls = []
+        lattice_of = DiagonalAction.invariant_lattice
+
+        def counted(self, chart=None):
+            calls.append(chart)
+            return lattice_of(self, chart)
+
+        monkeypatch.setattr(DiagonalAction, "invariant_lattice", counted)
+        a = DiagonalAction(5, ((3, (0, 1, 2, 2, 0)),))
+        assert calls == [None]
+        assert a.group_order() == a.group_order() == 3 and calls == [None]
+        assert DiagonalAction.trivial(5).group_order() == 1 and calls == [None]
+        assert a == DiagonalAction(5, ((3, (3, 4, 5, 2, 0)),))
+        assert repr(a) == "DiagonalAction(n_vars=5, generators=((3, (0, 1, 2, 2, 0)),))"
 
     def test_snf_cross_check(self):
         # |image of the character map| = prod(orders) / |coker of the stacked map|
@@ -159,6 +188,69 @@ class TestSubgroups:
         b = DiagonalAction(3, ((3, (0, 1, 2)),))
         with pytest.raises(ValueError):
             common_chart(a, b)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@st.composite
+def _diagonal_actions(draw, n_vars):
+    """One to three generators of order 2..5 that all fix one coordinate."""
+    fixed = draw(st.integers(0, n_vars - 1))
+    gens = []
+    for order in draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)):
+        row = draw(st.lists(st.integers(0, order - 1), min_size=n_vars, max_size=n_vars))
+        row[fixed] = 0
+        gens.append((order, tuple(row)))
+    return DiagonalAction(n_vars, tuple(gens))
+
+
+@st.composite
+def _action_pairs(draw):
+    """An action and a second one on the same coordinates: a subgroup made
+    of powers of its generators, the same group presented otherwise, an
+    unrelated action, or an action on other coordinates."""
+    n = draw(st.integers(2, 5))
+    a = draw(_diagonal_actions(n))
+    kind = draw(st.sampled_from(("powers", "presentation", "unrelated", "other ambient")))
+    if kind == "powers":
+        ks = draw(st.lists(st.integers(0, 5), min_size=len(a.generators),
+                           max_size=len(a.generators)))
+        b = DiagonalAction(n, tuple((e, tuple(k * w for w in row))
+                                    for (e, row), k in zip(a.generators, ks)))
+    elif kind == "presentation":
+        # g0 -> g0^k * g1 with k a unit mod e0, and the generators reversed
+        gens = list(a.generators)
+        if gens:
+            (e0, w0) = gens[0]
+            k = draw(st.sampled_from([k for k in range(1, e0) if math.gcd(k, e0) == 1]))
+            gens[0] = (e0, tuple(k * w for w in w0))
+        if len(gens) > 1:
+            (e0, w0), (e1, w1) = gens[:2]
+            lcm = e0 * e1 // math.gcd(e0, e1)
+            gens[0] = (lcm, tuple(lcm // e0 * x + lcm // e1 * y for x, y in zip(w0, w1)))
+        b = DiagonalAction(n, tuple(reversed(gens)))
+    elif kind == "unrelated":
+        b = draw(_diagonal_actions(n))
+    else:
+        b = draw(_diagonal_actions(n % 5 + 1))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_action_pairs())
+@example((C3C3, EX1))  # EX1 is not in C3C3: the containment check refuses
+@example((EX1, DiagonalAction(5, ((3, (2, 1, 0, 0, 0)),))))  # one group, two presentations
+def test_group_facts_match_lattice_reference(pair):
+    # subgroup_index reads containment off characters and the order fixed at
+    # construction; the reference solves in both lattices and compares HNFs
+    for a, b in (pair, pair[::-1]):
+        assert _outcome(subgroup_index, a, b) == _outcome(reference_subgroup_index, a, b)
+        assert _same_group(a, b) == reference_same_group(a, b)
 
 
 class TestInvariantHypersurface:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -17,7 +18,8 @@ from cremona.poly import LaurentPoly, poly_str
 from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, EX1_ACTION, EX1_BASIS,
                                EX1_PARAMS, EX3_BASIS, FERMAT, MAIN_G, MAIN_G1, PAIR_ACTION,
                                X5, c3c3_family, ex1_family, ex3_family)
-from cremona.verify import on_variety
+from cremona.verify import (compile_mod, eval_compiled, group_elements_mod_p, normalize_point,
+                            on_variety)
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
 V3 = ("x1", "x2", "x3")
@@ -147,6 +149,29 @@ class TestCremonaStep:
         step = cremona_step(X, 4, EX1_BASIS)
         assert calls == [EX1_ACTION] and step.group_order == 3
 
+    def test_parent_step_reduces_five_lattices(self, monkeypatch):
+        # main_parametrization's step: one HNF rewrites the chart equation,
+        # the parent's invariant lattice takes two and the residual action's
+        # order two more; containment is a character test and the
+        # subgroup's order was fixed when it was built
+        import cremona.lattice
+        calls = []
+        hnf = cremona.lattice.hermite_normal_form
+
+        def counted(M):
+            calls.append(M)
+            return hnf(M)
+
+        X = InvariantHypersurface(FERMAT, MAIN_G1)
+        basis = hnf_basis_for(MAIN_G1, chart=1)
+        monkeypatch.setattr(cremona.lattice, "hermite_normal_form", counted)
+        step = cremona_step(X, 1, basis, parent_action=MAIN_G)
+        assert len(calls) <= 5 and step.residual.group_order() == 3
+
+    def test_basis_chart_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            hnf_basis_for(EX1_ACTION, -1)
+
     def test_default_basis_is_hnf(self):
         X = InvariantHypersurface(ex1_family(), EX1_ACTION)
         step = cremona_step(X, 4)
@@ -169,6 +194,41 @@ class TestResidualAction:
             tuple(1 if i == j else 0 for j in range(4)) for i in range(4)))
         res = residual_action(EX1_ACTION, DiagonalAction.trivial(5), ident, 4)
         assert res.generators == EX1_ACTION.generators
+
+    @pytest.mark.parametrize("chart,weights", [(4, (1, 0, 2, 0, 0)), (2, (0, 0, 0, 1, 1))])
+    def test_equivariant_over_f7(self, chart, weights):
+        # forward(g * x) lies in the residual orbit of forward(x) for every
+        # torus point x of X over F_7 and every g of the parent, also when
+        # the parent moves the chart coordinate (chart 4; both fix chart 2)
+        p = 7
+        F = P("x1^3 + x2^3 + x1*x2*x3 + x3^3 + x4^3 + x5^3")
+        parent = DiagonalAction(5, ((3, (0, 0, 0, 1, 1)), (3, (1, 2, 0, 0, 0))))
+        sub = DiagonalAction(5, ((3, (1, 2, 0, 0, 0)),))
+        step = cremona_step(InvariantHypersurface(F, sub), chart, hnf_basis_for(sub, chart),
+                            parent_action=parent)
+        assert step.residual.generators == ((3, weights),)
+        on_X = compile_mod(F, p)
+        comps = [compile_mod(c, p) for c in step.forward.components]
+
+        def forward(x):
+            return normalize_point(tuple(eval_compiled(c, x, p) for c in comps), p)
+
+        def act(g, x):
+            return tuple(a * b % p for a, b in zip(g, x))
+
+        parent_elems = group_elements_mod_p(parent, p)
+        residual_elems = group_elements_mod_p(step.residual, p)
+        pairs = 0
+        for rest in itertools.product(range(1, p), repeat=4):
+            x = (1,) + rest
+            if eval_compiled(on_X, x, p):
+                continue
+            y = forward(x)
+            orbit = {normalize_point(act(h, y), p) for h in residual_elems}
+            for g in parent_elems:
+                assert forward(act(g, x)) in orbit
+                pairs += 1
+        assert pairs == 243 * 9  # torus points of X(F_7) times the parent's elements
 
     def test_containment_checked(self):
         other = DiagonalAction(5, ((3, (0, 0, 1, 2, 0)),))
@@ -480,6 +540,21 @@ class TestSearchBasis:
         monkeypatch.setattr(cremona.pipeline, "rewrite_invariant", counted)
         search_basis(InvariantHypersurface(c3c3_family(), C3C3_ACTION), 4)
         assert len(calls) <= 2
+
+    def test_one_invariant_lattice_per_search(self, monkeypatch):
+        # hnf_basis_for reduces the lattice for the start basis; the steps
+        # read the order the action fixed when it was built
+        calls = []
+        lattice_of = DiagonalAction.invariant_lattice
+
+        def counted(self, chart=None):
+            calls.append((self, chart))
+            return lattice_of(self, chart)
+
+        X = InvariantHypersurface(c3c3_family(), C3C3_ACTION)
+        monkeypatch.setattr(DiagonalAction, "invariant_lattice", counted)
+        search_basis(X, 4)
+        assert calls == [(C3C3_ACTION, 4)]
 
 
 def test_coefficient_preservation_randomized():
