@@ -2,8 +2,9 @@
 
 Subcommands: invariants, transform, chain, search-basis,
 verify {smooth,map-degree,identity}, reproduce, list-scenarios.
-Exit codes: 0 success, 1 assertion or engine failure, 2 usage/parse error or
-a broken chain.
+Exit codes: 0 success, 1 assertion or engine failure, 2 usage or parse
+error, a broken chain, a refused check (``verify.Refusal``) or an expansion
+over its budget (``poly.BudgetError``).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .coeffs import PRIME_TEST_BOUND, is_prime
 from .lang import ParseError, ProblemSpec, parse_input
 from .pipeline import CremonaChain, MonomialBasis, RationalMap, cremona_step, \
     hnf_basis_for, search_basis
-from .poly import poly_str
+from .poly import BudgetError, poly_str
 from .scenarios import Report, list_scenarios, run_scenario
 from .verify import Refusal, default_prime, fiber_histogram, on_variety, smooth_scan
 
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except Refusal as exc:  # exit 1 stays a verdict: a scan that never ran gives none
+    except (Refusal, BudgetError) as exc:  # exit 1 stays a verdict; none was reached
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, ArithmeticError, TypeError, OSError) as exc:

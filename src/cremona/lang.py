@@ -26,23 +26,15 @@ from functools import cached_property
 from operator import add
 
 from .coeffs import PRIME_TEST_BOUND, Cyclotomic, ParamCoeff, is_prime
-from .poly import LaurentPoly, poly_str
+from .poly import BudgetError, LaurentPoly, poly_str
 
 
-# Most terms ``atom ^ exp`` or ``a * b`` may expand to; an expansion this size
-# takes a few seconds, and the bound is checked before any expansion starts.
-POWER_TERM_BUDGET = 10_000
 # Most bits a numerator or denominator of ``atom ^ exp`` or ``a * b`` may
-# need, checked the same way: at most about 3,000 decimal digits, which
-# CPython still prints.
+# need, checked before any expansion starts: at most about 3,000 decimal
+# digits, which CPython still prints.  It also bounds the scalar powers and
+# products that never reach the expansion kernel, whose own budgets
+# (``poly.POWER_WORK_BUDGET`` and ``poly.POWER_TERM_BUDGET``) bound the rest.
 POWER_BIT_BUDGET = 10_000
-# Most term products ``atom ^ exp`` or ``a * b`` may take.  A power takes exp
-# times its term bound times the atom's terms, since it is built as
-# atom^(j-1) * atom for j up to exp; a product takes its term pairs, each
-# counted once per 64 bits of the two factors' summed coefficient bit
-# lengths.  About 1 s of expansion at the 0.2-0.4 us per product of small
-# coefficients measured with CPython 3.11 on a 2-core Xeon.
-POWER_WORK_BUDGET = 3_000_000
 
 
 class ParseError(ValueError):
@@ -162,11 +154,11 @@ def _int(text: str, line: _Line, k: int) -> int:
 # A sum adds its terms into one term dict {exponent tuple: coefficient} in
 # place.  A term keeps its product as one exponent list and one coefficient
 # while it has one term, and a variable factor adds to that list in place;
-# any other factor goes through ``_product``, where only products of two sums
-# (and, in ``_power``, powers of sums) reach LaurentPoly's product (the packed
-# ``_expand`` kernel).
-# Integer literals stay ints; each declaration builds its LaurentPoly once,
-# from the finished dict, which makes them Fractions.
+# any other factor goes through ``_product``, where a factor of coefficient
+# 1 shifts and every other product is LaurentPoly's (and, in ``_power``,
+# every power of a sum or of a parameter expression), under the expansion
+# kernel's budgets.  Integer literals stay ints until they meet LaurentPoly;
+# each declaration builds its LaurentPoly once, from the finished dict.
 
 _ONE = Fraction(1)  # the coefficient of a variable atom: multiplying by it is a shift
 
@@ -242,10 +234,7 @@ def _parse_term(line: _Line, ctx: _ExprContext, acc: dict, negate: bool):
             else:
                 i += 1
                 p = 1
-            # a shift, which reaches no budget unless the coefficient alone
-            # has as many terms as the term budget
-            if not neg and exps is not None and terms is None and \
-                    (not ctx.params or _scalar_terms(coeff) <= POWER_TERM_BUDGET):
+            if not neg and exps is not None and terms is None:  # a shift
                 exps[k] += p
                 factor = None
             else:
@@ -318,41 +307,31 @@ def _parse_factor(line: _Line, ctx: _ExprContext) -> dict:
     return atom
 
 
-def _over_budget(value: int, budget: int, what: str, exp: int | None, line: _Line, k: int):
-    """Refuse at token k a power ``exp`` (a product if None) whose ``what``,
-    a template for ``value``, is over ``budget``."""
-    if value > budget:
-        op = "product" if exp is None else f"power {exp}"
-        raise line.error(k, f"{op} may {what.format(value)}, over the budget of {budget}")
+def _expanded(op: str, bits: int, build, line: _Line, k: int) -> dict:
+    """build(), the expansion ``op`` whose coefficients need ``bits`` bits,
+    refused at token k if over the bit budget or the expansion kernel's."""
+    if bits > POWER_BIT_BUDGET:
+        raise line.error(k, f"{op} may need {bits}-bit coefficients, over the budget "
+                            f"of {POWER_BIT_BUDGET}")
+    try:
+        return build()
+    except BudgetError as exc:
+        raise line.error(k, f"{op}: {exc}") from None
 
 
 def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
-    """a * b, refused at token k if over a budget.  A one-term factor shifts
-    the other's exponents and scales its coefficients, and does not scale
-    them when its coefficient is 1; two sums are multiplied out by
-    LaurentPoly's product."""
+    """a * b, refused at token k if over a budget.  A one-term factor of
+    coefficient 1 shifts the other's exponents; any other product is
+    LaurentPoly's."""
     mono, rest = (b, a) if len(b) == 1 else (a, b)
-    shift = len(mono) == 1 and next(iter(mono.values())) is _ONE
-    # without parameters the term count is the dict size: most products are
-    # far inside the budget, so their supports are not measured
-    if ctx.params or len(a) * len(b) > POWER_TERM_BUDGET:
-        _over_budget(_product_term_bound(a, b), POWER_TERM_BUDGET, "expand to {} terms",
-                     None, line, k)
-    if not shift:
-        # the coefficients of a * b are integers of at most ma * mb over at
-        # most ma * mb, as for a power; a pair of 5,000-bit coefficients costs
-        # about as much as 150 pairs of small ones
-        ma, mb = _coeff_size(a), _coeff_size(b)
-        _over_budget(max(1, (ma * mb).bit_length()), POWER_BIT_BUDGET,
-                     "need {}-bit coefficients", None, line, k)
-        _over_budget(_term_count(a) * _term_count(b) * -(-(ma.bit_length() + mb.bit_length()) // 64),
-                     POWER_WORK_BUDGET, "take {} term products", None, line, k)
-    if len(mono) != 1:
-        return (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms
-    (m, cm), = mono.items()
-    if shift:
+    if len(mono) == 1 and next(iter(mono.values())) is _ONE:
+        (m, _), = mono.items()
         return {tuple(map(add, e, m)): c for e, c in rest.items()}
-    return {tuple(map(add, e, m)): c * cm for e, c in rest.items()}
+    # the coefficients of a * b are integers of at most ma * mb over at most
+    # ma * mb, as for a power
+    return _expanded("product", max(1, (_coeff_size(a) * _coeff_size(b)).bit_length()),
+                     lambda: (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms,
+                     line, k)
 
 
 def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict:
@@ -364,8 +343,6 @@ def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict
         (e, c), = atom.items()
         if c is _ONE:  # a variable power: one term, coefficient 1, no work
             return {tuple(exp * x for x in e): _ONE}
-    bound = _power_term_bound(atom, exp)
-    _over_budget(bound, POWER_TERM_BUDGET, "expand to {} terms", exp, line, k)
     if exp == 0:
         return {ctx.zero: _ONE}
     if exp < 0:
@@ -377,45 +354,9 @@ def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict
             raise line.error(k, f"cannot take power {exp}: {exc}") from None
         atom = {e: c}
     n = abs(exp)
-    _over_budget(_power_bit_bound(atom, n), POWER_BIT_BUDGET, "need {}-bit coefficients",
-                 exp, line, k)
-    if mono:
-        return {tuple(n * x for x in e): c ** n}
-    _over_budget(n * bound * len(atom), POWER_WORK_BUDGET, "take {} term products",
-                 exp, line, k)
-    return (LaurentPoly(ctx.variables, atom) ** n).terms
-
-
-def _supports(*atoms: dict) -> list[list[tuple[int, ...]]]:
-    """Each atom's exponent vectors, one per parameter monomial of each
-    term, padded to one common width (a plain coefficient has t^0)."""
-    supports = []
-    for atom in atoms:
-        support = []
-        for e, c in atom.items():
-            if isinstance(c, ParamCoeff):
-                support.extend(e + pe for pe in c.poly.terms)
-            else:
-                support.append(e)
-        supports.append(support)
-    width = max((len(v) for support in supports for v in support), default=0)
-    return [[v + (0,) * (width - len(v)) for v in support] for support in supports]
-
-
-def _box_widths(support: list[tuple[int, ...]]) -> list[int]:
-    return [max(col) - min(col) for col in zip(*support)]
-
-
-def _power_term_bound(atom: dict, exp: int) -> int:
-    """An upper bound on the term count of ``atom ** exp``, parameter
-    monomials included: the number of multisets of ``exp`` monomials, or of
-    lattice points in ``exp`` times the support's bounding box if fewer."""
-    (support,) = _supports(atom)
-    k = len(support)
-    if exp < 2 or k < 2:
-        return k
-    box = math.prod(exp * w + 1 for w in _box_widths(support))
-    return min(box, math.comb(exp + k - 1, k - 1))
+    return _expanded(f"power {exp}", _power_bit_bound(atom, n),
+                     lambda: {tuple(n * x for x in e): c ** n} if mono
+                     else (LaurentPoly(ctx.variables, atom) ** n).terms, line, k)
 
 
 def _rationals(c) -> list:
@@ -446,30 +387,6 @@ def _power_bit_bound(atom: dict, exp: int) -> int:
     exponent.  Integer arithmetic only, so any exponent is measured."""
     m = _coeff_size(atom)
     return max(1, exp * m.bit_length()) if m > 1 else 1
-
-
-def _scalar_terms(c) -> int:
-    """The terms of coefficient c, each parameter monomial counted apart."""
-    return len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
-
-
-def _term_count(atom: dict) -> int:
-    """The atom's terms, each parameter monomial counted apart."""
-    return sum(map(_scalar_terms, atom.values()))
-
-
-def _product_term_bound(a: dict, b: dict) -> int:
-    """An upper bound on the term count of ``a * b``, parameter monomials
-    included: the product of the two term counts, or the number of lattice
-    points in the sum of the two supports' bounding boxes if fewer.  The
-    boxes are measured only for a product over the budget, which most
-    products in an input are not."""
-    pairs = _term_count(a) * _term_count(b)
-    if pairs <= POWER_TERM_BUDGET:
-        return pairs
-    sa, sb = _supports(a, b)
-    box = math.prod(wa + wb + 1 for wa, wb in zip(_box_widths(sa), _box_widths(sb)))
-    return min(pairs, box)
 
 
 def parse_poly(text: str, variables, params=(), zeta_order: int | None = None) -> LaurentPoly:

@@ -18,12 +18,11 @@ from operator import add
 from cremona import lang
 from cremona.action import common_chart
 from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, root_embed
-from cremona.lang import (ParseError, _coeff_size, _power_bit_bound, _power_term_bound,
-                          _product_term_bound, _term_count)
+from cremona.lang import ParseError, _coeff_size, _power_bit_bound
 from cremona.lattice import lattice_contains, lattice_index, spans_same_lattice
 from cremona.pipeline import (SEARCH_ENTRY_BOUND, MonomialBasis, cremona_step,
                               hnf_basis_for, rewrite_invariant)
-from cremona.poly import LaurentPoly
+from cremona.poly import BudgetError, LaurentPoly
 from cremona.verify import (FiberHistogram, QuotientFiberReport, Refusal, ScanReport,
                             _check_enumeration_guard, group_elements_mod_p,
                             normalize_point, proj_points)
@@ -401,8 +400,9 @@ def reference_same_group(a, b):
 # ``lang.parse_poly`` as it was before it read token texts and built each
 # term's monomial in place: one ``Token`` per token, a cursor over them, and a
 # term dict per factor, multiplied by ``_product`` at every "*".  Digits are
-# ASCII only, as in ``lang``.  The budgets are read from ``lang`` at each
-# check, and the bounds are ``lang``'s own.
+# ASCII only, as in ``lang``.  The bit budget is read from ``lang`` at each
+# check, and the bit bounds are ``lang``'s own; the expansion kernel's
+# refusals are re-raised at the "*" or "^".
 
 _REF_TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -534,33 +534,26 @@ def _ref_factor(cur: _Cursor, ctx: _RefContext) -> dict:
     return atom if sign == 1 else {e: -c for e, c in atom.items()}
 
 
+def _ref_expanded(op: str, bits: int, build, tok: _Token) -> dict:
+    if bits > lang.POWER_BIT_BUDGET:
+        raise ParseError(tok.line, tok.col,
+                         f"{op} may need {bits}-bit coefficients, over the budget "
+                         f"of {lang.POWER_BIT_BUDGET}")
+    try:
+        return build()
+    except BudgetError as exc:
+        raise ParseError(tok.line, tok.col, f"{op}: {exc}") from None
+
+
 def _ref_product(a: dict, b: dict, tok: _Token, ctx: _RefContext) -> dict:
     mono, rest = (b, a) if len(b) == 1 else (a, b)
-    shift = len(mono) == 1 and next(iter(mono.values())) is _REF_ONE
-    if ctx.params or len(a) * len(b) > lang.POWER_TERM_BUDGET:
-        bound = _product_term_bound(a, b)
-        if bound > lang.POWER_TERM_BUDGET:
-            raise ParseError(tok.line, tok.col,
-                             f"product may expand to {bound} terms, over the budget "
-                             f"of {lang.POWER_TERM_BUDGET}")
-    if not shift:
-        ma, mb = _coeff_size(a), _coeff_size(b)
-        bits = max(1, (ma * mb).bit_length())
-        if bits > lang.POWER_BIT_BUDGET:
-            raise ParseError(tok.line, tok.col,
-                             f"product may need {bits}-bit coefficients, over the budget "
-                             f"of {lang.POWER_BIT_BUDGET}")
-        work = _term_count(a) * _term_count(b) * -(-(ma.bit_length() + mb.bit_length()) // 64)
-        if work > lang.POWER_WORK_BUDGET:
-            raise ParseError(tok.line, tok.col,
-                             f"product may take {work} term products, over the budget "
-                             f"of {lang.POWER_WORK_BUDGET}")
-    if len(mono) != 1:
-        return (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms
-    (m, cm), = mono.items()
-    if shift:
+    if len(mono) == 1 and next(iter(mono.values())) is _REF_ONE:
+        (m, _), = mono.items()
         return {tuple(map(add, e, m)): c for e, c in rest.items()}
-    return {tuple(map(add, e, m)): c * cm for e, c in rest.items()}
+    bits = max(1, (_coeff_size(a) * _coeff_size(b)).bit_length())
+    return _ref_expanded(
+        "product", bits,
+        lambda: (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms, tok)
 
 
 def _ref_power(atom: dict, exp: int, tok: _Token, ctx: _RefContext) -> dict:
@@ -569,11 +562,6 @@ def _ref_power(atom: dict, exp: int, tok: _Token, ctx: _RefContext) -> dict:
         (e, c), = atom.items()
         if c is _REF_ONE:
             return {tuple(exp * x for x in e): _REF_ONE}
-    bound = _power_term_bound(atom, exp)
-    if bound > lang.POWER_TERM_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"power {exp} may expand to {bound} terms, over the budget "
-                         f"of {lang.POWER_TERM_BUDGET}")
     if exp == 0:
         return {ctx.zero: _REF_ONE}
     if exp < 0:
@@ -586,19 +574,11 @@ def _ref_power(atom: dict, exp: int, tok: _Token, ctx: _RefContext) -> dict:
             raise ParseError(tok.line, tok.col, f"cannot take power {exp}: {exc}") from None
         atom = {e: c}
     n = abs(exp)
-    bits = _power_bit_bound(atom, n)
-    if bits > lang.POWER_BIT_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"power {exp} may need {bits}-bit coefficients, over the budget "
-                         f"of {lang.POWER_BIT_BUDGET}")
     if mono:
-        return {tuple(n * x for x in e): c ** n}
-    work = n * bound * len(atom)
-    if work > lang.POWER_WORK_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"power {exp} may take {work} term products, over the budget "
-                         f"of {lang.POWER_WORK_BUDGET}")
-    return (LaurentPoly(ctx.variables, atom) ** n).terms
+        return _ref_expanded(f"power {exp}", _power_bit_bound(atom, n),
+                             lambda: {tuple(n * x for x in e): c ** n}, tok)
+    return _ref_expanded(f"power {exp}", _power_bit_bound(atom, n),
+                         lambda: (LaurentPoly(ctx.variables, atom) ** n).terms, tok)
 
 
 def _ref_int(text: str, tok: _Token) -> int:

@@ -1,3 +1,4 @@
+import math
 import os
 import resource
 import subprocess
@@ -13,9 +14,8 @@ from hypothesis import strategies as st
 
 from cremona.coeffs import Cyclotomic, ParamCoeff
 from cremona.coeffs import PRIME_TEST_BOUND
-from cremona.lang import (POWER_BIT_BUDGET, POWER_WORK_BUDGET, ParseError, ProblemSpec,
-                          _coeff_size, _power_bit_bound, _power_term_bound,
-                          _product_term_bound, parse_input, parse_poly, render_spec)
+from cremona.lang import (POWER_BIT_BUDGET, ParseError, ProblemSpec, _coeff_size,
+                          _power_bit_bound, parse_input, parse_poly, render_spec)
 from cremona.poly import LaurentPoly, poly_str
 from helpers_reference import reference_mul, reference_parse_poly, reference_pow
 
@@ -180,7 +180,7 @@ class TestExpressions:
         assert (exc.value.line, exc.value.col) == (1, 10)  # the "^"
 
     def test_power_over_term_budget_is_positioned(self):
-        # 70,058,751 terms: refused before any expansion starts
+        # 70,058,751 terms: refused once the ladder's rungs pass the work budget
         with pytest.raises(ParseError, match="budget") as exc:
             parse_input("vars x1 x2 x3 x4 x5\npoly F = x1 + (x1+x2+x3+x4+x5)^200\n")
         assert (exc.value.line, exc.value.col) == (2, 31)  # the "^"
@@ -190,19 +190,6 @@ class TestExpressions:
     def test_power_within_term_budget(self):
         # a binary sum to a high power has few terms, whatever its box
         assert len(parse_poly("(x1 + x2)^120", ("x1", "x2")).terms) == 121
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
-                    min_size=1, max_size=4),
-           st.integers(0, 5))
-    @example([(0, 0, 0), (0, 0, 1), (0, 1, 0)], 2)  # x2 + (t1 + 1): mixed coefficients
-    def test_power_term_bound_is_an_upper_bound(self, monomials, exp):
-        text = " + ".join(f"x1^{a}*x2^{b}*t1^{c}" for a, b, c in monomials)
-        atom = parse_poly(text, ("x1", "x2"), ("t1",))
-        power = atom ** exp
-        n_terms = sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
-                      for c in power.terms.values())
-        assert _power_term_bound(atom.terms, exp) >= n_terms
 
     def test_power_within_bit_budget(self):
         # 2^5000 sits exactly at the budget; 2^5001 is refused
@@ -235,33 +222,39 @@ class TestExpressions:
         assert _power_bit_bound(atom.terms, exp) >= bits
 
     def test_product_over_term_budget_is_positioned(self):
-        # two 1,001-term factors: 1,002,001 term pairs, refused before multiplying
+        # two 1,001-term factors whose product holds 10,626 terms: refused
+        # before the result is decoded
         with pytest.raises(ParseError, match="budget") as exc:
             parse_poly("(x1+x2+x3+x4+x5)^10*(x1+x2+x3+x4+x5)^10",
                        ("x1", "x2", "x3", "x4", "x5"))
         assert (exc.value.line, exc.value.col) == (1, 20)  # the "*"
+        # two 1,820-monomial parameter factors: 6,624,801 term pairs, refused
+        # before multiplying
         with pytest.raises(ParseError, match="budget") as exc:
-            parse_poly("x1*(t1+t2+t3+t4)^8*(t1-t2+t3-t4)^8", ("x1",), ("t1", "t2", "t3", "t4"))
-        assert (exc.value.line, exc.value.col) == (1, 19)
+            parse_poly("x1*(t1+t2+t3+t4+t5)^12*(t1+2*t2+3*t3+5*t4+7*t5)^12", ("x1",),
+                       ("t1", "t2", "t3", "t4", "t5"))
+        assert (exc.value.line, exc.value.col) == (1, 23)
+
+    def test_parameter_product_is_counted_exactly(self):
+        # 165 x 165 parameter monomials, but the product has 489: an estimate
+        # from the factors' boxes (27,225) refused it
+        params = ("t1", "t2", "t3", "t4")
+        p = parse_poly("x1*(t1+t2+t3+t4)^8*(t1-t2+t3-t4)^8", ("x1",), params)
+        assert p == parse_poly("x1*((t1 + t3)^2 - (t2 + t4)^2)^8", ("x1",), params)
+        assert sum(len(c.poly.terms) for c in p.terms.values()) == 489
+
+    def test_scaled_product_over_term_budget_is_positioned(self):
+        # a one-term factor of 1,001 parameter monomials scales 1,001 terms:
+        # refused as the scaled terms pass 10,000 parameter monomials
+        with pytest.raises(ParseError, match="budget") as exc:
+            parse_poly("(t1+t2+t3+t4+t5)^10*(x1+x2+x3+x4+x5)^10",
+                       ("x1", "x2", "x3", "x4", "x5"), ("t1", "t2", "t3", "t4", "t5"))
+        assert (exc.value.line, exc.value.col) == (1, 20)
 
     def test_product_within_term_budget(self):
         # 151 * 151 term pairs, but the summed box holds only 301 monomials
         p = parse_poly("(x1 + 1)^150*(x1 - 1)^150", ("x1",))
         assert p == parse_poly("(x1^2 - 1)^150", ("x1",))
-
-    @settings(max_examples=150, deadline=None)
-    @given(*[st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
-                      min_size=0, max_size=4)] * 2)
-    @example([(0, 0, 0), (0, 0, 1)], [(0, 1, 0)])  # (t1 + 1) * x2: mixed coefficients
-    def test_product_term_bound_is_an_upper_bound(self, left, right):
-        a, b = (parse_poly(" + ".join(f"x1^{i}*x2^{j}*t1^{k}" for i, j, k in side) or "0",
-                           ("x1", "x2"), ("t1",)) for side in (left, right))
-        product = a * b
-        n_terms = sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
-                      for c in product.terms.values())
-        assert _product_term_bound(a.terms, b.terms) >= n_terms
-        with patch("cremona.lang.POWER_TERM_BUDGET", 0):  # measure the boxes too
-            assert _product_term_bound(a.terms, b.terms) >= n_terms
 
     @settings(max_examples=150, deadline=None)
     @given(*[st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2),
@@ -362,18 +355,22 @@ def test_power_over_work_budget_is_positioned():
 
 
 def test_power_within_work_budget():
-    # 100 * 5,151 * 3 term products: parsed in well under a second
+    # 520,248 term pairs, 1,260,630 counted by words: parsed in well under a second
     assert len(parse_poly("(x1 + x2 + x3)^100", ("x1", "x2", "x3")).terms) == 5151
-    assert _power_term_bound(parse_poly("x1 + x2", ("x1", "x2")).terms, 1224) * 1224 * 2 \
-        <= POWER_WORK_BUDGET
+    with patch("cremona.poly.POWER_WORK_BUDGET", 1_260_630):  # the exact charge
+        parse_poly("(x1 + x2 + x3)^100", ("x1", "x2", "x3"))
+        with patch("cremona.poly.POWER_WORK_BUDGET", 1_260_629), \
+                pytest.raises(ParseError, match="1260629"):
+            parse_poly("(x1 + x2 + x3)^100", ("x1", "x2", "x3"))
 
 
 def test_product_over_work_or_bit_budget_is_positioned():
-    # inside the term budget (their summed boxes are small), but the first
-    # case parsed for about 30 s before the product budgets: its last product
-    # takes 2,401 x 2,401 term pairs of 2,400-bit coefficients.  Parsed in a
-    # bounded interpreter, never in this one.
-    cases = [("((x1+1)^1200*(x1+1)^1200)*((x1+1)^1200*(x1+1)^1200)", 13, "3000000"),
+    # the first case parsed for about 30 s before the product budgets: its
+    # last product takes 2,401 x 2,401 term pairs of 2,400-bit coefficients.
+    # Each (x1+1)^1200 in it is refused first, at its "^": its ladder takes
+    # 1,442,399 term pairs, 18,799,949 counted by words.  Parsed in a bounded
+    # interpreter, never in this one.
+    cases = [("((x1+1)^1200*(x1+1)^1200)*((x1+1)^1200*(x1+1)^1200)", 8, "3000000"),
              ("(x1 + 1)^600*(x1 - 1)^600", 13, "3000000"),
              ("x1*(2^5000*x1 + 1)*(2^5000*x2 + 1)", 19, "bit")]
     code = ("import sys\n"
@@ -389,10 +386,30 @@ def test_product_over_work_or_bit_budget_is_positioned():
 
 
 def test_product_within_work_budget():
-    # 441 x 441 term pairs of 441-bit coefficients, 14 words a pair: 2,722,734
-    assert parse_poly("(x1 + 1)^440*(x1 + 1)^440", ("x1",)) == parse_poly("(x1 + 1)^880", ("x1",))
+    # 441 x 441 term pairs of 441-bit coefficients, 14 words a pair: 2,722,734,
+    # and 881 x 1 pairs for the one-term cofactor, 2,735,068 in all.  (The
+    # ladder of (x1 + 1)^880 takes 3,002,758 and is refused.)
+    assert parse_poly("(x1 + 1)^440*(x1 + 1)^440", ("x1",)) == \
+        LaurentPoly(("x1",), {(k,): Fraction(math.comb(880, k)) for k in range(881)})
     with pytest.raises(ParseError, match="3000000"):  # 451 x 451 pairs, 15 words a pair
         parse_poly("(x1 + 1)^450*(x1 + 1)^450", ("x1",))
+
+
+def test_expansion_over_work_budget_cli_exit_code(tmp_path):
+    # every parse is inside the budgets, but the identity's signature
+    # products A^i * B^(10 - i) reach about 10^8 term pairs
+    f = tmp_path / "identity.crm"
+    f.write_text("vars x1 x2 x3 x4 x5\n"
+                 "poly F = (x1 + 2*x2 + 3*x3 + 5*x4 + 7*x5)^10\n"
+                 "poly A = (x1 + x2 + x3 + x4 + x5)^4 + x1^4\n"
+                 "poly B = (x1 - x2 + x3 - x4 + x5)^4\n"
+                 "map M = A, B, A, B, A\n")
+    t0 = time.perf_counter()
+    done = bounded_python(["-m", "cremona", "verify", "identity", str(f),
+                           "--map", "M", "--target", "F"])
+    assert time.perf_counter() - t0 < 2
+    assert done.returncode == 2
+    assert "budget" in done.stderr and "3000000" in done.stderr
 
 
 def test_huge_constant_power_cli_exit_code(tmp_path):
@@ -603,11 +620,13 @@ def _parse_outcome(parse, text, params, zeta_order):
 def parser_inputs(draw):
     """Rendered expression trees, as they are or with one mutation: a
     dropped ")", a doubled operator, a stray "@", a negative power of a
-    sum, a power or a product over a budget."""
+    sum, a power or a product over a budget, or a product with parameters
+    near or past one."""
     tree, params, zeta_order = draw(expression_trees())
     text = _render(tree)
     kind = draw(st.sampled_from(["none", "paren", "operator", "stray", "inverse",
-                                 "power", "product-bits", "product-terms"]))
+                                 "power", "product-bits", "product-terms",
+                                 "product-pairs"]))
     if kind == "paren":
         closing = [i for i, ch in enumerate(text) if ch == ")"]
         if closing:
@@ -632,6 +651,9 @@ def parser_inputs(draw):
     elif kind == "product-terms":
         params = ("t1", "t2")
         text = f"({text})*(x1 + x2 + t1 + t2)^8*(x1 - x2 + t1 - t2)^8"
+    elif kind == "product-pairs":  # 1,771 x 1,771 term pairs, unless a factor is 0
+        params = ("t1", "t2")
+        text = f"({text})*(x1 + x2 + t1 + t2)^20*(x1 - x2 + t1 - t2)^20"
     return text, params, zeta_order
 
 
@@ -642,7 +664,8 @@ def parser_inputs(draw):
 @example(("2^5000*x1*2^5000", (), None))  # bit budget, monomial by monomial
 @example(("0*2^5000*2^5000 + 2^5000*0*2^5000", (), None))  # a zero factor is no term
 @example(("x1^0*2 - (x1 + x2 - x2)*t1 + -(-x2)^2*t2^2", ("t1", "t2"), None))
-@example(("x1*(t1 + t2)^8*(t1 - t2)^150", ("t1", "t2"), None))  # term budget
+@example(("x1*(t1 + t2)^8*(t1 - t2)^150", ("t1", "t2"), None))  # product of parameters
+@example(("(t1 + t2)^120*(x1 + x2)^100", ("t1", "t2"), None))  # term budget, scaled
 @example(("(x1 + 2)^-1 + 1/0", (), None))
 @example(("(0 + x2)^-1 - 0^0*(x1 - x1 + x2)^-1", (), None))  # zero atoms hold no term
 @example(("9" * 3100 + "*(x1)*(x2^2)", (), None))  # a factor of coefficient 1 only shifts

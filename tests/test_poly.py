@@ -3,6 +3,8 @@ import itertools
 import random
 from fractions import Fraction
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -624,6 +626,94 @@ def test_products_of_shifted_operands_match_reference(domain, data):
         assert got == want
         assert poly_str(got) == poly_str(want)
     assert a * a == a ** 2
+
+
+def mac_charge(a: dict, b: dict) -> int:
+    """The term pairs of _mac(out, a, b), once per 64-bit word of the two
+    tables' L1 norms."""
+    bits = sum(map(abs, a.values())).bit_length() + sum(map(abs, b.values())).bit_length()
+    return len(a) * len(b) * -(-bits // 64)
+
+
+@pytest.mark.parametrize("domain", ["Q", "Q(zeta3)", "params over Q(zeta3)", "F_7"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_expansion_refused_exactly_past_the_work_budget(domain, data):
+    # under a small budget, an expansion is refused exactly when the pairs
+    # its _mac calls form in an unpatched run, counted by words, exceed it;
+    # the calls within the budget run, and the one that would cross it
+    # forms no pair
+    coeffs = SHARED_COEFFS[domain]
+    sums = st.dictionaries(st.tuples(st.integers(-2, 3), st.integers(0, 3)), coeffs.filter(bool),
+                           min_size=2, max_size=5).map(lambda d: LaurentPoly(V2, d))
+    a, b, n = data.draw(sums), data.draw(sums), data.draw(st.integers(2, 5))
+    F = P("x1^3*x2 - 2*x1*x2^2 + x2^3", V2)
+    F = F.reduce_mod(7) if domain == "F_7" else F
+    expansion = {"product": lambda: a * b, "power": lambda: a ** n,
+                 "substitute": lambda: F.substitute({"x1": a, "x2": b})}[
+        data.draw(st.sampled_from(["product", "power", "substitute"]))]
+    real, charges, ran = poly._mac, [], []
+    with patch.object(poly, "_mac", lambda out, x, y: charges.append(mac_charge(x, y))
+                      or real(out, x, y)):
+        want = expansion()
+    budget = data.draw(st.integers(0, sum(charges)))
+
+    def mac(out, x, y):
+        before = dict(out)
+        try:
+            real(out, x, y)
+        except poly.BudgetError:
+            assert out == before
+            raise
+        ran.append(1)
+        return out
+
+    crossing = next((i for i, c in enumerate(itertools.accumulate(charges)) if c > budget),
+                    None)
+    with patch.object(poly, "_mac", mac), patch.object(poly, "POWER_WORK_BUDGET", budget):
+        if crossing is None:
+            assert expansion() == want
+        else:
+            with pytest.raises(poly.BudgetError, match=f"budget of {budget}$"):
+                expansion()
+    assert len(ran) == (len(charges) if crossing is None else crossing)
+
+
+class TestBudget:
+    # an identity whose parses are all within the budgets, but whose
+    # signature products A^i * B^(10 - i) reach about 10^8 term pairs
+    F = P("(x1 + 2*x2 + 3*x3 + 5*x4 + 7*x5)^10")
+    A, B = P("(x1 + x2 + x3 + x4 + x5)^4 + x1^4"), P("(x1 - x2 + x3 - x4 + x5)^4")
+
+    def test_substitute_over_work_budget(self):
+        images = dict(zip(V5, (self.A, self.B, self.A, self.B, self.A)))
+        with pytest.raises(poly.BudgetError, match="budget of 3000000"):
+            self.F.substitute(images)
+
+    def test_compose_maps_over_work_budget(self):
+        f = RationalMap((self.A, self.B, self.A, self.B, self.A))
+        with pytest.raises(poly.BudgetError, match="budget of 3000000"):
+            compose_maps(RationalMap((self.F, self.F)), f)
+
+    def test_counter_starts_from_zero_after_a_refusal(self):
+        a = P("x1 + 2*x2 - x3 + 1", V3)
+        real, charges = poly._mac, []
+        with patch.object(poly, "_mac", lambda out, x, y: charges.append(mac_charge(x, y))
+                          or real(out, x, y)):
+            want = a ** 6
+        with patch.object(poly, "POWER_WORK_BUDGET", sum(charges)):
+            for _ in range(2):
+                with pytest.raises(poly.BudgetError):
+                    a ** 7
+                assert a ** 6 == want
+
+    def test_result_over_term_budget(self):
+        # (x1 + ... + x5)^20 holds 10,626 terms, within the work budget
+        s = P("x1 + x2 + x3 + x4 + x5") ** 10
+        with pytest.raises(poly.BudgetError, match="10626 terms, over the budget of 10000"):
+            s * s
+        with patch.object(poly, "POWER_TERM_BUDGET", 10_626):
+            assert len((s * s).terms) == 10_626
 
 
 U3 = ("u1", "u2", "u3")
