@@ -16,6 +16,7 @@ from cremona.coeffs import Cyclotomic, ParamCoeff
 from cremona.coeffs import PRIME_TEST_BOUND
 from cremona.lang import (POWER_BIT_BUDGET, ParseError, ProblemSpec, _coeff_size,
                           _power_bit_bound, parse_input, parse_poly, render_spec)
+from cremona import poly
 from cremona.poly import LaurentPoly, poly_str
 from helpers_reference import reference_mul, reference_parse_poly, reference_pow
 
@@ -156,6 +157,12 @@ class TestParseInput:
         assert exc.value.message == "unexpected character '\u0663'"
 
 
+def held_terms(p: LaurentPoly) -> int:
+    """The terms of p, parameter monomials counted: what the kernel's term
+    budget bounds."""
+    return sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1 for c in p.terms.values())
+
+
 class TestExpressions:
     def test_rationals_and_signs(self):
         p = parse_poly("-1/2*x1^2 + 3 - x2^-1", ("x1", "x2"))
@@ -190,6 +197,31 @@ class TestExpressions:
     def test_power_within_term_budget(self):
         # a binary sum to a high power has few terms, whatever its box
         assert len(parse_poly("(x1 + x2)^120", ("x1", "x2")).terms) == 121
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
+                    min_size=1, max_size=4),
+           st.integers(0, 5), st.integers(0, 60))
+    @example([(0, 0, 0), (0, 0, 1), (0, 1, 0)], 2, 1)  # x2 + (t1 + 1): mixed
+    def test_power_term_bound_is_an_upper_bound(self, monomials, exp, cut):
+        # under a term budget of at least 1, a power is refused exactly when
+        # its result holds more terms than the budget, parameter monomials
+        # counted; a sum's power is refused by the parser at the "^"
+        text = " + ".join(f"x1^{a}*x2^{b}*t1^{c}" for a, b, c in monomials)
+        atom = parse_poly(text, ("x1", "x2"), ("t1",))
+        want = reference_pow(atom, exp)
+        n_terms = held_terms(want)
+        budget = max(1, n_terms - cut)  # the result's size, or up to cut below it
+        with patch.object(poly, "POWER_TERM_BUDGET", budget):
+            if n_terms <= budget:
+                assert atom ** exp == want
+            else:
+                with pytest.raises(poly.BudgetError, match=f"over the budget of {budget}$"):
+                    atom ** exp
+                if len(atom.terms) > 1:
+                    with pytest.raises(ParseError, match="budget") as exc:
+                        parse_poly(f"({text})^{exp}", ("x1", "x2"), ("t1",))
+                    assert (exc.value.line, exc.value.col) == (1, len(text) + 3)
 
     def test_power_within_bit_budget(self):
         # 2^5000 sits exactly at the budget; 2^5001 is refused
@@ -255,6 +287,31 @@ class TestExpressions:
         # 151 * 151 term pairs, but the summed box holds only 301 monomials
         p = parse_poly("(x1 + 1)^150*(x1 - 1)^150", ("x1",))
         assert p == parse_poly("(x1^2 - 1)^150", ("x1",))
+
+    @settings(max_examples=150, deadline=None)
+    @given(*[st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
+                      min_size=0, max_size=4)] * 2, st.integers(0, 20))
+    @example([(0, 0, 0), (0, 0, 1)], [(0, 1, 0)], 1)  # (t1 + 1) * x2: mixed
+    def test_product_term_bound_is_an_upper_bound(self, left, right, cut):
+        # under a term budget of at least 1, a product is refused exactly when
+        # its result holds more terms than the budget, parameter monomials
+        # counted; a product of two sums is refused by the parser at the "*"
+        texts = [" + ".join(f"x1^{i}*x2^{j}*t1^{k}" for i, j, k in side) or "0"
+                 for side in (left, right)]
+        a, b = (parse_poly(t, ("x1", "x2"), ("t1",)) for t in texts)
+        want = reference_mul(a, b)
+        n_terms = held_terms(want)
+        budget = max(1, n_terms - cut)  # the result's size, or up to cut below it
+        with patch.object(poly, "POWER_TERM_BUDGET", budget):
+            if n_terms <= budget:
+                assert a * b == want
+            else:
+                with pytest.raises(poly.BudgetError, match=f"over the budget of {budget}$"):
+                    a * b
+                if len(a.terms) > 1 and len(b.terms) > 1:
+                    with pytest.raises(ParseError, match="budget") as exc:
+                        parse_poly(f"({texts[0]})*({texts[1]})", ("x1", "x2"), ("t1",))
+                    assert (exc.value.line, exc.value.col) == (1, len(texts[0]) + 3)
 
     @settings(max_examples=150, deadline=None)
     @given(*[st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2),
