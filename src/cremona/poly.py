@@ -10,14 +10,13 @@ multiplies both; domains are never mixed implicitly, conversions go through
 
 Canonical term order is graded lexicographic, largest first.
 
-Every expansion has a budget, charged before each product is formed: the
-work of one top-level ``_expand`` or one-term scaling, and the terms of its
+Every ``_expand`` has a budget, charged before each product is formed: the
+work of the call, expansions nested in it included, and the terms of its
 result.  Past either it raises ``BudgetError``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import wraps
 from math import lcm, prod
 from operator import add, mul, sub
 
@@ -25,12 +24,12 @@ from .coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, cyclotomic_p
     euler_phi, specialize, to_prime_field
 
 
-# Most term products one top-level expansion may take, each pair counted once
-# per 64-bit word of its two tables' L1 norms: about 1 s of ``_mac`` at the
-# 0.2-0.4 us per product of small coefficients measured with CPython 3.11 on
-# a 2-core Xeon.
+# Most work one top-level ``_expand`` may take, in units of one product of
+# small coefficients (``_mac`` says how its pairs are counted): under 1 s at
+# the 0.15-0.3 us a unit takes with CPython 3.11 on a 2-core Xeon.
 POWER_WORK_BUDGET = 3_000_000
-# Most terms, parameter monomials counted, one expansion's result may hold.
+# Most terms, parameter monomials counted, an expansion's result may hold
+# beyond the largest of its inputs.
 POWER_TERM_BUDGET = 10_000
 
 
@@ -38,23 +37,7 @@ class BudgetError(ValueError):
     """An expansion refused before it passed a budget."""
 
 
-_spent = None  # the work charged to the running top-level expansion, None outside one
-
-
-def _budgeted(fn):
-    """fn as a top-level call of the budget: its counter starts from zero,
-    and every expansion nested inside it charges that counter."""
-    @wraps(fn)
-    def run(*args):
-        global _spent
-        if _spent is not None:
-            return fn(*args)
-        _spent = 0
-        try:
-            return fn(*args)
-        finally:
-            _spent = None
-    return run
+_spent = None  # the work charged to the running top-level _expand, None outside one
 
 
 def _charge(work: int):
@@ -67,9 +50,10 @@ def _charge(work: int):
     _spent += work
 
 
-def _over_terms(held: int) -> BudgetError:
-    return BudgetError(f"expansion would hold at least {held} terms, over the budget of "
-                       f"{POWER_TERM_BUDGET}")
+def _held(p) -> int:
+    """The terms of p, parameter monomials counted: what the term budget
+    bounds."""
+    return sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1 for c in p.terms.values())
 
 
 def term_key(exps: tuple[int, ...]):
@@ -206,15 +190,18 @@ class LaurentPoly:
         return o._plus(self._negated())
 
     def _times(self, other):
-        """A one-term factor shifts and scales the other (``_scaled``); two
-        multi-term factors are multiplied out by ``_expand``."""
+        """A one-term factor whose coefficient is one term too, a scalar or
+        a parameter monomial, shifts and scales the other, which adds no
+        term; every other product is multiplied out by ``_expand``."""
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
         mono, rest = (o, self) if len(o.terms) == 1 else (self, o)
         if len(mono.terms) == 1:
             (m, cm), = mono.terms.items()
-            return LaurentPoly._raw(self.vars, _scaled(rest.terms, m, cm))
+            if not isinstance(cm, ParamCoeff) or len(cm.poly.terms) == 1:
+                return LaurentPoly._raw(self.vars, {tuple(map(add, e, m)): c * cm
+                                                    for e, c in rest.terms.items()})
         return _formal_product([(self, 1), (o, 1)])
 
     def _power(self, n: int):
@@ -408,11 +395,21 @@ def _box(parts):
 
 def _mac(out: dict, a: dict, b: dict) -> dict:
     """out + a * b on packed keys, accumulated into out: the one loop over
-    term pairs.  Zero sums are kept; ``_expand`` folds what it reuses.  The
-    pairs are charged first, once per 64-bit word of the two L1 norms, the
-    size of the sums they accumulate."""
-    bits = sum(map(abs, a.values())).bit_length() + sum(map(abs, b.values())).bit_length()
-    _charge(len(a) * len(b) * -(-bits // 64))
+    term pairs.  Zero sums are kept; ``_expand`` folds what it reuses.
+
+    The pairs are charged first.  A pair with a table whose L1 norm fits one
+    64-bit word counts 3, whatever the other's size: the other's values are
+    multiplied by one word, which is linear, and such a table is most often a
+    power's few-term hat, whose pairs take 0.3-0.5 us each where a product
+    of small coefficients in a long loop takes 0.15-0.2 us.  A pair of two
+    wider tables counts once per 64-bit word of the two norms, the size of
+    the sums it accumulates, which is at least 3.  The shorter table runs the
+    outer loop, so that a power's hat does not restart the inner loop for
+    every term of a rung."""
+    ba, bb = (sum(map(abs, t.values())).bit_length() for t in (a, b))
+    _charge(len(a) * len(b) * (3 if min(ba, bb) <= 64 else -(-(ba + bb) // 64)))
+    if len(a) > len(b):
+        a, b = b, a
     get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
@@ -463,7 +460,6 @@ def _share(terms: dict, hats: list) -> tuple[int, tuple | None]:
     return len(hats) - 1, m
 
 
-@_budgeted
 def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     """Sum over the terms c*x^e of F of c * prod_i images[x_i]^e_i, exactly.
 
@@ -504,9 +500,16 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     result's box less the common powers' boxes, never wider, so its packed
     keys cannot collide and a zero table means a zero sum.  Only keys that
     survive the sum are decoded, and only if they are within the term
-    budget.  The result's coefficients lie in the inputs' common domain: Q,
-    Q(zeta_e), parameters over either, or F_p.
+    budget or no more than some input's.  The result's coefficients lie in
+    the inputs' common domain: Q, Q(zeta_e), parameters over either, or F_p.
     """
+    global _spent
+    if _spent is None:  # a top-level call: its counter, charged by every nested one
+        _spent = 0
+        try:
+            return _expand(F, images, target_vars)
+        finally:
+            _spent = None
     n = len(target_vars)
     zero = (0,) * n
     terms = []  # (scalar, exponent shift, [(name, k) of non-monomial images])
@@ -620,8 +623,10 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     if not inner:
         return LaurentPoly.zero(target_vars)
     total = fold(_mac({}, inner, hat_product(common))) if common else inner
-    if len(total) > POWER_TERM_BUDGET:
-        raise _over_terms(len(total))
+    if len(total) > POWER_TERM_BUDGET and \
+            len(total) > max(map(_held, [F, *images.values()])):
+        raise BudgetError(f"expansion would hold at least {len(total)} terms, over the "
+                          f"budget of {POWER_TERM_BUDGET}")
 
     def value(x):  # a numerator over den, or a residue mod the prime
         if prime is not None:
@@ -643,24 +648,6 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
             by_mono.setdefault(d[:n], {})[d[n:]] = c
         out = {mono: ParamCoeff(LaurentPoly._raw(symbols, pcs)) for mono, pcs in by_mono.items()}
     return LaurentPoly._raw(target_vars, out)
-
-
-@_budgeted
-def _scaled(terms: dict, m: tuple, cm) -> dict:
-    """The terms of x^m * cm * sum(terms): one coefficient product per term,
-    charged before the loop.  A product with a ParamCoeff scales or expands
-    parameter polynomials, nested, so each parameter monomial is charged
-    too; the result's terms, parameter monomials counted, are refused past
-    the term budget as they are formed."""
-    _charge(len(terms))
-    out, held = {}, 0
-    for e, c in terms.items():
-        c = c * cm
-        held += len(c.poly.terms) if isinstance(c, ParamCoeff) else 1
-        if held > POWER_TERM_BUDGET:
-            raise _over_terms(held)
-        out[tuple(map(add, e, m))] = c
-    return out
 
 
 def _formal_product(factors: list[tuple[LaurentPoly, int]]) -> LaurentPoly:

@@ -629,10 +629,10 @@ def test_products_of_shifted_operands_match_reference(domain, data):
 
 
 def mac_charge(a: dict, b: dict) -> int:
-    """The term pairs of _mac(out, a, b), once per 64-bit word of the two
-    tables' L1 norms."""
-    bits = sum(map(abs, a.values())).bit_length() + sum(map(abs, b.values())).bit_length()
-    return len(a) * len(b) * -(-bits // 64)
+    """The charge of _mac(out, a, b): 3 a term pair if a table's L1 norm
+    fits one 64-bit word, else once per 64-bit word of the two norms."""
+    ba, bb = (sum(map(abs, t.values())).bit_length() for t in (a, b))
+    return len(a) * len(b) * (3 if min(ba, bb) <= 64 else -(-(ba + bb) // 64))
 
 
 @pytest.mark.parametrize("domain", ["Q", "Q(zeta3)", "params over Q(zeta3)", "F_7"])
@@ -708,12 +708,33 @@ class TestBudget:
                 assert a ** 6 == want
 
     def test_result_over_term_budget(self):
-        # (x1 + ... + x5)^20 holds 10,626 terms, within the work budget
-        s = P("x1 + x2 + x3 + x4 + x5") ** 10
-        with pytest.raises(poly.BudgetError, match="10626 terms, over the budget of 10000"):
-            s * s
-        with patch.object(poly, "POWER_TERM_BUDGET", 10_626):
-            assert len((s * s).terms) == 10_626
+        # 100 x 101 term pairs whose products are all distinct: 10,100 terms
+        a = LaurentPoly(V2, {(i, 0): 1 for i in range(100)})
+        b = LaurentPoly(V2, {(0, j): 1 for j in range(101)})
+        with pytest.raises(poly.BudgetError, match="10100 terms, over the budget of 10000"):
+            a * b
+        with patch.object(poly, "POWER_TERM_BUDGET", 10_100):
+            assert len((a * b).terms) == 10_100
+
+    def test_results_no_larger_than_an_input_pass(self):
+        # a 10,100-term polynomial scaled, shifted or given monomial images
+        # grows no term, so the term budget does not refuse it; a parameter
+        # factor of two monomials doubles it and is refused
+        big = LaurentPoly(V2, {(i, j): Fraction(i + j + 1) for i in range(100) for j in range(101)})
+        x1 = LaurentPoly.variable(V2, "x1")
+        assert (big * Fraction(2)).terms == {e: 2 * c for e, c in big.terms.items()}
+        assert (big * x1 ** 2).terms == {(i + 2, j): c for (i, j), c in big.terms.items()}
+        swapped = big.substitute({"x1": LaurentPoly.variable(V2, "x2"), "x2": x1 * 3})
+        assert swapped.terms == {(j, i): c * 3 ** j for (i, j), c in big.terms.items()}
+        t = ("t1",)
+        big_t = big.map_coeffs(lambda c: ParamCoeff.const(t, c))
+        t1 = LaurentPoly.constant(V2, ParamCoeff.param(t, "t1"))
+        assert big_t * t1 == big.map_coeffs(lambda c: ParamCoeff.param(t, "t1") * c)
+        with pytest.raises(poly.BudgetError, match="20200 terms, over the budget of 10000"):
+            big_t * (t1 + 1)
+        with pytest.raises(poly.BudgetError, match="20200 terms, over the budget of 10000"):
+            big * LaurentPoly.constant(V2, ParamCoeff(LaurentPoly(t, {(0,): 1, (1,): 1})))
+
 
 
 U3 = ("u1", "u2", "u3")
