@@ -186,7 +186,12 @@ class Cyclotomic:
 
     # -- ring / field operations --------------------------------------------
 
+    # a rational operand touches the constant entry of a sum and the nonzero
+    # entries of a product; it is not made a vector first
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -198,16 +203,22 @@ class Cyclotomic:
         return Cyclotomic(self.order, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.order, (self.coeffs[0] - other,) + self.coeffs[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 
-    __rsub__ = _rsub
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Cyclotomic(self.order, (other - self.coeffs[0],)
+                              + tuple(-a for a in self.coeffs[1:]))
+        return _rsub(self, other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, tuple(a * other for a in self.coeffs))
+            return Cyclotomic(self.order, tuple(a * other if a else a for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

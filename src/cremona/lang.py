@@ -157,8 +157,9 @@ def _int(text: str, line: _Line, k: int) -> int:
 # any other factor goes through ``_product``, where a factor of coefficient
 # 1 shifts and every other product is LaurentPoly's (and, in ``_power``,
 # every power of a sum or of a parameter expression), under the expansion
-# kernel's budgets.  Integer literals stay ints until they meet LaurentPoly;
-# each declaration builds its LaurentPoly once, from the finished dict.
+# kernel's budgets.  Integer literals stay ints until an expansion or the
+# declaration's LaurentPoly converts them; each declaration builds its
+# LaurentPoly once, from the finished dict.
 
 _ONE = Fraction(1)  # the coefficient of a variable atom: multiplying by it is a shift
 
@@ -322,7 +323,9 @@ def _expanded(op: str, bits: int, build, line: _Line, k: int) -> dict:
 def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
     """a * b, refused at token k if over a budget.  A one-term factor of
     coefficient 1 shifts the other's exponents; any other product is
-    LaurentPoly's."""
+    LaurentPoly's, on the two dicts as they are (their terms are clean, and
+    int coefficients multiply as rationals), so that a one-term factor with
+    a scalar coefficient, such as each ``5*zeta``, shifts and scales."""
     mono, rest = (b, a) if len(b) == 1 else (a, b)
     if len(mono) == 1 and next(iter(mono.values())) is _ONE:
         (m, _), = mono.items()
@@ -330,8 +333,8 @@ def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
     # the coefficients of a * b are integers of at most ma * mb over at most
     # ma * mb, as for a power
     return _expanded("product", max(1, (_coeff_size(a) * _coeff_size(b)).bit_length()),
-                     lambda: (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms,
-                     line, k)
+                     lambda: (LaurentPoly._raw(ctx.variables, a)
+                              * LaurentPoly._raw(ctx.variables, b)).terms, line, k)
 
 
 def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict:

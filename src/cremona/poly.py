@@ -333,9 +333,12 @@ class LaurentPoly:
 
     evaluate = _at  # coeffs.specialize calls _at, as ParamCoeff calls _plus above
 
-    def substitute(self, images: dict[str, LaurentPoly]) -> LaurentPoly:
+    def substitute(self, images: dict[str, LaurentPoly], *,
+                   zero_test: bool = False) -> LaurentPoly | bool:
         """Substitute polynomials for variables (the one exact expansion, see
-        ``_expand``); negative exponents need single-monomial images."""
+        ``_expand``); negative exponents need single-monomial images.  With
+        ``zero_test`` the result is not formed: the answer is whether it is
+        zero, decided at the expansion's inner sum."""
         target_vars = None
         for img in images.values():
             if target_vars is None:
@@ -344,7 +347,7 @@ class LaurentPoly:
                 raise ValueError("substitution images live in different ambients")
         if target_vars is None:
             raise ValueError("empty substitution")
-        return _expand(self, images, target_vars)
+        return _expand(self, images, target_vars, zero_test)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +463,8 @@ def _share(terms: dict, hats: list) -> tuple[int, tuple | None]:
     return len(hats) - 1, m
 
 
-def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
+def _expand(F: LaurentPoly, images: dict, target_vars,
+            zero_test: bool = False) -> LaurentPoly | bool:
     """Sum over the terms c*x^e of F of c * prod_i images[x_i]^e_i, exactly.
 
     Monomial images fold into the term scalars by coefficient arithmetic,
@@ -502,12 +506,20 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
     survive the sum are decoded, and only if they are within the term
     budget or no more than some input's.  The result's coefficients lie in
     the inputs' common domain: Q, Q(zeta_e), parameters over either, or F_p.
+
+    With ``zero_test`` the body ends at the inner sum and returns whether it
+    is empty.  The result is x^m * inner * prod_j hat_j^c_j in an integral
+    domain (Q(zeta_e)[params][x^+-1] or F_p[x^+-1]) and no hat is zero, so it
+    is zero exactly when the inner sum is: no common product is formed, no
+    rung only it needs is built and nothing is decoded.  Only the caller's
+    own expansion takes that exit; the ones nested in its coefficient
+    arithmetic return their full results.
     """
     global _spent
     if _spent is None:  # a top-level call: its counter, charged by every nested one
         _spent = 0
         try:
-            return _expand(F, images, target_vars)
+            return _expand(F, images, target_vars, zero_test)
         finally:
             _spent = None
     n = len(target_vars)
@@ -533,7 +545,7 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         if not dead:
             terms.append((scalar, shift, factors))
     if not terms:
-        return LaurentPoly.zero(target_vars)
+        return True if zero_test else LaurentPoly.zero(target_vars)
 
     hats, hat_of, groups = [], {}, {}  # hat_of[name] = (j, m); signature -> [(shift, scalar)]
     for scalar, shift, factors in terms:
@@ -620,6 +632,8 @@ def _expand(F: LaurentPoly, images: dict, target_vars) -> LaurentPoly:
         _mac(inner, pack(parts), hat_product([(j, k - shared.get(j, 0)) for j, k in sig
                                               if k > shared.get(j, 0)]))
     inner = fold(inner)
+    if zero_test:
+        return not inner
     if not inner:
         return LaurentPoly.zero(target_vars)
     total = fold(_mac({}, inner, hat_product(common))) if common else inner

@@ -2,7 +2,9 @@
 fiber-degree histograms, and quotient-fiber checks.
 
 ``on_variety`` is exact: it runs the engine's single expansion,
-``LaurentPoly.substitute``, and holds no arithmetic of its own.
+``LaurentPoly.substitute``, with ``zero_test``, which decides at the
+expansion's inner sum whether the composite is zero without forming it, and
+holds no arithmetic of its own.
 
 Every enumeration is one generated program: ``compile_enumeration`` writes
 the point loops of P^n(F_p) (one block per lead coordinate, in
@@ -500,11 +502,12 @@ def diagonal_form_smooth(F: LaurentPoly) -> bool:
 
 def on_variety(rmap: RationalMap, F_target: LaurentPoly) -> bool:
     """True iff F_target composed with the map is the identically-zero
-    polynomial, decided by the exact expansion ``LaurentPoly.substitute``."""
+    polynomial, decided by the exact expansion ``LaurentPoly.substitute`` at
+    its inner sum (``zero_test``)."""
     if len(rmap.components) != F_target.n_vars:
         raise Refusal(
             f"map has {len(rmap.components)} components, target expects {F_target.n_vars}")
-    return not F_target.substitute(dict(zip(F_target.vars, rmap.components)))
+    return F_target.substitute(dict(zip(F_target.vars, rmap.components)), zero_test=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 
 import cremona
 from cremona.cli import main
+from cremona.lang import parse_input
+from cremona.poly import BudgetError
 
 EX1_SPEC = """\
 vars x1 x2 x3 x4 x5
@@ -139,6 +141,32 @@ class TestVerify:
             "vars x1 x2\npoly A = x1^2\npoly B = x2^2\npoly T = x1 + x2\n"
             "map M = A, B\n")
         assert main(["verify", "identity", str(f), "--map", "M", "--target", "T"]) == 1
+
+    @pytest.mark.parametrize("variables, comps, target, budget", [
+        # the composite A*(A + B) would hold 10,301 terms
+        ("x1 x2 x3", ("(x1 + x3)^100", "(x2 + x3)^100 - x3^100", "x3^100"),
+         "x1^2 + x1*x2", "10301 terms, over the budget of 10000"),
+        # the composite needs A^3 of a 462-term A, whose ladder is over the
+        # work budget; the inner sum of A and B is not
+        ("x1 x2 x3 x4 x5", ("(x1 + x2 + x3 + x4 + x5)^6", "x1^6 + x2^6", "x3^6", "x4^6",
+                            "x5^6"), "x1^4 + x1^3*x2", "budget of 3000000")],
+        ids=["terms", "work"])
+    def test_false_identity_past_a_budget_is_answered(self, tmp_path, capsys, variables,
+                                                       comps, target, budget):
+        # on_variety decides at the expansion's inner sum, so an identity
+        # fails (exit 1) although its composite is over a budget, as
+        # substitute still says
+        names = [f"P{i}" for i in range(len(comps))]
+        f = tmp_path / "budget.crm"
+        f.write_text(f"vars {variables}\npoly T = {target}\n"
+                     + "".join(f"poly {n} = {c}\n" for n, c in zip(names, comps))
+                     + f"map M = {', '.join(names)}\n")
+        assert main(["verify", "identity", str(f), "--map", "M", "--target", "T"]) == 1
+        assert capsys.readouterr().out == "identity FAILS\n"
+        spec = parse_input(f.read_text())
+        images = dict(zip(spec.variables, (spec.polys[n] for n in names)))
+        with pytest.raises(BudgetError, match=budget):
+            spec.polys["T"].substitute(images)
 
     def test_identity_of_a_linear_model(self, tmp_path, capsys):
         # F = x1*A + B over Q(zeta3) and its linear model x1 -> -B, x_j ->

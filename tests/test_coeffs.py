@@ -149,6 +149,23 @@ def test_inverse_is_two_sided(e, data):
     assert inv.inverse() == a
 
 
+@pytest.mark.parametrize("e", INVERSE_ORDERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rational_operands_match_the_coerced_path(e, data):
+    # a rational operand touches the constant entry of a sum and the nonzero
+    # entries of a product; each result must be the one with the operand
+    # made a vector first, every entry still a Fraction
+    c = data.draw(cyclotomics(e))
+    r = data.draw(st.one_of(st.integers(-9, 9), small_fractions))
+    v = c._coerce(r)
+    for got, want in [(c + r, c + v), (r + c, v + c), (c - r, c - v), (r - c, v - c),
+                      (c * r, c * v), (r * c, v * c)]:
+        assert type(got) is Cyclotomic and got.order == e
+        assert got.coeffs == want.coeffs
+        assert all(type(x) is Fraction for x in got.coeffs)
+
+
 def test_inverse_and_mul_agree_with_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")

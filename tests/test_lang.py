@@ -714,6 +714,9 @@ def parser_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(parser_inputs())
 @example(("(5 + 2*zeta)*x1^7*x2^3 - zeta*x1^4 + 3*x2^-2", (), 3))
+@example(("(5 + 2*zeta)*x1^7*x2^3", (), 3))  # one-term products shift and scale
+@example(("(-2*t2 + -2)*x1^3", ("t1", "t2"), None))
+@example(("3*2^5000*x1*2^5000", (), None))  # bit budget at the last "*", one term each
 @example(("x1*(2^5000*x1 + 1)*(2^5000*x2 + 1)", (), None))  # bit budget, dict by dict
 @example(("2^5000*x1*2^5000", (), None))  # bit budget, monomial by monomial
 @example(("0*2^5000*2^5000 + 2^5000*0*2^5000", (), None))  # a zero factor is no term

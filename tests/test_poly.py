@@ -303,22 +303,40 @@ class TestSharedFactors:
     """Images equal up to a monomial share one hat: its powers are built
     once, and the terms of one factor signature share one product."""
 
-    def test_linear_model_builds_one_ladder(self, monkeypatch):
-        # F = x1*A + B over 6 variables, A an 8-term cubic; the model sends
-        # x_j to y_j*A, so every image but -B has the hat of A
+    V6 = tuple(f"x{i}" for i in range(1, 7))
+
+    def linear_model(self):
+        """(F, its linear model, a quartic in x2..x6 that F lacks) for F =
+        x1*A + B over 6 variables, A an 8-term cubic; the model sends x_j to
+        y_j*A, so every image but -B has the hat of A."""
         rng = random.Random(5)
-        V6 = tuple(f"x{i}" for i in range(1, 7))
         cubics = [e for e in itertools.product(range(4), repeat=5) if sum(e) == 3]
         quartics = [e for e in itertools.product(range(5), repeat=5) if sum(e) == 4]
         A = {(1,) + e: Fraction(rng.randint(1, 9)) for e in rng.sample(cubics, 8)}
         B = {(0,) + e: Fraction(rng.randint(-9, 9) or 1) for e in rng.sample(quartics, 30)}
-        F = LaurentPoly(V6, {**A, **B})
-        model = parametrize_linear(F, 0)
+        F = LaurentPoly(self.V6, {**A, **B})
+        return F, parametrize_linear(F, 0), next((0,) + e for e in quartics if (0,) + e not in B)
+
+    def test_linear_model_builds_one_ladder(self, monkeypatch):
+        F, model, _ = self.linear_model()
         calls = count_mac(monkeypatch)
         assert on_variety(model, F)
         # signatures (A, 4) and (A, 3)(-B, 1) share A^3: two products form
         # the inner sum, which cancels, and no rung of A is built
         assert len(calls) == 2
+
+    def test_twin_identity_stops_at_the_inner_sum(self, monkeypatch):
+        # a twin of F adds one term, so the inner sum is nonzero: on_variety
+        # answers after its two products, building no rung of the shared A^3
+        # and no product with it, where the whole composite takes both
+        F, model, extra = self.linear_model()
+        twin = F + LaurentPoly(self.V6, {extra: Fraction(1)})
+        calls = count_mac(monkeypatch)
+        assert not on_variety(model, twin)
+        assert len(calls) == 2
+        calls.clear()
+        assert twin.substitute(dict(zip(self.V6, model.components)))
+        assert len(calls) == 2 + 2 + 1
 
     def count_pairs(self, monkeypatch):
         """len(a) * len(b) of every product: _mac is the one loop over term
@@ -798,6 +816,63 @@ def test_multi_signature_substitute_matches_reference(domain, case, data):
         assert not got
     elif case == "one-term twin":
         assert got
+
+
+# every domain's coefficients; parameter ones of two or three terms, so that
+# monomial images fold by products of parameter polynomials, which run
+# expansions nested in the caller's
+VARIETY_COEFFS = dict(RING_COEFFS, params=st.one_of(small_fractions, st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_fractions.filter(bool),
+    min_size=2, max_size=3).map(lambda d: ParamCoeff(LaurentPoly(("t1", "t2"), d)))))
+
+
+@pytest.mark.parametrize("case", ["monomials", "model", "twin"])
+@pytest.mark.parametrize("domain", VARIETY_COEFFS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_on_variety_is_the_zero_test_of_the_full_expansion(domain, case, data):
+    # on_variety stops at the expansion's inner sum; its verdict must be
+    # that of the whole composite.  The components are Laurent monomials of
+    # degree a + 1, or the linear model of x1*A + B scaled by c*u^m (two
+    # hats, every signature sharing A^a) beside a scaled monomial, under
+    # targets that vanish on it or add one term
+    coeffs = VARIETY_COEFFS[domain].filter(bool)
+    a = data.draw(st.integers(1, 2))
+
+    def monomial():
+        e = data.draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        return LaurentPoly(U3, {(*e, a + 1 - sum(e)): data.draw(coeffs)})
+
+    def form(degree):  # 2-4 terms of one degree in three variables
+        monos = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+        return data.draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=2,
+                                         max_size=4))
+
+    if case == "monomials":
+        comps = [monomial() for _ in V5]
+        F = LaurentPoly(V5, data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * 5), coeffs, min_size=1, max_size=4)))
+    else:
+        A, B = form(a), form(a + 1)
+        c = data.draw(coeffs)
+        m = data.draw(st.tuples(*[st.integers(-2, 2)] * 3))
+        scaled = [LaurentPoly(U3, {tuple(x + (i == j) for i, x in enumerate(m)): c})
+                  for j in range(-1, 3)]
+        comps = [-scaled[0] * LaurentPoly(U3, B),
+                 *(scaled[j + 1] * LaurentPoly(U3, A) for j in range(3)),
+                 scaled[0] * monomial()]
+        shifts = data.draw(st.sets(st.integers(0, 2), min_size=1))
+        F = LaurentPoly(V5, {**{(1, *f, k): v for f, v in A.items() for k in shifts},
+                             **{(0, *f, k): v for f, v in B.items() for k in shifts}})
+        if case == "twin":
+            f = data.draw(st.sampled_from(list(A) + list(B)))
+            F = F + LaurentPoly(V5, {(int(sum(f) == a), *f, data.draw(st.integers(0, 2))):
+                                     data.draw(coeffs)})
+    rmap = RationalMap(comps)
+    composite = F.substitute(dict(zip(V5, rmap.components)))
+    assert on_variety(rmap, F) is (not composite)
+    if case == "model":
+        assert not composite
 
 
 class TestGcd:
