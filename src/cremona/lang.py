@@ -155,11 +155,12 @@ def _int(text: str, line: _Line, k: int) -> int:
 # place.  A term keeps its product as one exponent list and one coefficient
 # while it has one term, and a variable factor adds to that list in place;
 # any other factor goes through ``_product``, where a factor of coefficient
-# 1 shifts and every other product is LaurentPoly's (and, in ``_power``,
-# every power of a sum or of a parameter expression), under the expansion
-# kernel's budgets.  Integer literals stay ints until an expansion or the
-# declaration's LaurentPoly converts them; each declaration builds its
-# LaurentPoly once, from the finished dict.
+# 1 shifts, two one-term factors multiply their scalars, and every other
+# product is LaurentPoly's (and, in ``_power``, every power of a sum or of a
+# parameter expression), under the expansion kernel's budgets.  Integer
+# literals stay ints until an expansion or the declaration's LaurentPoly
+# converts them; each declaration builds its LaurentPoly once, from the
+# finished dict.
 
 _ONE = Fraction(1)  # the coefficient of a variable atom: multiplying by it is a shift
 
@@ -322,14 +323,20 @@ def _expanded(op: str, bits: int, build, line: _Line, k: int) -> dict:
 
 def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
     """a * b, refused at token k if over a budget.  A one-term factor of
-    coefficient 1 shifts the other's exponents; any other product is
+    coefficient 1 shifts the other's exponents, and two one-term factors,
+    such as each ``5*zeta``, multiply their scalars, unless b's is a sum of
+    parameter terms, which LaurentPoly multiplies out; any other product is
     LaurentPoly's, on the two dicts as they are (their terms are clean, and
-    int coefficients multiply as rationals), so that a one-term factor with
-    a scalar coefficient, such as each ``5*zeta``, shifts and scales."""
+    int coefficients multiply as rationals)."""
     mono, rest = (b, a) if len(b) == 1 else (a, b)
-    if len(mono) == 1 and next(iter(mono.values())) is _ONE:
-        (m, _), = mono.items()
-        return {tuple(map(add, e, m)): c for e, c in rest.items()}
+    if len(mono) == 1:
+        (m, cm), = mono.items()
+        if cm is _ONE:
+            return {tuple(map(add, e, m)): c for e, c in rest.items()}
+        if len(rest) == 1 and not (isinstance(cm, ParamCoeff) and len(cm.poly.terms) > 1):
+            (e, c), = rest.items()
+            return _expanded("product", max(1, (_scalar_size(c) * _scalar_size(cm)).bit_length()),
+                             lambda: {tuple(map(add, e, m)): c * cm}, line, k)
     # the coefficients of a * b are integers of at most ma * mb over at most
     # ma * mb, as for a power
     return _expanded("product", max(1, (_coeff_size(a) * _coeff_size(b)).bit_length()),
@@ -378,6 +385,14 @@ def _coeff_size(atom: dict) -> int:
     values = [r for c in atom.values() for r in _rationals(c)]
     den = math.lcm(*(r.denominator for r in values))
     return max(den, sum(abs(r.numerator) * (den // r.denominator) for r in values))
+
+
+def _scalar_size(c) -> int:
+    """The ``_coeff_size`` of a one-term atom with coefficient c, read off
+    at once when c is rational."""
+    if isinstance(c, (int, Fraction)):
+        return max(c.denominator, abs(c.numerator))
+    return _coeff_size({(): c})
 
 
 def _power_bit_bound(atom: dict, exp: int) -> int:

@@ -12,10 +12,12 @@ chart keeps its slot, so coordinate names survive across steps.
 """
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from itertools import repeat
+from operator import add, mul, sub
 
 from . import lattice
 from .action import DiagonalAction, InvariantHypersurface, subgroup_index
@@ -446,7 +448,7 @@ def _search_entry(key, rows, coords):
     """A beam entry: the basis's key and rows, the chart equation's
     coordinate rows, their column sums, each coordinate row's shift
     max(0, -min(row)) and their total."""
-    shifts = tuple(max(0, -min(r)) for r in coords)
+    shifts = tuple([-low if low < 0 else 0 for low in map(min, coords)])
     return key, rows, coords, tuple(map(sum, zip(*coords))), shifts, sum(shifts)
 
 
@@ -470,8 +472,10 @@ def search_basis(X: InvariantHypersurface, chart: int,
     and the ranking's tie-breaks are the rows'.  With w_i the weight of slot
     i and P(row) the row written in the same radix, adding k times row r to
     row i adds k * P(row r) * w_i to the key, and negating row i subtracts
-    2 * P(row i) * w_i.  So the seen set holds keys, the sort and the best
-    compare (degree, key) pairs, and row tuples are built for survivors only.
+    2 * P(row i) * w_i.  So the seen set holds keys, ``heapq.nsmallest``
+    and the best compare (degree, key) pairs, which are distinct, so each
+    level keeps exactly its first ``width`` candidates in sorted order
+    without sorting the rest, and row tuples are built for survivors only.
 
     A beam entry also carries the coordinates of the chart equation's terms
     in its basis, one row per basis row, with their column sums and shifts,
@@ -492,11 +496,7 @@ def search_basis(X: InvariantHypersurface, chart: int,
     radix = 2 * max([SEARCH_ENTRY_BOUND] + [abs(x) for row in start.rows for x in row]) + 1
     digits = tuple(radix ** (n - 1 - k) for k in range(n))
     slots = tuple(radix ** (n * (n - 1 - i)) for i in range(n))
-
-    def pack(row):
-        return sum(x * w for x, w in zip(row, digits))
-
-    key = sum(pack(row) * w for row, w in zip(start.rows, slots))
+    key = sum(sum(map(mul, row, digits)) * w for row, w in zip(start.rows, slots))
     beam = [_search_entry(key, start.rows, tuple(
         tuple(e[j] - qj for e in step.p.terms) for j, qj in enumerate(q_exp)))]
     *_, cols, _, total = beam[0]
@@ -509,45 +509,57 @@ def search_basis(X: InvariantHypersurface, chart: int,
         # times its coordinate row i
         candidates = []
         for b, (key, rows, coords, cols, shifts, total) in enumerate(beam):
-            packed = [pack(r) for r in rows]
+            packed = [sum(map(mul, r, digits)) for r in rows]
             sizes = [max(map(abs, r)) for r in rows]
             for i, (ri, pi, ci, wi) in enumerate(zip(rows, packed, coords, slots)):
-                down, up = tuple(map(sub, cols, ci)), tuple(map(add, cols, ci))
+                down = tuple(map(sub, cols, ci))
                 key2 = key - 2 * pi * wi
                 if key2 not in seen:
                     seen.add(key2)
-                    degree = max(map(sub, down, ci)) + total - shifts[i] + max(0, max(ci))
-                    candidates.append((degree, key2, b, i, i, 2))
-                # row i +/- row j: coordinate row j -/+ coordinate row i.  A
-                # seen key is skipped before the bound is checked: a move past
-                # the bound is skipped either way, and only moves within it
-                # enter seen.  Rows whose sizes sum to at most the bound give
-                # a row within it.
-                signs = ((1, add, sub, max(down) + total), (-1, sub, add, max(up) + total))
+                    high = max(ci)
+                    degree = max(map(sub, down, ci)) + total - shifts[i]
+                    candidates.append((degree + high if high > 0 else degree,
+                                       key2, b, i, i, 2))
+                # row i +/- row j: coordinate row j -/+ coordinate row i, the
+                # column sums down or up.  A seen key is skipped before the
+                # bound is checked: a move past the bound is skipped either
+                # way, and only moves within it enter seen, since a row with
+                # an entry past M can share its key with another basis.  Rows
+                # whose sizes sum to at most the bound give a row within it.
+                top_add = max(down) + total
+                top_sub = max(map(add, cols, ci)) + total
                 room = SEARCH_ENTRY_BOUND - sizes[i]
                 for j, (rj, pj, cj, sj) in enumerate(zip(rows, packed, coords, sizes)):
                     if j == i:
                         continue
                     move = pj * wi
-                    for m, row_op, coord_op, top in signs:
-                        key2 = row_op(key, move)
-                        if key2 in seen or sj > room and \
-                                max(map(abs, map(row_op, ri, rj))) > SEARCH_ENTRY_BOUND:
-                            continue
+                    key2 = key + move
+                    if key2 not in seen and (
+                            sj <= room or max(map(abs, map(add, ri, rj))) <= SEARCH_ENTRY_BOUND):
                         seen.add(key2)
-                        degree = top - shifts[j] + max(0, -min(map(coord_op, cj, ci)))
-                        candidates.append((degree, key2, b, j, i, m))
+                        low = min(map(sub, cj, ci))
+                        degree = top_add - shifts[j]
+                        candidates.append((degree - low if low < 0 else degree,
+                                           key2, b, j, i, 1))
+                    key2 = key - move
+                    if key2 not in seen and (
+                            sj <= room or max(map(abs, map(sub, ri, rj))) <= SEARCH_ENTRY_BOUND):
+                        seen.add(key2)
+                        low = min(map(add, cj, ci))
+                        degree = top_sub - shifts[j]
+                        candidates.append((degree - low if low < 0 else degree,
+                                           key2, b, j, i, -1))
         if not candidates:
             break
-        candidates.sort()  # (degree, key) differ, so the tails are never compared
+        survivors = heapq.nsmallest(width, candidates)
         parents, beam = beam, []
-        for _, key, b, r, i, m in candidates[:width]:
+        for _, key, b, r, i, m in survivors:
             _, rows, coords = parents[b][:3]
             k = -m if r == i else m  # basis row i gains k times basis row r
-            row = tuple(a + k * x for a, x in zip(rows[i], rows[r]))
-            coord = tuple(a - m * x for a, x in zip(coords[r], coords[i]))
+            row = tuple(map(add, rows[i], map(mul, repeat(k), rows[r])))
+            coord = tuple(map(sub, coords[r], map(mul, repeat(m), coords[i])))
             beam.append(_search_entry(key, rows[:i] + (row,) + rows[i + 1:],
                                       coords[:r] + (coord,) + coords[r + 1:]))
-        best = min(best, (candidates[0][0],) + beam[0][:2])
+        best = min(best, (survivors[0][0],) + beam[0][:2])
     basis = MonomialBasis(best[2])
     return basis, cremona_step(X, chart, basis)

@@ -20,9 +20,15 @@ from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, EX1_ACTION, EX1_BASIS,
                                X5, c3c3_family, ex1_family, ex3_family)
 from cremona.verify import (compile_mod, eval_compiled, group_elements_mod_p, normalize_point,
                             on_variety)
+from helpers_random import random_cyclic_case
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
 V3 = ("x1", "x2", "x3")
+# the invariant lattice at chart x2 is 3Z, so its bases are 1x1 and a
+# search's only move is negation: its first level holds the negated start,
+# (-3,), which wins, and its second finds only the start's key again
+ONE_BY_ONE = InvariantHypersurface(parse_poly("x1^3 + x2^3", ("x1", "x2")),
+                                   DiagonalAction(2, ((3, (1, 0)),)))
 
 
 def P(text, variables=V5, params=(), zeta_order=None):
@@ -459,11 +465,13 @@ class TestSearchBasis:
         yield InvariantHypersurface(c3c3_family(), C3C3_ACTION), 4
         yield InvariantHypersurface(FERMAT, PAIR_ACTION), 4
         yield InvariantHypersurface(FERMAT, C3C3_ACTION), 4
+        yield ONE_BY_ONE, 1
         rng = random.Random(20251)
         for _ in range(40):
             yield random_invariant_case(rng)
 
-    @pytest.mark.parametrize("width,depth", [(8, 6), (4, 3)])
+    # (10_000, 2): a beam wider than any level's candidate set keeps them all
+    @pytest.mark.parametrize("width,depth", [(8, 6), (4, 3), (10_000, 2)])
     def test_matches_reference_search(self, width, depth):
         from helpers_reference import reference_search_basis
         for X, chart in self._reference_cases():
@@ -519,6 +527,31 @@ class TestSearchBasis:
             (ref_step.image, ref_step.p, ref_step.q, ref_step.forward)
         if depth == 0:
             assert basis == hnf_basis_for(X.action, chart)
+
+    # The number of candidates the default search scores on each level: a
+    # rework that drops a move, or lets out-of-bound keys into seen, changes
+    # them even where the winner survives.  In the cyclic case the start has
+    # an entry 32, so a row sum past the bound can have entries past 32,
+    # whose key is then that of another basis, scored on a later level.
+    # Read through the selection call.
+    @pytest.mark.parametrize("X,chart,levels", [
+        (InvariantHypersurface(c3c3_family(), C3C3_ACTION), 4, [28, 195, 198, 197, 199, 201]),
+        (InvariantHypersurface(ex1_family(), EX1_ACTION), 4, [28, 197, 199, 201, 197, 193]),
+        (ONE_BY_ONE, 1, [1]),  # the second level selects nothing: the search stops
+        (*random_cyclic_case(random.Random(29)), [14, 85, 100, 113, 117, 122]),
+    ], ids=["c3c3", "ex1", "1x1", "cyclic-29"])
+    def test_candidates_scored_per_level(self, monkeypatch, X, chart, levels):
+        import heapq
+        scored = []
+        select = heapq.nsmallest
+
+        def recording(n, candidates):
+            scored.append(len(candidates))
+            return select(n, candidates)
+
+        monkeypatch.setattr(heapq, "nsmallest", recording)
+        search_basis(X, chart)
+        assert scored == levels
 
     # depth 0 with width -1: a search that ignored the check would return at
     # once, where at depth 6 it would keep all but one candidate per level
