@@ -10,21 +10,25 @@ Every enumeration is one generated program: ``compile_enumeration`` writes
 the point loops of P^n(F_p) (one block per lead coordinate, in
 ``proj_points`` order) or of the torus x0 = 1, x_i != 0 for its
 polynomials and prime, with each polynomial nested Horner-fashion in the
-loop variables and powers read from per-prime tables, and either yields the
-points where its polynomials vanish or each point's normalized image.  The
-first zero test fixed by the last coordinate is not tested per value: the
-innermost loop runs over the bucket of a per-prime root table, keyed by the
-test's coefficients that vary, which holds only the values where it
-vanishes.  The table is used when it has no more buckets than the
-enclosing loops have iterations.
+loop variables and powers read from per-prime tables.  It yields the points
+where its polynomials vanish or each such point's normalized image, or, for
+a quotient-fiber check, groups the torus points by image itself: it counts
+each fiber and tests every later point's packed int code against the orbit
+of the fiber's first point, built once by arithmetic on the group's scaled
+elements.  The first zero test fixed by the last coordinate is not tested
+per value: the innermost loop runs over the bucket of a per-prime root
+table, keyed by the test's coefficients that vary, which holds only the
+values where it vanishes.  The table is used when it has no more buckets
+than the enclosing loops have iterations.
 ``compile_mod`` generates one straight-line function per polynomial and
 prime (straight-line programs; Buergisser, Clausen and Shokrollahi,
 *Algebraic Complexity Theory*, 1997); ``eval_compiled`` runs it at computed
 points, such as the Euler check at singular points (compiled only when a scan
 finds some) and the target check, once per distinct image of a quotient-fiber
 check, and rejects a prime other than the one it was compiled for.
-Every enumeration checks ``ENUMERATION_GUARD`` before any code is generated,
-and raises ``Refusal`` past it.
+Every enumeration refuses a p that is not prime, then checks
+``ENUMERATION_GUARD``, both before any code is generated, and raises
+``Refusal`` on either.
 
 Scans are evidence, not proofs: an empty singular list means "no
 F_q-rational singular point found".  Exact smoothness is only decided in
@@ -41,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .action import InvariantHypersurface
-from .coeffs import is_prime, root_embed, to_prime_field
+from .coeffs import PRIME_TEST_BOUND, is_prime, root_embed, to_prime_field
 from .pipeline import CremonaStep, RationalMap
 from .poly import LaurentPoly, scalar_str
 
@@ -49,12 +53,12 @@ ENUMERATION_GUARD = 10 ** 7
 
 
 class Refusal(ValueError):
-    """A check declined its input before running: a characteristic its
-    argument does not cover, a polynomial it does not apply to (among them
-    one with a coefficient that has no residue mod p), a map with
-    more or fewer components than its target has variables (or, for a
-    degree, fewer than its source has coordinates), or an enumeration past
-    ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
+    """A check declined its input before running: a p that is not prime, a
+    characteristic its argument does not cover, a polynomial it does not
+    apply to (among them one with a coefficient that has no residue mod p),
+    a map with more or fewer components than its target has variables (or,
+    for a degree, fewer than its source has coordinates), or an enumeration
+    past ``ENUMERATION_GUARD``.  The command line exits 2 on it."""
 
 
 def default_prime(orders=(), degree: int | None = None) -> int:
@@ -78,6 +82,11 @@ def proj_points(n_coords: int, p: int):
 
 def proj_point_count(n_coords: int, p: int) -> int:
     return (p ** n_coords - 1) // (p - 1)
+
+
+def _check_prime(p: int) -> None:
+    if p >= PRIME_TEST_BOUND or not is_prime(p):
+        raise Refusal(f"p = {p} is not a prime below {PRIME_TEST_BOUND}")
 
 
 def _check_enumeration_guard(n_coords: int, p: int) -> None:
@@ -217,16 +226,26 @@ def eval_compiled(compiled: CompiledPoly, pt: tuple[int, ...], p: int) -> int:
 # enumeration kernels
 # ---------------------------------------------------------------------------
 
-def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool = False):
+def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool = False,
+                        elements=None):
     """Generate one program that enumerates the points of P^{n_vars-1}(F_p)
     in ``proj_points`` order, or with ``torus`` the points (1, x1, ...) with
     every x_i in [1, p), and evaluates ``zeros`` and ``images`` at each.
 
-    The returned generator function skips a point as soon as one of
-    ``zeros`` is nonzero there (in order).  At the points left it yields the
-    point when ``images`` is None, the image (``images`` evaluated, scaled so
-    its first nonzero entry is 1, or None for the zero vector) when
-    ``zeros`` is empty, and ``(point, image)`` otherwise.
+    The program skips a point as soon as one of ``zeros`` is nonzero there
+    (in order).  Without ``elements`` it is a generator function: at the
+    points left it yields the point when ``images`` is None, else the image
+    (``images`` evaluated, scaled so its first nonzero entry is 1, or None
+    for the zero vector).
+
+    With ``elements``, int tuples h of length ``n_vars`` with h_0 = 1 (on
+    the torus, with ``images``), the program returns the fibers instead: a
+    dict from each image, in first-appearance order and None included, to
+    ``[count, in_orbit, codes]``.  A point (1, x1, ..., xm) has the code
+    sum x_i * p^(m-i), extended at each loop level; when an image first
+    appears, ``codes`` is the set of codes of h * pt over ``elements``, each
+    coordinate h_i * x_i % p, and ``in_orbit`` stays True while every later
+    point of the fiber has its code there.
 
     The loops live inside the program.  A projective block per lead
     coordinate sets x_i = 0 for i < lead and x_lead = 1 when the code is
@@ -238,7 +257,9 @@ def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool 
     distinct exponent of the last variable.  A polynomial whose value is
     fixed before the innermost loop is tested (or finished) at the level
     where it is fixed.  Powers come from per-prime tables unpacked by the
-    ``for`` statement.
+    ``for`` statement.  The image's entries are tested for zero in order,
+    and on the torus the tests stop at a lone term, which cannot vanish
+    there.
 
     The first of ``zeros`` fixed at the innermost level is sum c_k * x^k in the
     last variable x, each c_k an int literal or a name of a value in [0, p)
@@ -250,7 +271,7 @@ def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool 
     p^(varying coefficients) buckets and is used when that is at most the
     number of iterations of the enclosing loops; otherwise, and for every
     other test fixed there, the loop tests each x.  Either way the points
-    are yielded in the same order.
+    come in the same order.
 
     Exponents are reduced by ``_fermat``.  A negative
     exponent in a projective enumeration of two or more coordinates raises
@@ -258,24 +279,30 @@ def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool 
     source holds only int literals and positional names.
     """
     p = operator.index(p)
+    if elements is not None and not (torus and images is not None and elements):
+        raise ValueError("fibers are enumerated on the torus, with images and group elements")
     polys = [[(c, tuple(_fermat(k, p) if k else 0 for k in e)) for c, e in _terms_mod(f, p)]
              for f in (*zeros, *(images or ()))]
     if not torus and n_vars > 1 and any(k < 0 for terms in polys for _, e in terms for k in e):
         raise ZeroDivisionError("pole at zero coordinate")
     tables: dict[tuple[int, ...], tuple[str, tuple]] = {}
     lines = ["def f():"]
+    if elements is not None:
+        lines.append("    D = {}")
     blocks = [(0, 1)] if torus else [(lead, 0) for lead in range(n_vars)]
     for lead, start in blocks:
-        lines += _block(polys, len(zeros), images is not None, n_vars, lead, start, p, tables)
-    lines.append("    yield from ()")  # a generator even when every block drops out
+        lines += _block(polys, len(zeros), images is not None, elements, n_vars, lead, start,
+                        p, tables)
+    # without elements, a generator even when every block drops out
+    lines.append("    yield from ()" if elements is None else "    return D")
     namespace = dict(tables.values())
     if images is not None:
         namespace["INV"] = (0,) + tuple(pow(x, -1, p) for x in range(1, p))
     return _define(lines, f"<compile_enumeration p={p}>", namespace)
 
 
-def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start: int,
-           p: int, tables: dict) -> list[str]:
+def _block(polys, n_zeros: int, want_image: bool, elements, n_vars: int, lead: int,
+           start: int, p: int, tables: dict) -> list[str]:
     """The lines of one block of ``compile_enumeration``: x_i = 0 for
     i < lead, x_lead = 1, and loops over x_i in [start, p) for i > lead.
     ``tables`` maps each power set to the name and rows of its table, and
@@ -290,6 +317,9 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
             if not any(e[:lead]):
                 acc[e[lead + 1:]] = (acc.get(e[lead + 1:], 0) + c) % p
         coeffs.append({mu: c for mu, c in acc.items() if c})
+    # on the torus (start 1) every loop variable is nonzero, so a polynomial
+    # of one term cannot vanish
+    lone = [start == 1 and len(cs) == 1 for cs in coeffs]
     # the loop level after which each polynomial's value is fixed
     final = [max((t + 1 for mu in cs for t in range(m) if mu[t]), default=0) for cs in coeffs]
     for q in range(n_zeros):
@@ -370,13 +400,37 @@ def _block(polys, n_zeros: int, want_image: bool, n_vars: int, lead: int, start:
                 else:
                     new[inner] = name
             coeffs[q] = new
+        if elements is not None and t < m:  # the point's code so far
+            lines.append(f"{pad}k{t} = {f'k{t - 1} + ' if t > 1 else ''}{p ** (m - t)}*x{i}")
     pad = "    " * (m + 1)
     point = "(" + "".join(f"{x}, " for x in ["0"] * lead + ["1"] + [f"x{i}" for i in free]) + ")"
     if not want_image:
         lines.append(f"{pad}yield {point}")
-    else:
-        _normalize(lines, pad, value[n_zeros:], point if n_zeros else None, p)
+        return lines
+    _normalize(lines, pad, value[n_zeros:], lone[n_zeros:], p)
+    if elements is None:
+        lines.append(f"{pad}yield y")
+        return lines
+    # the fiber of y: its first point builds the codes of its orbit, and
+    # every later point looks its own code up there
+    code = " + ".join([f"k{m - 1}"] * (m > 1) + [f"x{n_vars - 1}"] * (m > 0)) or "0"
+    orbit = ", ".join(" + ".join(_scaled_coordinate(h[i], i, p ** (n_vars - 1 - i), p)
+                                 for i in free) or "0" for h in elements)
+    lines += [f"{pad}e = D.get(y)",
+              f"{pad}if e is None:",
+              f"{pad}    D[y] = [1, True, {{{orbit}}}]",
+              f"{pad}else:",
+              f"{pad}    e[0] += 1",
+              f"{pad}    if {code} not in e[2]:",
+              f"{pad}        e[1] = False"]
     return lines
+
+
+def _scaled_coordinate(h: int, i: int, weight: int, p: int) -> str:
+    """The expression for ``(h * x_i % p) * weight``, one coordinate's part
+    of the code of h * pt."""
+    x = f"x{i}" if h == 1 else f"{h}*x{i} % {p}"
+    return x if weight == 1 else f"{x} * {weight}"
 
 
 def _power_rows(ks: tuple[int, ...], start: int, p: int) -> tuple:
@@ -422,21 +476,24 @@ def _root_table(parts, keys: list[str], rows: tuple, p: int) -> tuple:
     return tuple(map(tuple, buckets))
 
 
-def _normalize(lines: list[str], pad: str, values: list, point, p: int) -> None:
-    """Append lines yielding the image ``values`` (int literals or names of
-    ints in [0, p)) scaled so that its first nonzero entry is 1, or None for
-    the zero vector; as ``(point, image)`` when ``point`` is given."""
-    def image(text):
-        return text if point is None else f"({point}, {text})"
-
+def _normalize(lines: list[str], pad: str, values: list, lone: list, p: int) -> None:
+    """Append lines setting ``y`` to the image ``values`` (int literals or
+    names of ints in [0, p)) scaled so that its first nonzero entry is 1, or
+    to None for the zero vector.  The tests stop at the first value that
+    ``lone`` marks as unable to vanish."""
     for j, v in enumerate(values):
         entries = ["0"] * j + ["1"] + [f"{u} * w % {p}" for u in values[j + 1:]]
+        body = [f"w = INV[{v}]", "y = (" + "".join(f"{e}, " for e in entries) + ")"]
+        if lone[j]:
+            if j:
+                lines.append(f"{pad}else:")
+            lines += [f"{pad}{'    ' * bool(j)}{b}" for b in body]
+            return
         lines.append(f"{pad}{'elif' if j else 'if'} {v}:")
-        lines.append(f"{pad}    w = INV[{v}]")
-        lines.append(f"{pad}    yield {image('(' + ''.join(f'{e}, ' for e in entries) + ')')}")
+        lines += [f"{pad}    {b}" for b in body]
     if values:
         lines.append(f"{pad}else:")
-    lines.append(f"{pad}{'    ' * bool(values)}yield {image('None')}")
+    lines.append(f"{pad}{'    ' * bool(values)}y = None")
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +518,7 @@ def smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
     Requires char not in {2, 3} and char not dividing deg F, so vanishing
     partials force F = 0 by the Euler relation.
     """
+    _check_prime(p)
     d = F.homogeneous_degree()
     if d is None or not F.is_polynomial():
         raise Refusal("smooth_scan needs a homogeneous polynomial")
@@ -537,6 +595,7 @@ def fiber_histogram(rmap: RationalMap, p: int) -> FiberHistogram:
     are broken upward, because fibers of a generically finite map lose
     irrational points but never gain extra ones outside the special loci."""
     t0 = time.perf_counter()
+    _check_prime(p)
     n = len(rmap.source_vars)
     _check_enumeration_guard(n, p)
     fibers = Counter(compile_enumeration(n, p, images=rmap.components)())
@@ -600,62 +659,50 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
     """Torus-fiber check for any forward map claimed to realize the quotient
     of {F = 0} by the action, with image inside {target = 0}.
 
-    The torus points of {F = 0} are grouped by image, and the target is
-    evaluated once per distinct image, at the point where that image first
-    appears, so a zero image or a pole of the target raises in enumeration
-    order.  Fibers over images off {target = 0} are left out of the sizes.
+    One generated program (``compile_enumeration`` with the group's
+    elements) groups the torus points of {F = 0} by image, counts each
+    fiber and tests its orbit membership.  The target is then evaluated
+    once per distinct image, in order of first appearance, so a zero image
+    or a pole of the target raises in enumeration order.  Fibers over images
+    off {target = 0} are left out of the sizes.
 
     A torus point has x0 = 1, so g * pt normalizes to (g / g0) * pt, and the
     scaled elements g / g0 act freely on the torus: h * pt = pt with every
     coordinate nonzero forces h = 1.  Each orbit therefore has exactly
     |scaled| points, and a fiber is its first point's orbit iff it has
-    |scaled| points and all of them lie in that orbit.  Orbits are read from
-    one multiplication row ``rows[h][x] = h * x % p`` per distinct entry h of
-    the scaled elements, over the coordinates x of the fibers' first points
-    only, so the rows never outgrow the fibers whatever p is.
+    |scaled| points and all of them lie in that orbit.  The program builds
+    each orbit by arithmetic on the scaled elements, once per fiber, so it
+    keeps no table that grows with p.
     """
     t0 = time.perf_counter()
+    _check_prime(p)
     for order, _ in action.generators:
         if (p - 1) % order != 0:
             raise ValueError(f"root of order {order} unavailable in F_{p}")
     n = action.n_vars
     _check_enumeration_guard(n, p)
-    on_F = compile_enumeration(n, p, zeros=[F], images=forward.components, torus=True)
-    target_mod = compile_mod(target, p)
-
     elements = group_elements_mod_p(action, p)
     if len(elements) != action.group_order():
         raise ArithmeticError("embedded group order mismatch")
+    scaled = sorted({normalize_point(g, p) for g in elements})
+    on_F = compile_enumeration(n, p, zeros=[F], images=forward.components, torus=True,
+                               elements=scaled)
+    target_mod = compile_mod(target, p)
 
-    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    off_target = []
-    for pt, img in on_F():
-        pts = fibers.get(img)
-        if pts is None:
-            if img is None:
-                raise ValueError("zero vector does not define a projective point")
-            if eval_compiled(target_mod, img, p) != 0:
-                off_target.append(img)
-            pts = fibers[img] = []
-        pts.append(pt)
-    count = sum(map(len, fibers.values()))
-    for img in off_target:
-        del fibers[img]
-
-    scaled = {normalize_point(g, p) for g in elements}
-    values = set().union(*(pts[0] for pts in fibers.values()))
-    rows = {h: {x: h * x % p for x in values} for hs in scaled for h in hs}
-    orbit_rows = [tuple(rows[h] for h in hs) for hs in scaled]
-    getitem = operator.getitem
-    orbits_ok = True
+    fibers = on_F()
+    all_on_image = orbits_ok = True
     sizes: dict[int, int] = {}
-    for pts in fibers.values():
-        if orbits_ok:
-            orbits_ok = len(pts) == len(scaled) and \
-                {tuple(map(getitem, hrows, pts[0])) for hrows in orbit_rows}.issuperset(pts)
-        sizes[len(pts)] = sizes.get(len(pts), 0) + 1
+    for img, (size, in_orbit, _) in fibers.items():
+        if img is None:
+            raise ValueError("zero vector does not define a projective point")
+        if eval_compiled(target_mod, img, p) != 0:
+            all_on_image = False
+            continue
+        orbits_ok = orbits_ok and in_orbit and size == len(scaled)
+        sizes[size] = sizes.get(size, 0) + 1
     generic = max(sizes, key=lambda s: (sizes[s], s)) if sizes else 0
     return QuotientFiberReport(
-        prime=p, torus_points=count, all_on_image=not off_target, orbits_ok=orbits_ok,
+        prime=p, torus_points=sum(size for size, _, _ in fibers.values()),
+        all_on_image=all_on_image, orbits_ok=orbits_ok,
         fiber_sizes=dict(sorted(sizes.items())), generic_fiber=generic,
         group_order=action.group_order(), elapsed_s=time.perf_counter() - t0)

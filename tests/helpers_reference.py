@@ -203,10 +203,12 @@ def reference_eval_mod(F: LaurentPoly, pt: tuple, p: int) -> int:
 
 
 def reference_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool = False):
-    """The sequence ``verify.compile_enumeration(...)()`` yields, as a filter
-    over ``proj_points`` (or the torus points (1, x1, ...) with every x_i in
-    [1, p), last coordinate fastest) that evaluates each polynomial by
-    ``reference_eval_mod``."""
+    """The points of ``verify.compile_enumeration`` where every one of
+    ``zeros`` vanishes, as a filter over ``proj_points`` (or the torus points
+    (1, x1, ...) with every x_i in [1, p), last coordinate fastest) that
+    evaluates each polynomial by ``reference_eval_mod``.  With ``images``
+    each point comes as ``(point, image)``, the image normalized to a
+    leading 1, or None for the zero vector."""
     if torus:
         points = ((1,) + tail for tail in itertools.product(range(1, p), repeat=n_vars - 1))
     else:
@@ -219,9 +221,23 @@ def reference_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: boo
             out.append(pt)
             continue
         value = tuple(reference_eval_mod(c, pt, p) for c in images)
-        image = normalize_point(value, p) if any(value) else None
-        out.append((pt, image) if zeros else image)
+        out.append((pt, normalize_point(value, p) if any(value) else None))
     return out
+
+
+def reference_fibers(pairs, elements, p: int) -> list:
+    """The fibers of ``reference_enumeration``'s ``(point, image)`` pairs as
+    ``(image, count, in_orbit)`` in order of first appearance: in_orbit
+    holds when every later point of the fiber is h * (its first point),
+    coordinate by coordinate mod p, for some h in ``elements``."""
+    fibers: dict = {}
+    for pt, img in pairs:
+        fibers.setdefault(img, []).append(pt)
+    summary = []
+    for img, pts in fibers.items():
+        orbit = {tuple(h_i * x % p for h_i, x in zip(h, pts[0])) for h in elements}
+        summary.append((img, len(pts), orbit.issuperset(pts[1:])))
+    return summary
 
 
 def reference_smooth_scan(F: LaurentPoly, p: int) -> ScanReport:

@@ -20,11 +20,11 @@ from cremona.pipeline import (MonomialBasis, RationalMap, cremona_step,
 from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, C7_PARAMS, EX1_ACTION, EX1_BASIS,
                                EX3_BASIS, PAIR_ACTION, c3c3_family, ex1_family, ex3_family)
 from cremona.poly import LaurentPoly
-from cremona.verify import (compile_enumeration, compile_mod, default_prime,
+from cremona.verify import (Refusal, compile_enumeration, compile_mod, default_prime,
                             diagonal_form_smooth, eval_compiled, fiber_histogram,
                             map_fiber_orbit_check, normalize_point, on_variety,
                             proj_point_count, proj_points, quotient_fiber_check, smooth_scan)
-from helpers_reference import (reference_enumeration, reference_eval_mod,
+from helpers_reference import (reference_enumeration, reference_eval_mod, reference_fibers,
                                reference_fiber_histogram, reference_map_fiber_orbit_check,
                                reference_smooth_scan, reference_substitute)
 
@@ -288,21 +288,36 @@ class TestGeneratedEnumerations:
         on_torus = list(compile_enumeration(3, 7, zeros=laurent, torus=True)())
         assert on_torus == [(1, 6, x3) for x3 in range(1, 7)]  # x2 + x2^2 = 0
 
-    @pytest.mark.parametrize("run", [
-        lambda: smooth_scan(FERMAT, 7),
-        lambda: fiber_histogram(RationalMap.identity(V5), 7),
-        lambda: map_fiber_orbit_check(FERMAT, DiagonalAction.trivial(5),
-                                      RationalMap.identity(V5), FERMAT, 7),
-    ], ids=["smooth_scan", "fiber_histogram", "map_fiber_orbit_check"])
-    def test_guard_comes_before_any_generated_code(self, monkeypatch, run):
+    CHECKS = {
+        "smooth_scan": lambda p: smooth_scan(FERMAT, p),
+        "fiber_histogram": lambda p: fiber_histogram(RationalMap.identity(V5), p),
+        "map_fiber_orbit_check": lambda p: map_fiber_orbit_check(
+            FERMAT, DiagonalAction.trivial(5), RationalMap.identity(V5), FERMAT, p),
+    }
+
+    @staticmethod
+    def no_generated_code(monkeypatch):
         def generated(*args, **kwargs):
             raise AssertionError("code was generated")
 
-        monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 100)
         monkeypatch.setattr("cremona.verify.compile_enumeration", generated)
         monkeypatch.setattr("cremona.verify.compile_mod", generated)
+
+    @pytest.mark.parametrize("run", CHECKS.values(), ids=CHECKS)
+    def test_guard_comes_before_any_generated_code(self, monkeypatch, run):
+        monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 100)
+        self.no_generated_code(monkeypatch)
         with pytest.raises(ValueError, match="enumeration guard"):
-            run()
+            run(7)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, -7])
+    @pytest.mark.parametrize("run", CHECKS.values(), ids=CHECKS)
+    def test_a_composite_p_is_refused_first(self, monkeypatch, run, p):
+        # before the guard, which divides by p - 1, and before any code
+        monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 0)
+        self.no_generated_code(monkeypatch)
+        with pytest.raises(Refusal, match=rf"^p = {p} is not a prime"):
+            run(p)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +376,30 @@ ROOT_TABLE_SHAPES = {
 }
 
 
+def sign_changes(n, p):
+    """The elements (1, +-1, ..., +-1): a group whose orbits the fibers of
+    ``compile_enumeration`` can be tested against."""
+    return [(1,) + signs for signs in itertools.product((1, p - 1), repeat=n - 1)]
+
+
+def fiber_summary(fibers):
+    """A fiber program's result in the form of ``reference_fibers``."""
+    return [(img, count, in_orbit) for img, (count, in_orbit, _) in fibers.items()]
+
+
 @pytest.mark.parametrize("shape", ROOT_TABLE_SHAPES.values(), ids=ROOT_TABLE_SHAPES)
 def test_root_tables_yield_the_reference_sequence(shape, generated):
     n, p, torus, zeros, images, tabled, tested = shape
     zeros = [P(z, names("x", n)) for z in zeros]
     images = images and [P(c, names("x", n)) for c in images]
-    got = list(compile_enumeration(n, p, zeros=zeros, images=images, torus=torus)())
-    assert got == reference_enumeration(n, p, zeros, images, torus)  # order included
+    want = reference_enumeration(n, p, zeros, images, torus)
+    if images:  # the fibers of the images on the torus, in order of first appearance
+        elements = sign_changes(n, p)
+        got = compile_enumeration(n, p, zeros=zeros, images=images, torus=torus,
+                                  elements=elements)()
+        assert fiber_summary(got) == reference_fibers(want, elements, p)
+    else:
+        assert list(compile_enumeration(n, p, zeros=zeros, torus=torus)()) == want
     (source, _), = generated
     loops = innermost_loops(source)
     assert sum(from_root_table(header) for header, _ in loops) == tabled
@@ -377,7 +409,8 @@ def test_root_tables_yield_the_reference_sequence(shape, generated):
 def test_loop_bodies_assign_each_sum_once(generated):
     n, p, torus, zeros, images, _, _ = ROOT_TABLE_SHAPES["varying x^k coefficient (ex1)"]
     compile_enumeration(n, p, zeros=[P(z, names("x", n)) for z in zeros],
-                        images=[P(c, names("x", n)) for c in images], torus=torus)
+                        images=[P(c, names("x", n)) for c in images], torus=torus,
+                        elements=sign_changes(n, p))
     (source, _), = generated
     lines = source.splitlines()
     for j, line in enumerate(lines):
@@ -408,8 +441,14 @@ def enumeration_case(draw):
 @given(enumeration_case())
 def test_enumerations_match_the_reference_filter(case):
     n, p, zeros, images, torus = case
-    assert list(compile_enumeration(n, p, zeros=zeros, images=images, torus=torus)()) == \
-        reference_enumeration(n, p, zeros, images, torus)
+    want = reference_enumeration(n, p, zeros, images, torus)
+    got = list(compile_enumeration(n, p, zeros=zeros, images=images, torus=torus)())
+    assert got == (want if images is None else [img for _, img in want])
+    if torus and images is not None:
+        elements = sign_changes(n, p)
+        fibers = compile_enumeration(n, p, zeros=zeros, images=images, torus=True,
+                                     elements=elements)()
+        assert fiber_summary(fibers) == reference_fibers(want, elements, p)
 
 
 QFANO_40057 = P("x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x1 + x5^3")
@@ -429,12 +468,14 @@ def test_quotient_kernels_test_nothing_innermost(case, generated):
     F, action, basis, p = case
     X = InvariantHypersurface(F, action)
     assert quotient_fiber_check(X, cremona_step(X, 4, basis), p).ok
-    (source,) = [src for src, _ in generated if "yield" in src]
+    (source,) = [src for src, _ in generated if src.startswith("def f():")]
     ((header, body),) = innermost_loops(source)
     assert from_root_table(header) and "continue" not in body
+    # the step's forward map is monomial: its leading entry is never tested
+    assert "y = None" not in body and not any(line.startswith("elif") for line in body)
 
 
-GENERATED_NAME = re.compile(r"x\d+(_m?\d+)?|[TR]\d+|INV|a\d+_\d+_\d+|v\d+|s|w|f")
+GENERATED_NAME = re.compile(r"x\d+(_m?\d+)?|[TR]\d+|INV|a\d+_\d+_\d+|v\d+|k\d+|s|w|y|e|D|get|f")
 
 
 def int_tuples(value):
@@ -448,7 +489,11 @@ def test_generated_sources_hold_only_literals_and_positional_names(generated):
                                           for k in rng.sample(range(101), 80)})
     x5 = names("x", 5)
     ex1 = P("x1^3 + x2^3 + (x3 + x4 + x0)*x1*x2 + x3^3 + x4^3 + x0^3", x5)
-    compile_enumeration(5, 7, zeros=[ex1], images=[P("x1^-1*x2", x5), ex1], torus=True)
+    images = [P("x1^-1*x2", x5), ex1]
+    fibers = compile_enumeration(5, 7, zeros=[ex1], images=images, torus=True,
+                                 elements=sign_changes(5, 7))()
+    assert fiber_summary(fibers) == reference_fibers(
+        reference_enumeration(5, 7, [ex1], images, True), sign_changes(5, 7), 7)
     compile_enumeration(3, 7, zeros=[P("x2^2 + x1", names("x", 3))], torus=True)  # per-x test
     compile_enumeration(2, 101, images=[long_sum, long_sum])  # sums past one statement
     compile_enumeration(5, 7, zeros=[FERMAT.partial_deriv(i) for i in range(5)])
@@ -670,6 +715,51 @@ class TestOrbitCheckHandBuilt:
         forward = RationalMap([P("x1 - 2*x0", self.X), P(second, self.X)])
         target = P("y1*y0^-1 - 3", ("y0", "y1"))
         assert self.both(F, DiagonalAction.trivial(3), forward, target, 7) is error
+
+    @pytest.mark.parametrize("second, error", [
+        ("x2 - x0", ValueError),          # (1, 3, 1) has the zero image, (1, 3, 2) the pole
+        ("x2 - 4*x0", ZeroDivisionError),  # (1, 3, 1) meets the pole, (1, 3, 4) the zero image
+    ])
+    def test_zero_image_and_pole_after_other_fibers(self, second, error):
+        # the rows x1 = 1, 2 first give fibers on and off the target
+        F = P("x1^6 - x0^6", self.X)
+        forward = RationalMap([P("x1 - 3*x0", self.X), P(second, self.X)])
+        target = P("y1*y0^-1 - 3", ("y0", "y1"))
+        assert self.both(F, self.G, forward, target, 7) is error
+
+    def fiber_program(self, generated):
+        (source,) = [src for src, _ in generated if src.startswith("def f():")]
+        return source
+
+    def test_monomial_forward_map_tests_no_entry(self, generated):
+        # the leading entry x1^3 never vanishes on the torus: no test of it
+        F, _ = self.h_quotient()
+        forward = RationalMap([P(m, self.X) for m in
+                               ("x1^3", "x0^3", "x1^2*x2", "x1*x2^2", "x2^3")])
+        assert self.both(F, self.H, forward, P("y0*y3 - y2^2", self.Y), 7).ok
+        source = self.fiber_program(generated)
+        assert "w = INV[x1_3]" in source and "elif" not in source and "y = None" not in source
+
+    def test_leading_sum_keeps_the_tests(self, generated):
+        # x1^3 - x0^3 vanishes where x1^3 = 1; the next entry, x0^3, does not
+        F, _ = self.h_quotient()
+        forward = RationalMap([P(m, self.X) for m in
+                               ("x1^3 - x0^3", "x0^3", "x1^2*x2", "x1*x2^2", "x2^3")])
+        target = P("y3*y0 + y3*y1 - y2^2", self.Y)
+        assert self.both(F, self.H, forward, target, 7).ok
+        source = self.fiber_program(generated)
+        assert "elif" not in source and "else:\n" in source and "y = None" not in source
+        assert source.count("w = INV[") == 2
+        assert self.both(F, self.H, forward, target, 13).ok
+
+    def test_large_prime_two_coordinates(self):
+        # 10,006 torus points in 5,003 orbits {x, -x}; no table grows with p
+        x = ("x0", "x1")
+        case = (LaurentPoly.zero(x), DiagonalAction(2, ((2, (0, 1)),)),
+                RationalMap([P("x0^2", x), P("x1^2", x)]), P("0", ("y0", "y1")), 10007)
+        rep = map_fiber_orbit_check(*case)
+        assert rep.ok and rep.fiber_sizes == {2: 5003} and rep.elapsed_s < 1
+        assert self.both(*case) == dataclasses.replace(rep, elapsed_s=0)
 
 
 def test_randomized_quotient_fibers_are_orbits():
