@@ -9,6 +9,8 @@ fraction-free (Bareiss) elimination, which needs no unimodular transform.
 """
 from __future__ import annotations
 
+from operator import mul
+
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
@@ -175,28 +177,32 @@ def lattice_index(B: IntMatrix) -> int:
 def solve_in_lattice(B: IntMatrix, target: tuple[int, ...], *, reduced=None):
     """Integer coefficients c with sum(c_i * B_i) == target, or None.
 
-    B must have Z-linearly independent rows.  A caller that solves many
-    targets in one basis passes ``reduced``, the ``hermite_normal_form(B)``
-    it holds, so that B is reduced once.
+    B must have Z-linearly independent rows, and target the length of a row.
+    A caller that solves many targets in one basis passes ``reduced``, the
+    ``hermite_normal_form(B)`` it holds, so that B is reduced once.
     """
     if not B:
         return () if not any(target) else None
+    if len(target) != len(B[0]):
+        raise ValueError(f"target has length {len(target)}, basis rows have length {len(B[0])}")
     H, U = hermite_normal_form(B) if reduced is None else reduced
-    if any(not any(row) for row in H):
+    if not any(H[-1]):  # zero rows sink to the bottom
         raise ValueError("basis rows are not linearly independent")
     t = list(target)
-    y = [0] * len(H)
-    for i, row in enumerate(H):
-        c = next(j for j, v in enumerate(row) if v != 0)
-        if t[c] % row[c] != 0:
+    y = []
+    c = 0
+    for row in H:  # pivot columns increase down an HNF
+        while not row[c]:
+            c += 1
+        k, r = divmod(t[c], row[c])
+        if r:
             return None
-        k = t[c] // row[c]
-        y[i] = k
+        y.append(k)
         if k:
             t = [a - k * b for a, b in zip(t, row)]
     if any(t):
         return None
-    return vec_mat(tuple(y), U)
+    return tuple(sum(map(mul, y, col)) for col in zip(*U))
 
 
 def lattice_contains(B: IntMatrix, v: tuple[int, ...]) -> bool:

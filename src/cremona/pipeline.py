@@ -197,7 +197,10 @@ def rewrite_invariant(f: LaurentPoly, chart: int, basis: MonomialBasis):
 
     Returns (p, q) over variables u1..un; q is a single monomial.  The basis
     is reduced to Hermite normal form once, and every term is solved against
-    that one reduction.
+    that one reduction.  Distinct terms must get distinct coordinates, so p
+    keeps every term of f; an ArithmeticError says it did not.  The basis
+    search scores these coordinates, and only the step it builds for its
+    winner checks the image's coefficients.
     """
     n = basis.size
     u_vars = tuple(f"u{i + 1}" for i in range(n))
@@ -213,12 +216,13 @@ def rewrite_invariant(f: LaurentPoly, chart: int, basis: MonomialBasis):
                 f"term with exponents {alpha} is not generated by the basis "
                 "(non-invariant polynomial or invalid basis)")
         coords[sol] = c
-    mins = tuple(min(sol[j] for sol in coords) for j in range(n))
-    q_exp = tuple(max(0, -m) for m in mins)
-    p = LaurentPoly(u_vars, {
-        tuple(a + b for a, b in zip(sol, q_exp)): c for sol, c in coords.items()})
-    q = LaurentPoly.monomial(u_vars, q_exp, Fraction(1))
-    return p, q
+    if len(coords) != len(f.terms):
+        raise ArithmeticError(
+            f"{len(f.terms)} terms have {len(coords)} distinct coordinates in the basis")
+    q_exp = tuple(max(0, -min(sol[j] for sol in coords)) for j in range(n))
+    p = LaurentPoly._raw(u_vars, {tuple(map(add, sol, q_exp)): c
+                                  for sol, c in coords.items()})
+    return p, LaurentPoly._raw(u_vars, {q_exp: Fraction(1)})
 
 
 def forward_monomial_map(variables: tuple[str, ...], chart: int, basis: MonomialBasis) -> RationalMap:
@@ -226,7 +230,7 @@ def forward_monomial_map(variables: tuple[str, ...], chart: int, basis: Monomial
     homogeneous degree."""
     rows = [row[:chart] + (-sum(row),) + row[chart:] for row in basis.rows]
     rows.insert(chart, (0,) * len(variables))
-    return RationalMap([LaurentPoly.monomial(variables, w) for w in rows])
+    return RationalMap([LaurentPoly._raw(variables, {w: Fraction(1)}) for w in rows])
 
 
 def residual_action(parent: DiagonalAction, sub: DiagonalAction,
@@ -273,6 +277,32 @@ class CremonaStep:
         return InvariantHypersurface(self.image, self.residual)
 
 
+def _check_chart(X: InvariantHypersurface, chart: int) -> None:
+    """The chart checks of a step: the chart coordinate is in range, fixed by
+    the action and no factor of F, and F is not a monomial."""
+    F = X.F
+    if not 0 <= chart < X.action.n_vars:
+        raise ValueError(f"chart index {chart} out of range")
+    if chart not in X.action.trivial_coordinates():
+        raise ValueError(f"coordinate {F.vars[chart]} is not fixed by the action")
+    if F.min_deg_in_var(chart) > 0:
+        raise ValueError(
+            f"defining polynomial is divisible by the chart variable {F.vars[chart]}; "
+            "choose a different chart")
+    if len(F.terms) < 2:
+        raise ValueError("defining polynomial is a monomial; the hypersurface is reducible")
+
+
+def _chart_equation(X: InvariantHypersurface, chart: int, basis: MonomialBasis):
+    """The chart equation of a step: ``validate_basis``, then the dehomogenized
+    F rewritten in the basis.  Returns (group order, p, q)."""
+    diag = validate_basis(X.action, chart, basis)
+    if not diag.ok:
+        raise ValueError(f"invalid basis: {diag.reason}")
+    p, q = rewrite_invariant(X.F.dehomogenize(chart), chart, basis)
+    return diag.group_order, p, q
+
+
 def cremona_step(X: InvariantHypersurface, chart: int,
                  basis: MonomialBasis | None = None,
                  parent_action: DiagonalAction | None = None) -> CremonaStep:
@@ -282,30 +312,20 @@ def cremona_step(X: InvariantHypersurface, chart: int,
     ``parent_action``, when given, is a larger group containing X.action; the
     induced action of the quotient on the output coordinates is recorded so
     steps can be chained.
-    """
-    action = X.action
-    F = X.F
-    n = action.n_vars
-    if not 0 <= chart < n:
-        raise ValueError(f"chart index {chart} out of range")
-    if chart not in action.trivial_coordinates():
-        raise ValueError(f"coordinate {F.vars[chart]} is not fixed by the action")
-    if F.min_deg_in_var(chart) > 0:
-        raise ValueError(
-            f"defining polynomial is divisible by the chart variable {F.vars[chart]}; "
-            "choose a different chart")
-    if len(F.terms) < 2:
-        raise ValueError("defining polynomial is a monomial; the hypersurface is reducible")
-    if basis is None:
-        basis = hnf_basis_for(action, chart)
-    diag = validate_basis(action, chart, basis)
-    if not diag.ok:
-        raise ValueError(f"invalid basis: {diag.reason}")
 
-    f = F.dehomogenize(chart)
-    p_u, q_u = rewrite_invariant(f, chart, basis)
+    A step runs the chart checks, the chart equation, and then its
+    bookkeeping: the image with its coefficient check, the forward map and
+    the residual action.  ``search_basis`` runs only the first two on its
+    start basis, so a search builds one step: its winner's.
+    """
+    _check_chart(X, chart)
+    if basis is None:
+        basis = hnf_basis_for(X.action, chart)
+    order, p_u, q_u = _chart_equation(X, chart, basis)
+    F = X.F
     # u_j becomes the j-th non-chart coordinate
-    p_x = LaurentPoly(F.vars, {e[:chart] + (0,) + e[chart:]: c for e, c in p_u.terms.items()})
+    p_x = LaurentPoly._raw(F.vars, {e[:chart] + (0,) + e[chart:]: c
+                                    for e, c in p_u.terms.items()})
     image, d = p_x.homogenize(chart)
 
     if len(image.terms) != len(F.terms) or \
@@ -315,7 +335,7 @@ def cremona_step(X: InvariantHypersurface, chart: int,
 
     forward = forward_monomial_map(F.vars, chart, basis)
     if parent_action is not None:
-        residual = residual_action(parent_action, action, basis, chart)
+        residual = residual_action(parent_action, X.action, basis, chart)
         ok, offender = residual.is_invariant(image)
         if not ok:
             raise ValueError(
@@ -323,10 +343,10 @@ def cremona_step(X: InvariantHypersurface, chart: int,
                 f"(offending exponent {offender}); pick basis monomials whose "
                 "clearing monomial has trivial parent character")
     else:
-        residual = DiagonalAction.trivial(n)
+        residual = DiagonalAction.trivial(F.n_vars)
     return CremonaStep(
         input=X, chart=chart, basis=basis, p=p_u, q=q_u, image=image, degree=d,
-        forward=forward, residual=residual, group_order=diag.group_order)
+        forward=forward, residual=residual, group_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +505,23 @@ def search_basis(X: InvariantHypersurface, chart: int,
     itself (Cohen, Sec. 2.4).  Either way the column sums lose a multiple of
     coordinate row i and one shift changes, so a candidate is scored from
     its parent's entry in O(terms).  Only the survivors of a level get
-    entries, and only the start and the winner build a step.
+    entries.  The start basis gets the chart checks and its chart equation,
+    with no image, forward map or residual; the winner alone builds a
+    ``cremona_step``, so a search builds one step.
     """
     if width < 1 or depth < 0:
         raise ValueError(f"search needs width >= 1 and depth >= 0, got {width} and {depth}")
     start = hnf_basis_for(X.action, chart)
-    step = cremona_step(X, chart, start)  # validates the chart, F and the start basis once
-    (q_exp,) = step.q.terms
+    _check_chart(X, chart)
+    _, p, q = _chart_equation(X, chart, start)
+    (q_exp,) = q.terms
     n = start.size
     radix = 2 * max([SEARCH_ENTRY_BOUND] + [abs(x) for row in start.rows for x in row]) + 1
     digits = tuple(radix ** (n - 1 - k) for k in range(n))
     slots = tuple(radix ** (n * (n - 1 - i)) for i in range(n))
     key = sum(sum(map(mul, row, digits)) * w for row, w in zip(start.rows, slots))
     beam = [_search_entry(key, start.rows, tuple(
-        tuple(e[j] - qj for e in step.p.terms) for j, qj in enumerate(q_exp)))]
+        tuple(e[j] - qj for e in p.terms) for j, qj in enumerate(q_exp)))]
     *_, cols, _, total = beam[0]
     best = (max(cols) + total, key, start.rows)
     seen = {key}

@@ -256,11 +256,11 @@ class LaurentPoly:
         """Set the chart variable to 1.  Requires a homogeneous polynomial."""
         if self.homogeneous_degree() is None:
             raise ValueError("dehomogenize requires a homogeneous polynomial")
-        out = {}
-        for e, c in self.terms.items():
-            e2 = tuple(0 if i == chart else k for i, k in enumerate(e))
-            out[e2] = c  # no collisions: F homogeneous
-        return LaurentPoly(self.vars, out)
+        if not 0 <= chart < len(self.vars):
+            raise ValueError(f"chart index {chart} out of range")
+        # no collisions: self is homogeneous
+        return LaurentPoly._raw(self.vars, {e[:chart] + (0,) + e[chart + 1:]: c
+                                            for e, c in self.terms.items()})
 
     def homogenize(self, chart: int) -> tuple[LaurentPoly, int]:
         """Clear the chart variable in minimally: result homogeneous, chart does
@@ -268,16 +268,15 @@ class LaurentPoly:
         """
         if not self.terms:
             raise ValueError("cannot homogenize the zero polynomial")
+        if not 0 <= chart < len(self.vars):
+            raise ValueError(f"chart index {chart} out of range")
         if not self.is_polynomial():
             raise ValueError("homogenize requires nonnegative exponents")
         if any(e[chart] for e in self.terms):
             raise ValueError("input already involves the chart variable")
         d = self.total_degree()
-        out = {}
-        for e, c in self.terms.items():
-            e2 = tuple(d - sum(e) if i == chart else k for i, k in enumerate(e))
-            out[e2] = c
-        return LaurentPoly(self.vars, out), d
+        return LaurentPoly._raw(self.vars, {e[:chart] + (d - sum(e),) + e[chart + 1:]: c
+                                            for e, c in self.terms.items()}), d
 
     # -- calculus / content ---------------------------------------------------------
 

@@ -7,7 +7,7 @@ per-point loops over ``proj_points`` or the torus, a basis search that solves ev
 candidate in the lattice again, subgroup containment and group equality
 as lattice solves and HNF comparisons, a recursive-descent expression parser
 over token objects, and a coefficient renderer that builds each Cyclotomic
-sum by hand."""
+sum by hand, and a lattice solve by Gaussian elimination over Q."""
 import itertools
 import re
 import time
@@ -381,6 +381,28 @@ def reference_search_basis(X, chart, width=8, depth=6):
         if candidates[0][0] < best_score:
             best_score, best_basis = candidates[0]
     return best_basis, cremona_step(X, chart, best_basis)
+
+
+def reference_solve(B, target):
+    """Integer c with c * B == target, or None, for B of full row rank:
+    the rational solution of B^T c = target by Gaussian elimination over
+    Q, kept only when it exists and is integral."""
+    k = len(B)
+    rows = [[Fraction(B[i][j]) for i in range(k)] + [Fraction(t)]
+            for j, t in enumerate(target)]
+    for c in range(k):
+        pivot = next(i for i in range(c, len(rows)) if rows[i][c])  # full rank
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c]:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[c])]
+    if any(row[-1] for row in rows[k:]):
+        return None
+    sol = [row[-1] for row in rows[:k]]
+    if any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
 
 
 def reference_subgroup_index(action, subaction):

@@ -1,14 +1,17 @@
 import random
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cremona.lattice
 from cremona.lattice import (congruence_kernel, det, elementary_divisors,
                              hermite_normal_form, hnf_basis, identity,
                              lattice_contains, lattice_index, matmul,
                              smith_normal_form, solve_in_lattice,
-                             spans_same_lattice)
+                             spans_same_lattice, transpose)
+from helpers_reference import reference_solve
 
 
 class TestHNF:
@@ -147,6 +150,61 @@ class TestSolveInLattice:
             target = tuple(sum(c[i] * B[i][j] for i in range(3)) for j in range(3))
             got = solve_in_lattice(B, target)
             assert got == c
+
+    # a longer target is not truncated, to (1, 2), nor does a shorter one
+    # raise a bare IndexError; the lengths are compared before any reduction
+    @pytest.mark.parametrize("target", [(1, 2, 3), (1,)], ids=["longer", "shorter"])
+    def test_target_length_must_match_the_rows(self, monkeypatch, target):
+        B = ((1, 0), (0, 1))
+        reduced = hermite_normal_form(B)
+
+        def no_reduction(M):
+            raise AssertionError("reduced before the lengths were compared")
+
+        monkeypatch.setattr(cremona.lattice, "hermite_normal_form", no_reduction)
+        message = f"target has length {len(target)}, basis rows have length 2"
+        for kwargs in ({}, {"reduced": reduced}):
+            with pytest.raises(ValueError, match=message):
+                solve_in_lattice(B, target, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            lattice_contains(B, target)
+
+    # (1, 0) fails the first row's divisibility test, so a solve that checked
+    # the rank only on reaching a zero row would return None
+    def test_dependent_basis_refused_before_the_target(self):
+        B = ((2, 0), (4, 0))
+        for kwargs in ({}, {"reduced": hermite_normal_form(B)}):
+            with pytest.raises(ValueError, match="not linearly independent"):
+                solve_in_lattice(B, (1, 0), **kwargs)
+
+
+@st.composite
+def _full_rank_bases(draw, square):
+    """k x n integer matrices of rank k, entries in [-9, 9]: k == n <= 5,
+    or 1 <= k < n <= 5."""
+    n = draw(st.integers(1, 5) if square else st.integers(2, 5))
+    k = n if square else draw(st.integers(1, n - 1))
+    row = st.tuples(*[st.integers(-9, 9)] * n)
+    B = tuple(draw(st.lists(row, min_size=k, max_size=k)))
+    assume(det(matmul(B, transpose(B))) != 0)  # Gram determinant: rows independent
+    return B
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "non-square"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_agrees_with_exact_elimination(square, data):
+    B = data.draw(_full_rank_bases(square))
+    n = len(B[0])
+    c = data.draw(st.tuples(*[st.integers(-9, 9)] * len(B)))
+    target = tuple(sum(ci * row[j] for ci, row in zip(c, B)) for j in range(n))
+    reduced = hermite_normal_form(B)
+    assert solve_in_lattice(B, target) == c
+    assert solve_in_lattice(B, target, reduced=reduced) == c
+    moved = tuple(map(add, target, data.draw(st.tuples(*[st.integers(-2, 2)] * n))))
+    want = reference_solve(B, moved)
+    assert solve_in_lattice(B, moved) == want
+    assert solve_in_lattice(B, moved, reduced=reduced) == want
 
 
 class TestCongruenceKernel:

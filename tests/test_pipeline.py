@@ -35,6 +35,14 @@ def P(text, variables=V5, params=(), zeta_order=None):
     return parse_poly(text, variables, params, zeta_order)
 
 
+def _unchecked(F, action):
+    """An InvariantHypersurface built without its invariance check."""
+    X = object.__new__(InvariantHypersurface)
+    object.__setattr__(X, "F", F)
+    object.__setattr__(X, "action", action)
+    return X
+
+
 class TestValidateBasis:
     def test_worked_bases_ok(self):
         assert validate_basis(EX1_ACTION, 4, EX1_BASIS) == BasisDiagnosis(True, group_order=3)
@@ -98,6 +106,25 @@ class TestRewriteInvariant:
         p, _ = rewrite_invariant(f, 4, EX1_BASIS)
         assert calls == [EX1_BASIS.rows]
         assert len(p.terms) == len(f.terms)
+
+    def test_terms_sharing_a_coordinate_are_refused(self, monkeypatch):
+        # a solve that maps two terms to one vector would leave p with fewer
+        # terms than f, and the search would score the wrong coordinates
+        import cremona.lattice
+        solve = cremona.lattice.solve_in_lattice
+        first = []
+
+        def collapsing(*args, **kwargs):
+            first.append(solve(*args, **kwargs))
+            return first[0]
+
+        monkeypatch.setattr(cremona.lattice, "solve_in_lattice", collapsing)
+        f = ex1_family().dehomogenize(4)
+        with pytest.raises(ArithmeticError, match=f"{len(f.terms)} terms have 1 distinct"):
+            rewrite_invariant(f, 4, EX1_BASIS)
+        first.clear()
+        with pytest.raises(ArithmeticError, match="distinct coordinates"):
+            search_basis(InvariantHypersurface(ex1_family(), EX1_ACTION), 4)
 
     def test_follow_up_rewrite_has_trivial_denominator(self):
         # second step of the first worked chain: everything is polynomial in
@@ -588,6 +615,69 @@ class TestSearchBasis:
         monkeypatch.setattr(DiagonalAction, "invariant_lattice", counted)
         search_basis(X, 4)
         assert calls == [(C3C3_ACTION, 4)]
+
+    @pytest.mark.parametrize("X", [InvariantHypersurface(c3c3_family(), C3C3_ACTION),
+                                   InvariantHypersurface(ex1_family(), EX1_ACTION)],
+                             ids=["c3c3", "ex1"])
+    def test_builds_one_step(self, monkeypatch, X):
+        # the start basis gets the chart checks and its chart equation only;
+        # the winner's step goes through the module's cremona_step, which
+        # the bench tracer wraps
+        import cremona.pipeline
+        steps, built = [], []
+        step_of, step_class = cremona.pipeline.cremona_step, cremona.pipeline.CremonaStep
+
+        def counted_step(*args):
+            steps.append(args)
+            return step_of(*args)
+
+        def counted_build(**fields):
+            built.append(fields["basis"])
+            return step_class(**fields)
+
+        monkeypatch.setattr(cremona.pipeline, "cremona_step", counted_step)
+        monkeypatch.setattr(cremona.pipeline, "CremonaStep", counted_build)
+        basis, step = search_basis(X, 4)
+        assert steps == [(X, 4, basis)]
+        assert built == [basis] and step.basis == basis
+
+    # The message of each invalid input a search can reach.  A
+    # chart out of range or with a nontrivial character is refused while
+    # the start basis is computed; F divisible by the chart and a monomial F
+    # by the chart checks, before any term is rewritten; a term outside the
+    # lattice (an F that skipped InvariantHypersurface's invariance check)
+    # by the rewrite of the start's chart equation.
+    @pytest.mark.parametrize("X,chart,message,rewrites", [
+        (InvariantHypersurface(ex1_family(), EX1_ACTION), 5,
+         "chart 5 out of range for 5 coordinates", 0),
+        (InvariantHypersurface(ex1_family(), EX1_ACTION), -1,
+         "chart -1 out of range for 5 coordinates", 0),
+        (InvariantHypersurface(c3c3_family(), C3C3_ACTION), 0,
+         "coordinate 0 does not have trivial character", 0),
+        (InvariantHypersurface(P("x1^2*x3 + x2^2*x3", V3), DiagonalAction(3, ((2, (1, 0, 0)),))),
+         2, "defining polynomial is divisible by the chart variable x3; choose a different chart",
+         0),
+        (InvariantHypersurface(P("x1^3", V3), DiagonalAction.trivial(3)), 2,
+         "defining polynomial is a monomial; the hypersurface is reducible", 0),
+        (_unchecked(P("x1^3 + x1^2*x2 + x3^3", V3), DiagonalAction(3, ((3, (1, 2, 0)),))), 2,
+         "term with exponents (2, 1) is not generated by the basis "
+         "(non-invariant polynomial or invalid basis)", 1),
+    ], ids=["chart-past-end", "chart-negative", "nontrivial-character", "divisible-by-chart",
+            "monomial", "term-outside-lattice"])
+    def test_invalid_inputs_keep_their_messages(self, monkeypatch, X, chart, message, rewrites):
+        import cremona.pipeline
+        calls = []
+        rewrite = cremona.pipeline.rewrite_invariant
+
+        def counted(*args):
+            calls.append(args)
+            return rewrite(*args)
+
+        monkeypatch.setattr(cremona.pipeline, "rewrite_invariant", counted)
+        with pytest.raises(ValueError) as info:
+            search_basis(X, chart)
+        assert type(info.value) is ValueError and str(info.value) == message
+        assert len(calls) == rewrites
 
 
 def test_coefficient_preservation_randomized():

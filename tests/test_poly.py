@@ -72,6 +72,15 @@ class TestCharts:
         with pytest.raises(ValueError):
             P("x1^2 + x1", V2).dehomogenize(1)
 
+    # a chart past the end or negative is refused, not ignored: homogenize
+    # at -1 would return x1 + 1 unchanged and inhomogeneous
+    @pytest.mark.parametrize("chart", [-1, 2])
+    def test_chart_out_of_range(self, chart):
+        with pytest.raises(ValueError, match=f"chart index {chart} out of range"):
+            P("x1^2*x2", V2).dehomogenize(chart)
+        with pytest.raises(ValueError, match=f"chart index {chart} out of range"):
+            P("x1 + 1", V2).homogenize(chart)
+
     def test_dehomogenize_simple(self):
         assert P("x1^2*x2", V2).dehomogenize(1) == P("x1^2", V2)
 
