@@ -4,7 +4,7 @@ Subcommands: invariants, transform, chain, search-basis,
 verify {smooth,map-degree,identity}, reproduce, list-scenarios.
 Exit codes: 0 success, 1 assertion or engine failure, 2 usage or parse
 error, a broken chain, a refused check (``verify.Refusal``) or an expansion
-over its budget (``poly.BudgetError``).
+over one of the kernel's work, term or bit budgets (``poly.BudgetError``).
 """
 from __future__ import annotations
 

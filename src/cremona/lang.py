@@ -29,14 +29,6 @@ from .coeffs import PRIME_TEST_BOUND, Cyclotomic, ParamCoeff, is_prime
 from .poly import BudgetError, LaurentPoly, poly_str
 
 
-# Most bits a numerator or denominator of ``atom ^ exp`` or ``a * b`` may
-# need, checked before any expansion starts: at most about 3,000 decimal
-# digits, which CPython still prints.  It also bounds the scalar powers and
-# products that never reach the expansion kernel, whose own budgets
-# (``poly.POWER_WORK_BUDGET`` and ``poly.POWER_TERM_BUDGET``) bound the rest.
-POWER_BIT_BUDGET = 10_000
-
-
 class ParseError(ValueError):
     def __init__(self, line: int, col: int, message: str, expected: tuple[str, ...] = ()):
         self.line = line
@@ -155,9 +147,9 @@ def _int(text: str, line: _Line, k: int) -> int:
 # place.  A term keeps its product as one exponent list and one coefficient
 # while it has one term, and a variable factor adds to that list in place;
 # any other factor goes through ``_product``, where a factor of coefficient
-# 1 shifts, two one-term factors multiply their scalars, and every other
-# product is LaurentPoly's (and, in ``_power``, every power of a sum or of a
-# parameter expression), under the expansion kernel's budgets.  Integer
+# 1 shifts, and every other product is LaurentPoly's (and, in ``_power``,
+# every power but a variable's), under the expansion kernel's budgets of
+# work, terms and bits; a refusal is reported at the "*" or "^".  Integer
 # literals stay ints until an expansion or the declaration's LaurentPoly
 # converts them; each declaration builds its LaurentPoly once, from the
 # finished dict.
@@ -309,12 +301,9 @@ def _parse_factor(line: _Line, ctx: _ExprContext) -> dict:
     return atom
 
 
-def _expanded(op: str, bits: int, build, line: _Line, k: int) -> dict:
-    """build(), the expansion ``op`` whose coefficients need ``bits`` bits,
-    refused at token k if over the bit budget or the expansion kernel's."""
-    if bits > POWER_BIT_BUDGET:
-        raise line.error(k, f"{op} may need {bits}-bit coefficients, over the budget "
-                            f"of {POWER_BIT_BUDGET}")
+def _expanded(op: str, build, line: _Line, k: int) -> dict:
+    """build(), the expansion ``op``, refused at token k if over one of the
+    expansion kernel's budgets."""
     try:
         return build()
     except BudgetError as exc:
@@ -323,9 +312,7 @@ def _expanded(op: str, bits: int, build, line: _Line, k: int) -> dict:
 
 def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
     """a * b, refused at token k if over a budget.  A one-term factor of
-    coefficient 1 shifts the other's exponents, and two one-term factors,
-    such as each ``5*zeta``, multiply their scalars, unless b's is a sum of
-    parameter terms, which LaurentPoly multiplies out; any other product is
+    coefficient 1 shifts the other's exponents; any other product is
     LaurentPoly's, on the two dicts as they are (their terms are clean, and
     int coefficients multiply as rationals)."""
     mono, rest = (b, a) if len(b) == 1 else (a, b)
@@ -333,78 +320,26 @@ def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
         (m, cm), = mono.items()
         if cm is _ONE:
             return {tuple(map(add, e, m)): c for e, c in rest.items()}
-        if len(rest) == 1 and not (isinstance(cm, ParamCoeff) and len(cm.poly.terms) > 1):
-            (e, c), = rest.items()
-            return _expanded("product", max(1, (_scalar_size(c) * _scalar_size(cm)).bit_length()),
-                             lambda: {tuple(map(add, e, m)): c * cm}, line, k)
-    # the coefficients of a * b are integers of at most ma * mb over at most
-    # ma * mb, as for a power
-    return _expanded("product", max(1, (_coeff_size(a) * _coeff_size(b)).bit_length()),
-                     lambda: (LaurentPoly._raw(ctx.variables, a)
-                              * LaurentPoly._raw(ctx.variables, b)).terms, line, k)
+    return _expanded("product", lambda: (LaurentPoly._raw(ctx.variables, a)
+                                         * LaurentPoly._raw(ctx.variables, b)).terms, line, k)
 
 
 def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict:
-    """atom ** exp, refused at token k if over a budget.  A one-term atom is
-    raised by scaling its exponents and powering its coefficient; a sum by
-    LaurentPoly's power."""
-    mono = len(atom) == 1
-    if mono:
+    """atom ** exp, refused at token k if over a budget: a variable power
+    scales its exponents, any other power is LaurentPoly's."""
+    if len(atom) == 1:
         (e, c), = atom.items()
         if c is _ONE:  # a variable power: one term, coefficient 1, no work
             return {tuple(exp * x for x in e): _ONE}
     if exp == 0:
         return {ctx.zero: _ONE}
     if exp < 0:
-        if not mono:
-            raise line.error(k, f"cannot take power {exp}: negative powers only for monomials")
         try:
-            e, c = tuple(-x for x in e), (Fraction(c) if isinstance(c, int) else c) ** -1
+            atom = (LaurentPoly(ctx.variables, atom) ** -1).terms
         except (ValueError, ZeroDivisionError) as exc:
             raise line.error(k, f"cannot take power {exp}: {exc}") from None
-        atom = {e: c}
-    n = abs(exp)
-    return _expanded(f"power {exp}", _power_bit_bound(atom, n),
-                     lambda: {tuple(n * x for x in e): c ** n} if mono
-                     else (LaurentPoly(ctx.variables, atom) ** n).terms, line, k)
-
-
-def _rationals(c) -> list:
-    """The rational numbers a coefficient is written with."""
-    if isinstance(c, ParamCoeff):
-        return [r for v in c.poly.terms.values() for r in _rationals(v)]
-    if isinstance(c, Cyclotomic):
-        return list(c.coeffs)
-    return [c]
-
-
-def _coeff_size(atom: dict) -> int:
-    """max(D, S) for D the common denominator of the atom's rational numbers
-    and S the sum of their absolute values times D: every coefficient of the
-    atom is an integer of at most S over D."""
-    values = [r for c in atom.values() for r in _rationals(c)]
-    den = math.lcm(*(r.denominator for r in values))
-    return max(den, sum(abs(r.numerator) * (den // r.denominator) for r in values))
-
-
-def _scalar_size(c) -> int:
-    """The ``_coeff_size`` of a one-term atom with coefficient c, read off
-    at once when c is rational."""
-    if isinstance(c, (int, Fraction)):
-        return max(c.denominator, abs(c.numerator))
-    return _coeff_size({(): c})
-
-
-def _power_bit_bound(atom: dict, exp: int) -> int:
-    """A bound on the bit lengths of the numerators and denominators of
-    ``atom ** exp`` for exp >= 0.  With m the atom's ``_coeff_size``, every
-    coefficient of the power is an integer of at most m^exp over at most
-    m^exp, and m^exp has at most exp times as many bits as m; a cyclotomic
-    coefficient adds a constant factor that depends only on its order.
-    Atoms written with 0 and one +/-1, such as ``zeta``, get 1 whatever the
-    exponent.  Integer arithmetic only, so any exponent is measured."""
-    m = _coeff_size(atom)
-    return max(1, exp * m.bit_length()) if m > 1 else 1
+    return _expanded(f"power {exp}", lambda: (LaurentPoly(ctx.variables, atom) ** abs(exp)).terms,
+                     line, k)
 
 
 def parse_poly(text: str, variables, params=(), zeta_order: int | None = None) -> LaurentPoly:

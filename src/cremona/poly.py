@@ -10,9 +10,9 @@ multiplies both; domains are never mixed implicitly, conversions go through
 
 Canonical term order is graded lexicographic, largest first.
 
-Every ``_expand`` has a budget, charged before each product is formed: the
-work of the call, expansions nested in it included, and the terms of its
-result.  Past either it raises ``BudgetError``.
+Every product and power has three budgets, checked before the work they
+bound: the work of an ``_expand`` call, nested ones included, the terms of
+its result, and its coefficients' bits.  Past any it raises ``BudgetError``.
 """
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ POWER_WORK_BUDGET = 3_000_000
 # Most terms, parameter monomials counted, an expansion's result may hold
 # beyond the largest of its inputs.
 POWER_TERM_BUDGET = 10_000
+# Most bits a product's or power's coefficients may need beyond its largest
+# input's: at most about 3,000 decimal digits, which CPython still prints.
+POWER_BIT_BUDGET = 10_000
 
 
 class BudgetError(ValueError):
@@ -54,6 +57,43 @@ def _held(p) -> int:
     """The terms of p, parameter monomials counted: what the term budget
     bounds."""
     return sum(len(c.poly.terms) if isinstance(c, ParamCoeff) else 1 for c in p.terms.values())
+
+
+def _size(scalars) -> int:
+    """max(D, S), D the common denominator of the rationals the scalars are
+    written with (Cyclotomic coordinates and ParamCoeff coefficients one by
+    one, F_p values none), S their numerators' L1 norm over D.  a * b has
+    coefficients of at most m_a * m_b over at most m_a * m_b, a ** k of
+    m_a ** k (over Q(zeta_e) times R_e)."""
+    rs, todo = [], list(scalars)
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Cyclotomic):
+            rs += c.coeffs
+        elif isinstance(c, ParamCoeff):
+            todo += c.poly.terms.values()
+        elif not isinstance(c, FpElem):
+            rs.append(c)
+    den = lcm(*[r.denominator for r in rs])
+    return max(den, sum([abs(r.numerator) * (den // r.denominator) for r in rs]))
+
+
+def _bits(factors) -> int:
+    """A bound on the bits of prod m ** k over the (m, k) of factors, sizes
+    m >= 1: exact over the k = 1 factors, k * bitlen(m) for each power."""
+    exact = prod(m for m, k in factors if k == 1)
+    bits = sum(k * m.bit_length() for m, k in factors if k > 1 and m > 1)
+    return bits + exact.bit_length() if exact > 1 or not bits else bits
+
+
+def _check_bits(factors, inputs):
+    """Refuse a product of sizes whose ``_bits`` are over the bit budget and
+    over each of the polynomials ``inputs``' own, so only growth is refused."""
+    bits = _bits(factors)
+    if bits > POWER_BIT_BUDGET and \
+            bits > max(_size(p.terms.values()).bit_length() for p in inputs):
+        raise BudgetError(f"coefficients would need {bits} bits, over the budget of "
+                          f"{POWER_BIT_BUDGET}")
 
 
 def term_key(exps: tuple[int, ...]):
@@ -191,17 +231,19 @@ class LaurentPoly:
 
     def _times(self, other):
         """A one-term factor whose coefficient is one term too, a scalar or
-        a parameter monomial, shifts and scales the other, which adds no
-        term; every other product is multiplied out by ``_expand``."""
+        a parameter monomial, shifts and scales the other operand, whichever
+        it is; every other product is multiplied out by ``_expand``."""
         o = self._as_poly(other)
         if o is None:
             return NotImplemented
-        mono, rest = (o, self) if len(o.terms) == 1 else (self, o)
-        if len(mono.terms) == 1:
-            (m, cm), = mono.terms.items()
-            if not isinstance(cm, ParamCoeff) or len(cm.poly.terms) == 1:
-                return LaurentPoly._raw(self.vars, {tuple(map(add, e, m)): c * cm
-                                                    for e, c in rest.terms.items()})
+        for mono, rest in ((o, self), (self, o)):
+            if len(mono.terms) == 1:
+                (m, cm), = mono.terms.items()
+                if not isinstance(cm, ParamCoeff) or len(cm.poly.terms) == 1:
+                    if (size := _size((cm,))) > 1:
+                        _check_bits([(size, 1), (_size(rest.terms.values()), 1)], (self, o))
+                    return LaurentPoly._raw(self.vars, {tuple(map(add, e, m)): c * cm
+                                                        for e, c in rest.terms.items()})
         return _formal_product([(self, 1), (o, 1)])
 
     def _power(self, n: int):
@@ -210,6 +252,10 @@ class LaurentPoly:
             return LaurentPoly._raw(self.vars, {(0,) * len(self.vars): unit})
         if len(self.terms) == 1:
             (e, c), = self.terms.items()
+            if n < 0:
+                e, c, n = tuple(-x for x in e), c ** -1, -n
+            if (size := _size((c,))) > 1:
+                _check_bits([(size, n)], (self,))
             return LaurentPoly._raw(self.vars, {tuple(n * x for x in e): c ** n})
         if n < 0:
             raise ValueError("negative powers only for monomials")
@@ -506,6 +552,11 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
     budget or no more than some input's.  The result's coefficients lie in
     the inputs' common domain: Q, Q(zeta_e), parameters over either, or F_p.
 
+    Bits are checked before each fold of a monomial image's scalar and, for
+    each signature with hat powers outside F_p, before any scale, radix or
+    rung: its cofactor's size times its first term's image sizes to their
+    powers, as in a * a.
+
     With ``zero_test`` the body ends at the inner sum and returns whether it
     is empty.  The result is x^m * inner * prod_j hat_j^c_j in an integral
     domain (Q(zeta_e)[params][x^+-1] or F_p[x^+-1]) and no hat is zero, so it
@@ -523,6 +574,9 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
             _spent = None
     n = len(target_vars)
     zero = (0,) * n
+    inputs = (F, *images.values())  # the bit budget refuses growth past their sizes
+    sizes = {name: _size(img.terms.values()) for name, img in images.items()
+             if len(img.terms) == 1}
     terms = []  # (scalar, exponent shift, [(name, k) of non-monomial images])
     for e, c in F.terms.items():
         scalar, shift, factors, dead = c, zero, [], False
@@ -539,6 +593,8 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
                 factors.append((name, k))
             else:
                 (m, cm), = img.terms.items()
+                if (size := sizes[name] if k > 0 else _size((cm ** -1,))) > 1:
+                    _check_bits([(_size((scalar,)), 1), (size, abs(k))], inputs)
                 scalar = scalar * cm ** k
                 shift = tuple([a + k * b for a, b in zip(shift, m)])
         if not dead:
@@ -546,7 +602,8 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
     if not terms:
         return True if zero_test else LaurentPoly.zero(target_vars)
 
-    hats, hat_of, groups = [], {}, {}  # hat_of[name] = (j, m); signature -> [(shift, scalar)]
+    # hat_of[name] = (j, m); signature -> [(shift, scalar)] and its first term's factors
+    hats, hat_of, groups, split = [], {}, {}, {}
     for scalar, shift, factors in terms:
         sig = {}
         for name, k in factors:
@@ -556,27 +613,32 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
             sig[j] = sig.get(j, 0) + k
             if m is not None:
                 shift = tuple([a + k * b for a, b in zip(shift, m)])
-        groups.setdefault(tuple(sorted(sig.items())), []).append((shift, scalar))
+        sig = tuple(sorted(sig.items()))
+        groups.setdefault(sig, []).append((shift, scalar))
+        split.setdefault(sig, factors)
     order, prime, symbols = _domain(
         [s for s, _, _ in terms] + [c for name in hat_of for c in images[name].terms.values()])
     n_params = len(symbols or ())
 
-    # hats with cleared denominators, cofactor scalars still rational, and
-    # the exponent box each group can reach
-    scale, hat_ints, hat_box = [], [], []
+    # hats and cofactors with cleared denominators, and the exponent box each
+    # group can reach
+    scale, hat_ints, hat_box, hat_size = [], [], [], []
     for hat in hats:
         parts = _parts(hat.items(), n_params)
         d = lcm(*(v.denominator for _, _, v in parts))
         scale.append(d)
         hat_ints.append([(s, z, v.numerator * (d // v.denominator)) for s, z, v in parts])
         hat_box.append(_box(parts))
+        hat_size.append(max(d, sum(abs(v) for _, _, v in hat_ints[-1])))
     cofactors, lo, hi = {}, None, None
     for sig, members in groups.items():
-        s_scale = prod(scale[j] ** k for j, k in sig)
         parts = _parts(members, n_params)
-        if s_scale != 1:
-            parts = [(s, z, Fraction(v) / s_scale) for s, z, v in parts]
-        cofactors[sig] = parts
+        d = lcm(*(v.denominator for _, _, v in parts))
+        ints = [(s, z, v.numerator * (d // v.denominator)) for s, z, v in parts]
+        if prime is None and sig:  # with no hat power nothing grows past the folds
+            _check_bits([(max(d, sum(abs(v) for _, _, v in ints)), 1)] +
+                        [(hat_size[hat_of[name][0]], k) for name, k in split[sig]], inputs)
+        cofactors[sig] = d * prod(scale[j] ** k for j, k in sig), ints
         t_lo, t_hi = _box(parts)
         for j, k in sig:
             i_lo, i_hi = hat_box[j]
@@ -586,9 +648,9 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
         hi = t_hi if hi is None else list(map(max, hi, t_hi))
     radices = [b - a + 1 for a, b in zip(lo, hi)]
     weights = [prod(radices[:j]) for j in range(len(radices))]
-    den = lcm(*(v.denominator for parts in cofactors.values() for _, _, v in parts))
-    cofactors = {sig: [(s, z, v.numerator * (den // v.denominator)) for s, z, v in parts]
-                 for sig, parts in cofactors.items()}
+    den = lcm(*(d for d, _ in cofactors.values()))
+    cofactors = {sig: [(s, z, v * (den // d)) for s, z, v in ints]
+                 for sig, (d, ints) in cofactors.items()}
 
     B, N = 1, prime  # F_p values are residues mod p on every rung
     if order is not None:

@@ -39,6 +39,7 @@ dividing p - 1.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from collections import Counter
@@ -63,13 +64,13 @@ class Refusal(ValueError):
 
 def default_prime(orders=(), degree: int | None = None) -> int:
     """Smallest prime p >= 7 with all root orders dividing p - 1 and p
-    coprime to the degree (so the Euler relation argument applies)."""
-    p = 7
-    while True:
-        if is_prime(p) and all((p - 1) % e == 0 for e in orders) \
-                and (degree is None or degree % p != 0):
-            return p
-        p += 1
+    coprime to the degree (so the Euler relation argument applies): p runs
+    through 1 + k * lcm(orders), the only candidates."""
+    step = math.lcm(*orders)
+    p = 1 + -(-6 // step) * step
+    while not (is_prime(p) and (degree is None or degree % p != 0)):
+        p += step
+    return p
 
 
 def proj_points(n_coords: int, p: int):

@@ -3,22 +3,24 @@ tuple-key double loop and square-and-multiply over it, with the product of
 two ``ParamCoeff``s as one more such loop, ``substitute`` built from those
 and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
 evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
-per-point loops over ``proj_points`` or the torus, a basis search that solves every
+per-point loops over ``proj_points`` or the torus, the default prime as a
+walk over every integer, a basis search that solves every
 candidate in the lattice again, subgroup containment and group equality
 as lattice solves and HNF comparisons, a recursive-descent expression parser
-over token objects, and a coefficient renderer that builds each Cyclotomic
+over token objects, the bit bounds that parser checked itself before the
+expansion kernel did, and a coefficient renderer that builds each Cyclotomic
 sum by hand, and a lattice solve by Gaussian elimination over Q."""
 import itertools
+import math
 import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from cremona import lang
 from cremona.action import common_chart
-from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, root_embed
-from cremona.lang import ParseError, _coeff_size, _power_bit_bound
+from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, is_prime, root_embed
+from cremona.lang import ParseError
 from cremona.lattice import lattice_contains, lattice_index, spans_same_lattice
 from cremona.pipeline import (SEARCH_ENTRY_BOUND, MonomialBasis, cremona_step,
                               hnf_basis_for, rewrite_invariant)
@@ -431,6 +433,16 @@ def reference_same_group(a, b):
     return spans_same_lattice(a.invariant_lattice(c), b.invariant_lattice(c))
 
 
+def reference_default_prime(orders=(), degree=None) -> int:
+    """``verify.default_prime`` as a walk over every integer from 7."""
+    p = 7
+    while True:
+        if is_prime(p) and all((p - 1) % e == 0 for e in orders) \
+                and (degree is None or degree % p != 0):
+            return p
+        p += 1
+
+
 # ---------------------------------------------------------------------------
 # the expression parser
 # ---------------------------------------------------------------------------
@@ -438,9 +450,9 @@ def reference_same_group(a, b):
 # ``lang.parse_poly`` as it was before it read token texts and built each
 # term's monomial in place: one ``Token`` per token, a cursor over them, and a
 # term dict per factor, multiplied by ``_product`` at every "*".  Digits are
-# ASCII only, as in ``lang``.  The bit budget is read from ``lang`` at each
-# check, and the bit bounds are ``lang``'s own; the expansion kernel's
-# refusals are re-raised at the "*" or "^".
+# ASCII only, as in ``lang``.  Every product and power but a shift by a
+# coefficient-1 factor and a variable power is the expansion kernel's, as in
+# ``lang``, and its refusals are re-raised at the "*" or "^".
 
 _REF_TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -572,11 +584,7 @@ def _ref_factor(cur: _Cursor, ctx: _RefContext) -> dict:
     return atom if sign == 1 else {e: -c for e, c in atom.items()}
 
 
-def _ref_expanded(op: str, bits: int, build, tok: _Token) -> dict:
-    if bits > lang.POWER_BIT_BUDGET:
-        raise ParseError(tok.line, tok.col,
-                         f"{op} may need {bits}-bit coefficients, over the budget "
-                         f"of {lang.POWER_BIT_BUDGET}")
+def _ref_expanded(op: str, build, tok: _Token) -> dict:
     try:
         return build()
     except BudgetError as exc:
@@ -588,10 +596,9 @@ def _ref_product(a: dict, b: dict, tok: _Token, ctx: _RefContext) -> dict:
     if len(mono) == 1 and next(iter(mono.values())) is _REF_ONE:
         (m, _), = mono.items()
         return {tuple(map(add, e, m)): c for e, c in rest.items()}
-    bits = max(1, (_coeff_size(a) * _coeff_size(b)).bit_length())
     return _ref_expanded(
-        "product", bits,
-        lambda: (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms, tok)
+        "product", lambda: (LaurentPoly(ctx.variables, a) * LaurentPoly(ctx.variables, b)).terms,
+        tok)
 
 
 def _ref_power(atom: dict, exp: int, tok: _Token, ctx: _RefContext) -> dict:
@@ -612,11 +619,44 @@ def _ref_power(atom: dict, exp: int, tok: _Token, ctx: _RefContext) -> dict:
             raise ParseError(tok.line, tok.col, f"cannot take power {exp}: {exc}") from None
         atom = {e: c}
     n = abs(exp)
-    if mono:
-        return _ref_expanded(f"power {exp}", _power_bit_bound(atom, n),
-                             lambda: {tuple(n * x for x in e): c ** n}, tok)
-    return _ref_expanded(f"power {exp}", _power_bit_bound(atom, n),
-                         lambda: (LaurentPoly(ctx.variables, atom) ** n).terms, tok)
+    return _ref_expanded(f"power {exp}", lambda: (LaurentPoly(ctx.variables, atom) ** n).terms,
+                         tok)
+
+
+# ---------------------------------------------------------------------------
+# the parser's bit budget before the kernel kept it
+# ---------------------------------------------------------------------------
+#
+# ``lang`` checked the bits of each "^" and "*" itself, from these sizes,
+# before calling the kernel; scalar powers and products never reached it.
+
+def reference_coeff_size(atom: dict) -> int:
+    """max(D, S) for D the common denominator of the atom's rational numbers
+    (a Cyclotomic's coordinates, a ParamCoeff's coefficients' own) and S the
+    sum of their absolute values times D."""
+    def rationals(c):
+        if isinstance(c, ParamCoeff):
+            return [r for v in c.poly.terms.values() for r in rationals(v)]
+        if isinstance(c, Cyclotomic):
+            return list(c.coeffs)
+        return [c]
+
+    values = [r for c in atom.values() for r in rationals(c)]
+    den = math.lcm(*(r.denominator for r in values))
+    return max(den, sum(abs(r.numerator) * (den // r.denominator) for r in values))
+
+
+def reference_power_bits(atom: dict, exp: int) -> int:
+    """The parser's bound on the bits of ``atom ** exp``, exp >= 0: exp
+    times the bits of the atom's size, 1 for a size of 1."""
+    m = reference_coeff_size(atom)
+    return max(1, exp * m.bit_length()) if m > 1 else 1
+
+
+def reference_product_bits(a: dict, b: dict) -> int:
+    """The parser's bound on the bits of ``a * b``: the bits of the product
+    of the two sizes."""
+    return max(1, (reference_coeff_size(a) * reference_coeff_size(b)).bit_length())
 
 
 def _ref_int(text: str, tok: _Token) -> int:

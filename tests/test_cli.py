@@ -1,15 +1,13 @@
 import json
 import os
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import cremona
 from cremona.cli import main
 from cremona.lang import parse_input
 from cremona.poly import BudgetError
+from helpers_bounded import bounded_python
 
 EX1_SPEC = """\
 vars x1 x2 x3 x4 x5
@@ -168,6 +166,35 @@ class TestVerify:
         with pytest.raises(BudgetError, match=budget):
             spec.polys["T"].substitute(images)
 
+    @pytest.mark.parametrize("text, args", [
+        # 3^(10^8) in a monomial image's fold: still running after 100 s
+        ("vars x1 x2\npoly F = x1^100000000 - x2^100000000\npoly P1 = 3*x1\n"
+         "poly P2 = x2\nmap M = P1, P2\n", ["identity", "--map", "M", "--target", "F"]),
+        # (x1 + zeta*x2)^(10^6) over Q(zeta3): 28 s before the budget refused it
+        ("vars x1 x2\nzeta e=3\npoly F = x1^1000000 - x2^1000000\npoly P1 = x1 + zeta*x2\n"
+         "poly P2 = x2\nmap M = P1, P2\n", ["identity", "--map", "M", "--target", "F"]),
+        # the default prime for e = 1000003: 80 s and 2.6 GB to walk to it
+        ("vars x1 x2 x3\ngroup e=1000003 gen [1,1000002,0]\npoly F = x1*x2*x3 + x3^3\n",
+         ["smooth"])],
+        ids=["identity-over-Q", "identity-over-Q(zeta3)", "smooth-default-prime"])
+    def test_unbounded_check_exits_2_within_a_second(self, tmp_path, text, args):
+        # each is refused with exit 2 in under a second of main(), in a
+        # bounded interpreter: the identities over the bit budget, the scan
+        # by the enumeration guard at the default prime
+        f = tmp_path / "probe.crm"
+        f.write_text(text)
+        code = ("import sys, time\n"
+                "from cremona.cli import main\n"
+                "t0 = time.perf_counter()\n"
+                "code = main(sys.argv[1:])\n"
+                "print(code, time.perf_counter() - t0 < 1)\n")
+        done = bounded_python(["-c", code, "verify", args[0], str(f), *args[1:]])
+        assert done.stdout.splitlines() == ["2 True"], done.stderr
+        if args[0] == "identity":
+            assert "bits" in done.stderr and "budget" in done.stderr
+        else:
+            assert "enumeration guard exceeded" in done.stderr
+
     def test_identity_of_a_linear_model(self, tmp_path, capsys):
         # F = x1*A + B over Q(zeta3) and its linear model x1 -> -B, x_j ->
         # x_j*A; the twin T adds one term, which the model does not kill
@@ -239,10 +266,9 @@ class TestScenarios:
         # on a long document: exit 1 with nothing on stderr
         read, write = os.pipe()
         os.close(read)
-        env = dict(os.environ, PYTHONPATH=str(Path(cremona.__file__).parent.parent))
         try:
-            proc = subprocess.run([sys.executable, "-m", "cremona", "list-scenarios"],
-                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+            proc = bounded_python(["-m", "cremona", "list-scenarios"], seconds=60,
+                                  stdout=write, stderr=subprocess.PIPE, text=False)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
@@ -267,9 +293,7 @@ class TestSearchBasis:
         # ran for minutes; the timeout turns a regression into a failure
         f = tmp_path / "search.crm"
         f.write_text(EX1_SPEC.replace("basis [1,1,0,0; -1,2,0,0; 0,0,1,0; 0,0,0,1]\n", ""))
-        env = dict(os.environ, PYTHONPATH=str(Path(cremona.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-m", "cremona", "search-basis", str(f), arg],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = bounded_python(["-m", "cremona", "search-basis", str(f), arg])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("usage: cremona search-basis")

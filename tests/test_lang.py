@@ -1,10 +1,5 @@
-import os
-import resource
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -13,11 +8,12 @@ from hypothesis import strategies as st
 
 from cremona.coeffs import Cyclotomic, ParamCoeff
 from cremona.coeffs import PRIME_TEST_BOUND
-from cremona.lang import (POWER_BIT_BUDGET, ParseError, ProblemSpec, _coeff_size,
-                          _power_bit_bound, parse_input, parse_poly, render_spec)
+from cremona.lang import ParseError, ProblemSpec, parse_input, parse_poly, render_spec
 from cremona import poly
-from cremona.poly import LaurentPoly, poly_str
-from helpers_reference import reference_mul, reference_parse_poly, reference_pow
+from cremona.poly import POWER_BIT_BUDGET, LaurentPoly, poly_str
+from helpers_bounded import bounded_python
+from helpers_reference import (reference_coeff_size, reference_mul, reference_parse_poly,
+                               reference_pow, reference_power_bits, reference_product_bits)
 
 LONG = "9" * 5000  # past the default_digit_limit fixture's 4,300 digits
 
@@ -224,8 +220,10 @@ class TestExpressions:
                     assert (exc.value.line, exc.value.col) == (1, len(text) + 3)
 
     def test_power_within_bit_budget(self):
-        # 2^5000 sits exactly at the budget; 2^5001 is refused
-        assert _power_bit_bound(parse_poly("2", ("x1",)).terms, 5000) == POWER_BIT_BUDGET
+        # 2^5000 sits exactly at the kernel's budget; 2^5001 is refused
+        assert poly._bits([(poly._size([Fraction(2)]), 5000)]) == POWER_BIT_BUDGET
+        with pytest.raises(poly.BudgetError, match="10002 bits, over the budget of 10000"):
+            LaurentPoly(("x1",), {(1,): 2}) ** 5001
         assert parse_poly("2^5000*x1", ("x1",)) == \
             LaurentPoly(("x1",), {(1,): Fraction(2 ** 5000)})
         assert parse_poly("(-1/2)^-4999*x1^-3", ("x1",)) == \
@@ -251,7 +249,8 @@ class TestExpressions:
             rationals += list(c.poly.terms.values()) if isinstance(c, ParamCoeff) else [c]
         bits = max((max(abs(r.numerator), r.denominator).bit_length() for r in rationals),
                    default=0)
-        assert _power_bit_bound(atom.terms, exp) >= bits
+        # the bound the kernel checks for a power, from the atom's size
+        assert poly._bits([(poly._size(atom.terms.values()), exp)]) >= bits
 
     def test_product_over_term_budget_is_positioned(self):
         # two 1,001-term factors: 1,002,001 term pairs, refused before multiplying
@@ -318,8 +317,8 @@ class TestExpressions:
                                 st.fractions(max_denominator=12).filter(bool)),
                       min_size=0, max_size=3)] * 2, st.booleans())
     def test_product_bit_bound_is_an_upper_bound(self, left, right, with_param):
-        # the product refuses a * b when m_a * m_b, with m the _coeff_size,
-        # needs more bits than the budget
+        # the kernel refuses a * b when m_a * m_b, m the size of a factor,
+        # needs more bits than the budget and than each factor
         params = ("t1",) if with_param else ()
         a, b = (parse_poly(" + ".join(f"({c})*x1^{i}*{'t1' if with_param else 'x2'}^{j}"
                                       for i, j, c in side) or "0", ("x1", "x2"), params)
@@ -327,8 +326,55 @@ class TestExpressions:
         rationals = []
         for c in reference_mul(a, b).terms.values():
             rationals += list(c.poly.terms.values()) if isinstance(c, ParamCoeff) else [c]
-        bound = _coeff_size(a.terms) * _coeff_size(b.terms)
-        assert all(max(abs(r.numerator), r.denominator) <= bound for r in rationals)
+        bits = poly._bits([(poly._size(a.terms.values()), 1), (poly._size(b.terms.values()), 1)])
+        assert all(max(abs(r.numerator), r.denominator).bit_length() <= bits for r in rationals)
+
+    @staticmethod
+    @st.composite
+    def bit_operands(draw):
+        """A sum of one to three terms (p/q)*[zeta]*[t1]*x1^i*x2^j: parsing
+        it multiplies each rational only by zeta, t1 or a variable, which
+        no bit budget refuses."""
+        terms = draw(st.lists(st.tuples(st.integers(-999, 999).filter(bool), st.integers(1, 99),
+                                        st.sampled_from(["", "*zeta", "*t1", "*zeta*t1"]),
+                                        st.integers(0, 2), st.integers(0, 2)),
+                              min_size=1, max_size=3))
+        return " + ".join(f"({p}/{q}){extra}*x1^{i}*x2^{j}" for p, q, extra, i, j in terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_operands(), bit_operands(), st.integers(0, 5), st.integers(1, 40))
+    @example("(7/1)*x1^1*x2^0", "(1/1)*zeta*x1^0*x2^0", 1, 2)  # 7 * zeta: a size-1 factor
+    @example("(7/1)*x1^1*x2^0", "(3/1)*x1^0*x2^0", 1, 4)  # 7 * 3: 5 bits, over 4
+    @example("(5/3)*t1*x1^0*x2^0 + (1/2)*x1^0*x2^0", "(1/1)*x1^1*x2^0", 3, 10)  # t1-sum cubed
+    def test_kernel_refuses_where_the_parser_rule_did(self, left, right, exp, budget):
+        # under a bit budget, the kernel refuses a product or power of
+        # parser-built operands exactly where the parser's own rule
+        # (helpers_reference) refused it, apart from the growth cases that
+        # rule refused and the kernel does not: a product with a factor of
+        # size 1 (0, +-1, +-zeta^i, a parameter monomial, each times a
+        # variable monomial), a first power and a power of a size-1 operand;
+        # the parser reports the refusal at the "*" or "^"
+        args = (("x1", "x2"), ("t1",), 3)
+        a, b = parse_poly(left, *args), parse_poly(right, *args)
+        size_a, size_b = (reference_coeff_size(p.terms) for p in (a, b))
+        cases = [(lambda: a * b, reference_product_bits(a.terms, b.terms),
+                  max(size_a, size_b).bit_length(), min(size_a, size_b) == 1,
+                  f"({left})*({right})"),
+                 (lambda: a ** exp, reference_power_bits(a.terms, exp),
+                  size_a.bit_length(), exp <= 1 or size_a == 1, f"({left})^{exp}")]
+        with patch.object(poly, "POWER_BIT_BUDGET", budget):
+            for build, bits, own, listed, text in cases:
+                growth = bits <= own
+                assert growth == listed
+                if bits > budget and not growth:
+                    with pytest.raises(poly.BudgetError, match=f"{bits} bits, over the budget"):
+                        build()
+                    with pytest.raises(ParseError, match="bits, over the budget") as exc:
+                        parse_poly(text, *args)
+                    assert exc.value.col == len(left) + 3
+                else:
+                    build()
+                    parse_poly(text, *args)
 
     def test_zero_denominator_is_positioned(self):
         with pytest.raises(ParseError) as exc:
@@ -357,21 +403,6 @@ def test_long_integer_literal_is_positioned(default_digit_limit, text, line, col
     with pytest.raises(ParseError, match="5000 digits") as exc:
         parse_input(text)
     assert (exc.value.line, exc.value.col) == (line, col)
-
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def bounded_python(args, seconds=30, memory=1 << 30):
-    """Run ``python args`` on this tree in a fresh interpreter, with a time
-    limit and an address-space limit, so that an unbounded parse cannot
-    stall or exhaust the test process."""
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=seconds, preexec_fn=limit, env=env)
 
 
 def test_power_over_bit_budget_is_positioned():

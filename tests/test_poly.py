@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cremona import poly
-from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, cyclotomic_polynomial, euler_phi
+from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, cyclotomic_polynomial, \
+    euler_phi
 from cremona.lang import parse_poly
 from cremona.pipeline import RationalMap, compose_maps, parametrize_linear
 from cremona.scenarios import explicit_degree3_map
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
 from cremona.verify import on_variety
+from helpers_bounded import bounded_python
 from helpers_reference import (reference_mul, reference_pow, reference_scalar_str,
                                reference_substitute)
 
@@ -762,6 +764,119 @@ class TestBudget:
         with pytest.raises(poly.BudgetError, match="20200 terms, over the budget of 10000"):
             big * LaurentPoly.constant(V2, ParamCoeff(LaurentPoly(t, {(0,): 1, (1,): 1})))
 
+
+
+def held_bits(c) -> int:
+    """The bits of the largest numerator or denominator a coefficient is
+    written with: its rationals, a Cyclotomic's coordinates and a
+    ParamCoeff's coefficients' own."""
+    if isinstance(c, ParamCoeff):
+        return max(map(held_bits, c.poly.terms.values()))
+    rationals = c.coeffs if isinstance(c, Cyclotomic) else (c,)
+    return max(max(abs(r.numerator), r.denominator).bit_length() for r in rationals)
+
+
+class TestBitBudget:
+    params = ("t1", "t2")
+
+    def test_one_term_factor_shifts_from_either_side(self):
+        # t2*x1 shifts and scales (t1 + zeta), a one-term factor with a
+        # two-term parameter coefficient, whichever operand it is: the
+        # t1*t2 entry stays the Fraction it was in t1 + zeta
+        a, b = P("t2*x1", V2, self.params, 3), P("t1 + zeta", V2, self.params, 3)
+        for got in (a * b, b * a, P("t2*(t1 + zeta)*x1", V2, self.params, 3),
+                    P("(t1 + zeta)*t2*x1", V2, self.params, 3)):
+            (e, c), = got.terms.items()
+            assert e == (1, 0)
+            assert c.poly.terms == {(1, 1): 1, (0, 1): Cyclotomic.zeta(3)}
+            assert {k: type(v) for k, v in c.poly.terms.items()} == \
+                {(1, 1): Fraction, (0, 1): Cyclotomic}
+
+    def test_only_growth_is_refused(self):
+        # a coefficient of 10,298 bits, past the budget: shifting it,
+        # scaling it by a size-1 scalar, its first power and a monomial
+        # image of size 1 grow nothing and pass; any growth is refused
+        big = LaurentPoly(V2, {(1, 0): Fraction(10 ** 3100 - 1), (0, 1): Fraction(1)})
+        x1, x2 = LaurentPoly.variable(V2, "x1"), LaurentPoly.variable(V2, "x2")
+        zeta = LaurentPoly.constant(V2, Cyclotomic.zeta(3))
+        for unchanged in (big * x1 ** 2, x1 * big, big * -1, big ** 1, big * zeta,
+                          big.substitute({"x1": x2, "x2": -x1})):
+            assert max(held_bits(c) for c in unchanged.terms.values()) == 10_298
+        for grown in (lambda: big * 3, lambda: 3 * big, lambda: big * (x1 + x2),
+                      lambda: big ** 2, lambda: big.substitute({"x1": 3 * x1, "x2": x2})):
+            with pytest.raises(poly.BudgetError, match="bits, over the budget of 10000"):
+                grown()
+
+    def test_unbounded_coefficients_are_refused_before_any_work(self):
+        # (x1 + zeta)^(10^6) took 27 s to be refused while the radix bound
+        # was formed from a 10^6-bit integer, and 3^(10^8) in a monomial
+        # image's fold ran for minutes: each is refused within 0.1 s, in a
+        # bounded interpreter
+        code = ("import time\n"
+                "from fractions import Fraction\n"
+                "from cremona.coeffs import Cyclotomic\n"
+                "from cremona.poly import BudgetError, LaurentPoly\n"
+                "V = ('x1', 'x2')\n"
+                "x1, x2 = LaurentPoly.variable(V, 'x1'), LaurentPoly.variable(V, 'x2')\n"
+                "zeta = LaurentPoly.constant(V, Cyclotomic.zeta(3))\n"
+                "F = x1 ** 10 ** 8 - x2 ** 10 ** 8\n"
+                "for expand in (lambda: (x1 + zeta) ** 10 ** 6,\n"
+                "               lambda: (x1 * Fraction(1, 3) + 1) ** 10 ** 8,\n"
+                "               lambda: F.substitute({'x1': 3 * x1, 'x2': x2}),\n"
+                "               lambda: F.substitute({'x1': x1 + zeta * x2, 'x2': x2},\n"
+                "                                    zero_test=True)):\n"
+                "    t0 = time.perf_counter()\n"
+                "    try:\n"
+                "        expand()\n"
+                "        print('expanded')\n"
+                "    except BudgetError as exc:\n"
+                "        print('bits' in str(exc), time.perf_counter() - t0 < 0.1)\n")
+        done = bounded_python(["-c", code])
+        assert done.stdout.splitlines() == ["True True"] * 4, done.stderr
+
+
+def bit_coeffs(max_numerator):
+    fractions = st.builds(Fraction, st.integers(-max_numerator, max_numerator), st.integers(1, 40))
+    return {
+        "Q": fractions,
+        "Q(zeta3)": st.lists(fractions, min_size=2, max_size=2).map(
+            lambda cs: Cyclotomic(3, tuple(cs))),
+        "Q(zeta5)": st.lists(fractions, min_size=4, max_size=4).map(
+            lambda cs: Cyclotomic(5, tuple(cs))),
+        "params": st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), fractions,
+                                  min_size=1, max_size=3).map(
+            lambda d: ParamCoeff(LaurentPoly(("t1", "t2"), d)))}
+
+
+@pytest.mark.parametrize("domain", ["Q", "Q(zeta3)", "Q(zeta5)", "params"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_coefficients_fit_the_checked_bound(domain, data):
+    # F = c * x1^a * x2^b * x3^c, b >= 1, with x1 -> a monomial (a may be
+    # negative outside parameters) and x2, x3 -> multi-term images: one
+    # signature with a hat power, whose check, the last bound the expansion
+    # takes, covers every coefficient of the result; over Q(zeta_e) a
+    # product's coordinates may take a factor R_e, the largest L1 norm of a
+    # reduced zeta^z
+    coeffs = bit_coeffs(2 ** 12)[domain].filter(bool)
+    exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    images = {"x1": LaurentPoly(U2, {data.draw(exps): data.draw(coeffs)}),
+              "x2": LaurentPoly(U2, data.draw(st.dictionaries(exps, coeffs, min_size=2,
+                                                              max_size=3))),
+              "x3": LaurentPoly(U2, data.draw(st.dictionaries(exps, coeffs, min_size=2,
+                                                              max_size=3)))}
+    e = (data.draw(st.integers(0 if domain == "params" else -3, 3)),  # parameter sums have no inverse
+         data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3)))
+    F = LaurentPoly(V3, {e: data.draw(coeffs)})
+    checked, real = [], poly._bits
+    with patch.object(poly, "_bits", lambda factors: checked.append(real(factors)) or checked[-1]):
+        got = F.substitute(images)
+    assert got == reference_substitute(F, images)
+    order = {"Q(zeta3)": 3, "Q(zeta5)": 5}.get(domain)
+    slack = 0 if order is None else max(
+        sum(map(abs, _reduce_vector(order, [0] * z + [1]))) for z in range(order)).bit_length()
+    assert checked
+    assert all(held_bits(c) <= checked[-1] + slack for c in got.terms.values())
 
 
 U3 = ("u1", "u2", "u3")

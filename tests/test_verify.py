@@ -24,7 +24,8 @@ from cremona.verify import (Refusal, compile_enumeration, compile_mod, default_p
                             diagonal_form_smooth, eval_compiled, fiber_histogram,
                             map_fiber_orbit_check, normalize_point, on_variety,
                             proj_point_count, proj_points, quotient_fiber_check, smooth_scan)
-from helpers_reference import (reference_enumeration, reference_eval_mod, reference_fibers,
+from helpers_reference import (reference_default_prime, reference_enumeration,
+                               reference_eval_mod, reference_fibers,
                                reference_fiber_histogram, reference_map_fiber_orbit_check,
                                reference_smooth_scan, reference_substitute)
 
@@ -801,3 +802,8 @@ class TestDefaultPrime:
 
     def test_no_orders(self):
         assert default_prime(()) == 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 60), max_size=3), st.none() | st.integers(1, 6))
+    def test_matches_the_walk_over_every_integer(self, orders, degree):
+        assert default_prime(orders, degree) == reference_default_prime(orders, degree)
