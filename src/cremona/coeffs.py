@@ -565,7 +565,9 @@ def specialize(c, assignment: dict):
 
     Values may be exact scalars (int, Fraction, Cyclotomic) or FpElem over a
     common prime; the two target kinds may not be mixed.  Only the symbols
-    the value uses need a value.
+    the value uses need a value.  The evaluation is ``LaurentPoly``'s, of
+    the coefficients lifted to F_p where the values are there: one run of
+    the expansion kernel, under the budgets of every product and power.
     """
     if not isinstance(c, ParamCoeff):
         return c
@@ -577,12 +579,6 @@ def specialize(c, assignment: dict):
         raise ValueError(f"mixed prime fields in specialization: {sorted(primes)}")
     p = primes.pop() if primes else None
 
-    used = [s for i, s in enumerate(c.symbols)
-            if any(e[i] for e in c.poly.terms)]
-    missing = [s for s in used if s not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing symbols: {missing}")
-
     def lift(x):
         if p is not None:
             return to_prime_field(x, p)
@@ -592,4 +588,4 @@ def specialize(c, assignment: dict):
     if not lifted:
         return lift(0)
     return c.poly._raw(c.symbols, lifted)._at(
-        [lift(assignment[s]) if s in used else 0 for s in c.symbols])
+        [lift(assignment[s]) if s in assignment else None for s in c.symbols])

@@ -301,15 +301,6 @@ def _parse_factor(line: _Line, ctx: _ExprContext) -> dict:
     return atom
 
 
-def _expanded(op: str, build, line: _Line, k: int) -> dict:
-    """build(), the expansion ``op``, refused at token k if over one of the
-    expansion kernel's budgets."""
-    try:
-        return build()
-    except BudgetError as exc:
-        raise line.error(k, f"{op}: {exc}") from None
-
-
 def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
     """a * b, refused at token k if over a budget.  A one-term factor of
     coefficient 1 shifts the other's exponents; any other product is
@@ -320,26 +311,28 @@ def _product(a: dict, b: dict, line: _Line, k: int, ctx: _ExprContext) -> dict:
         (m, cm), = mono.items()
         if cm is _ONE:
             return {tuple(map(add, e, m)): c for e, c in rest.items()}
-    return _expanded("product", lambda: (LaurentPoly._raw(ctx.variables, a)
-                                         * LaurentPoly._raw(ctx.variables, b)).terms, line, k)
+    try:
+        return (LaurentPoly._raw(ctx.variables, a) * LaurentPoly._raw(ctx.variables, b)).terms
+    except BudgetError as exc:
+        raise line.error(k, f"product: {exc}") from None
 
 
 def _power(atom: dict, exp: int, line: _Line, k: int, ctx: _ExprContext) -> dict:
-    """atom ** exp, refused at token k if over a budget: a variable power
-    scales its exponents, any other power is LaurentPoly's."""
+    """atom ** exp, refused at token k if over a budget, or if negative and
+    LaurentPoly refuses it: a variable power scales its exponents, any other
+    power is LaurentPoly's."""
     if len(atom) == 1:
         (e, c), = atom.items()
         if c is _ONE:  # a variable power: one term, coefficient 1, no work
             return {tuple(exp * x for x in e): _ONE}
     if exp == 0:
         return {ctx.zero: _ONE}
-    if exp < 0:
-        try:
-            atom = (LaurentPoly(ctx.variables, atom) ** -1).terms
-        except (ValueError, ZeroDivisionError) as exc:
-            raise line.error(k, f"cannot take power {exp}: {exc}") from None
-    return _expanded(f"power {exp}", lambda: (LaurentPoly(ctx.variables, atom) ** abs(exp)).terms,
-                     line, k)
+    try:
+        return (LaurentPoly(ctx.variables, atom) ** exp).terms
+    except BudgetError as exc:
+        raise line.error(k, f"power {exp}: {exc}") from None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise line.error(k, f"cannot take power {exp}: {exc}") from None
 
 
 def parse_poly(text: str, variables, params=(), zeta_order: int | None = None) -> LaurentPoly:
@@ -410,8 +403,6 @@ def parse_input(text: str) -> ProblemSpec:
     poly_lines = []  # deferred until the declarations are known
     map_lines = []
     gen_lines: list[int] = []
-    basis_line = 1
-    chart_line = 1
     declared: dict[str, int] = {}  # a keyword of _ONCE -> its line
 
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -472,7 +463,6 @@ def parse_input(text: str) -> ProblemSpec:
         elif kw == "chart":
             spec.chart = line.name(("variable name",))
             line.require_end()
-            chart_line = ln
         elif kw == "basis":
             line.expect("[")
             rows = [line.integer_list()]
@@ -482,7 +472,6 @@ def parse_input(text: str) -> ProblemSpec:
             line.expect("]")
             line.require_end()
             spec.basis = tuple(rows)
-            basis_line = ln
         elif kw == "prime":
             k = line.i
             p = line.integer()
@@ -500,7 +489,7 @@ def parse_input(text: str) -> ProblemSpec:
     n = len(spec.variables)
     if n == 0:  # declarations come in any order, so this means no vars line at all
         first = min([*gen_lines, *(ln for ln, _, _ in poly_lines),
-                     *([basis_line] if spec.basis is not None else [])], default=1)
+                     *([declared["basis"]] if spec.basis is not None else [])], default=1)
         raise ParseError(first, 1, "no vars line declares the variables", ("a vars line",))
     for (order, row), ln in zip(spec.generators, gen_lines):
         if len(row) != n:
@@ -508,11 +497,11 @@ def parse_input(text: str) -> ProblemSpec:
                              f"generator row has {len(row)} entries, expected {n}",
                              (f"{n} integers",))
     if spec.chart is not None and spec.chart not in spec.variables:
-        raise ParseError(chart_line, 1, f"chart {spec.chart!r} is not a declared variable",
+        raise ParseError(declared["chart"], 1, f"chart {spec.chart!r} is not a declared variable",
                          ("a declared variable name",))
     if spec.basis is not None:
         if len(spec.basis) != n - 1 or any(len(r) != n - 1 for r in spec.basis):
-            raise ParseError(basis_line, 1,
+            raise ParseError(declared["basis"], 1,
                              f"basis must be {n - 1}x{n - 1} over the non-chart variables",
                              (f"{n - 1} rows of {n - 1} integers",))
 

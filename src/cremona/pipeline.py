@@ -328,8 +328,9 @@ def cremona_step(X: InvariantHypersurface, chart: int,
                                     for e, c in p_u.terms.items()})
     image, d = p_x.homogenize(chart)
 
-    if len(image.terms) != len(F.terms) or \
-            Counter(image.terms.values()) != Counter(F.terms.values()):
+    # the step moves F's own coefficient objects, so a changed value is a
+    # different object, and the multisets compare identities, hashing no value
+    if Counter(map(id, image.terms.values())) != Counter(map(id, F.terms.values())):
         raise ArithmeticError(
             "coefficient preservation violated: term multiset changed across the step")
 

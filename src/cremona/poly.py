@@ -13,6 +13,8 @@ Canonical term order is graded lexicographic, largest first.
 Every product and power has three budgets, checked before the work they
 bound: the work of an ``_expand`` call, nested ones included, the terms of
 its result, and its coefficients' bits.  Past any it raises ``BudgetError``.
+Evaluation, and with it ``coeffs.specialize``, is one ``_expand`` of
+constant images, under the same budgets.
 """
 from __future__ import annotations
 
@@ -357,24 +359,28 @@ class LaurentPoly:
     # -- evaluation / substitution ---------------------------------------------------
 
     def _at(self, point):
-        """Exact evaluation at a point of scalars; poles raise ZeroDivisionError."""
+        """Exact evaluation at a point of scalars, ints read as Fractions:
+        one ``_expand`` of constant images over the empty ambient, under its
+        budgets.  A zero coordinate's image is empty, so it kills the terms
+        it divides; under a negative exponent it is a pole, which raises
+        ZeroDivisionError before any work.  A coordinate of None has no
+        image, so a term it divides is refused.  A zero value is FpElem(p, 0)
+        over F_p, else Fraction(0)."""
         if len(point) != self.n_vars:
             raise ValueError("point length mismatch")
-        vals = [Fraction(v) if isinstance(v, int) else v for v in point]
-        acc = None
-        for e, c in self.terms.items():
-            t = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                v = vals[i]
-                if k < 0 and not v:
-                    raise ZeroDivisionError(f"pole at zero coordinate {self.vars[i]}")
-                t = t * (v ** k if k > 0 else (1 / v) ** (-k))
-            acc = t if acc is None else acc + t
-        if acc is None:
-            return Fraction(0)
-        return acc
+        images = {}
+        for name, v, low in zip(self.vars, point, map(min, zip(*self.terms))):
+            if v is None:
+                continue
+            if not v and low < 0:
+                raise ZeroDivisionError(f"pole at zero coordinate {name}")
+            images[name] = LaurentPoly._raw((), {(): Fraction(v) if isinstance(v, int) else v}
+                                            if v else {})
+        value = _expand(self, images, ()).terms
+        if value:
+            return value[()]
+        c = next(iter(self.terms.values()), None)
+        return FpElem(c.p, 0) if isinstance(c, FpElem) else Fraction(0)
 
     evaluate = _at  # coeffs.specialize calls _at, as ParamCoeff calls _plus above
 
@@ -600,7 +606,7 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
         if not dead:
             terms.append((scalar, shift, factors))
     if not terms:
-        return True if zero_test else LaurentPoly.zero(target_vars)
+        return True if zero_test else LaurentPoly._raw(target_vars, {})
 
     # hat_of[name] = (j, m); signature -> [(shift, scalar)] and its first term's factors
     hats, hat_of, groups, split = [], {}, {}, {}
@@ -696,7 +702,7 @@ def _expand(F: LaurentPoly, images: dict, target_vars,
     if zero_test:
         return not inner
     if not inner:
-        return LaurentPoly.zero(target_vars)
+        return LaurentPoly._raw(target_vars, {})
     total = fold(_mac({}, inner, hat_product(common))) if common else inner
     if len(total) > POWER_TERM_BUDGET and \
             len(total) > max(map(_held, [F, *images.values()])):

@@ -26,9 +26,9 @@ prime (straight-line programs; Buergisser, Clausen and Shokrollahi,
 points, such as the Euler check at singular points (compiled only when a scan
 finds some) and the target check, once per distinct image of a quotient-fiber
 check, and rejects a prime other than the one it was compiled for.
-Every enumeration refuses a p that is not prime, then checks
-``ENUMERATION_GUARD``, both before any code is generated, and raises
-``Refusal`` on either.
+``compile_enumeration``, which runs every enumeration, refuses a p that is
+not a prime below ``PRIME_TEST_BOUND``, then checks ``ENUMERATION_GUARD``,
+both before any code is generated, and raises ``Refusal`` on either.
 
 Scans are evidence, not proofs: an empty singular list means "no
 F_q-rational singular point found".  Exact smoothness is only decided in
@@ -280,6 +280,8 @@ def compile_enumeration(n_vars: int, p: int, zeros=(), images=None, torus: bool 
     source holds only int literals and positional names.
     """
     p = operator.index(p)
+    _check_prime(p)
+    _check_enumeration_guard(n_vars, p)
     if elements is not None and not (torus and images is not None and elements):
         raise ValueError("fibers are enumerated on the torus, with images and group elements")
     polys = [[(c, tuple(_fermat(k, p) if k else 0 for k in e)) for c, e in _terms_mod(f, p)]
@@ -527,7 +529,6 @@ def smooth_scan(F: LaurentPoly, p: int) -> ScanReport:
         raise Refusal(f"bad characteristic {p} for degree {d}")
     t0 = time.perf_counter()
     n = F.n_vars
-    _check_enumeration_guard(n, p)
     scan = compile_enumeration(n, p, zeros=[F.partial_deriv(i) for i in range(n)])
     singular = list(scan())
     if singular:
@@ -596,9 +597,7 @@ def fiber_histogram(rmap: RationalMap, p: int) -> FiberHistogram:
     are broken upward, because fibers of a generically finite map lose
     irrational points but never gain extra ones outside the special loci."""
     t0 = time.perf_counter()
-    _check_prime(p)
     n = len(rmap.source_vars)
-    _check_enumeration_guard(n, p)
     fibers = Counter(compile_enumeration(n, p, images=rmap.components)())
     indet = fibers.pop(None, 0)
     hist = Counter(fibers.values())

@@ -1,11 +1,11 @@
 """Naive references: the product and power of ``LaurentPoly`` as a
 tuple-key double loop and square-and-multiply over it, with the product of
 two ``ParamCoeff``s as one more such loop, ``substitute`` built from those
-and ``__add__``, reduction into F_p by ``FpElem`` arithmetic,
-evaluation mod p by a per-term ``pow`` loop, the F_p enumerations as
-per-point loops over ``proj_points`` or the torus, the default prime as a
-walk over every integer, a basis search that solves every
-candidate in the lattice again, subgroup containment and group equality
+and ``__add__``, evaluation as a loop over terms and powers, reduction
+into F_p by ``FpElem`` arithmetic, evaluation mod p by a per-term ``pow``
+loop, the F_p enumerations as per-point loops over ``proj_points`` or the
+torus, the default prime as a walk over every integer, a basis search that
+solves every candidate in the lattice again, subgroup containment and group equality
 as lattice solves and HNF comparisons, a recursive-descent expression parser
 over token objects, the bit bounds that parser checked itself before the
 expansion kernel did, and a coefficient renderer that builds each Cyclotomic
@@ -181,6 +181,29 @@ def reference_to_prime_field(x, p: int) -> FpElem:
             "parameter coefficients must be specialized before finite-field "
             "reduction")
     raise TypeError(f"cannot reduce {type(x).__name__} into F_{p}")
+
+
+def reference_evaluate(F: LaurentPoly, point):
+    """F at a point of scalars by a loop over its terms and their powers: the
+    evaluation ``LaurentPoly.evaluate`` ran before it went through the
+    expansion kernel."""
+    if len(point) != F.n_vars:
+        raise ValueError("point length mismatch")
+    vals = [Fraction(v) if isinstance(v, int) else v for v in point]
+    acc = None
+    for e, c in F.terms.items():
+        t = c
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            v = vals[i]
+            if k < 0 and not v:
+                raise ZeroDivisionError(f"pole at zero coordinate {F.vars[i]}")
+            t = t * (v ** k if k > 0 else (1 / v) ** (-k))
+        acc = t if acc is None else acc + t
+    if acc is None:
+        return Fraction(0)
+    return acc
 
 
 def reference_eval_mod(F: LaurentPoly, pt: tuple, p: int) -> int:

@@ -423,12 +423,20 @@ class TestParamCoeff:
         assert len({a, b}) == 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-def test_specialize_is_homomorphism(a, b, c, d):
+HOMOMORPHISM_ENVS = {
+    "Q": {"t1": Fraction(2, 3), "t2": Fraction(-1, 2)},
+    "Q(zeta3)": {"t1": z3() + Fraction(1, 2), "t2": Fraction(-1, 2) * z3(2)},
+    "F_7": {"t1": FpElem(7, 3), "t2": FpElem(7, 5)},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(HOMOMORPHISM_ENVS)), st.integers(-3, 3), st.integers(-3, 3),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_specialize_is_homomorphism(target, a, b, c, d):
     x = a * t("t1") + b
     y = c * t("t2") + d
-    env = {"t1": Fraction(2, 3), "t2": Fraction(-1, 2)}
+    env = HOMOMORPHISM_ENVS[target]
     assert specialize(x * y, env) == specialize(x, env) * specialize(y, env)
     assert specialize(x + y, env) == specialize(x, env) + specialize(y, env)
 

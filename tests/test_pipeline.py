@@ -690,3 +690,21 @@ def test_coefficient_preservation_randomized():
         assert Counter(step.image.terms.values()) == Counter(X.F.terms.values())
         assert step.image.min_deg_in_var(chart) == 0
         assert step.image.homogeneous_degree() == step.degree
+
+
+def test_step_refuses_a_changed_coefficient(monkeypatch):
+    # the step's image must carry F's own coefficients; a chart equation
+    # with one coefficient replaced is caught by the preservation check
+    import cremona.pipeline
+    rewrite = cremona.pipeline.rewrite_invariant
+
+    def altered(*args):
+        p, q = rewrite(*args)
+        e, c = next(iter(p.terms.items()))
+        return LaurentPoly._raw(p.vars, {**p.terms, e: c + 1}), q
+
+    X = InvariantHypersurface(ex1_family(), EX1_ACTION)
+    cremona_step(X, 4, EX1_BASIS)
+    monkeypatch.setattr(cremona.pipeline, "rewrite_invariant", altered)
+    with pytest.raises(ArithmeticError, match="coefficient preservation violated"):
+        cremona_step(X, 4, EX1_BASIS)

@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 from cremona import poly
 from cremona.coeffs import Cyclotomic, FpElem, ParamCoeff, _reduce_vector, cyclotomic_polynomial, \
-    euler_phi
+    euler_phi, specialize
 from cremona.lang import parse_poly
 from cremona.pipeline import RationalMap, compose_maps, parametrize_linear
 from cremona.scenarios import explicit_degree3_map
 from cremona.poly import LaurentPoly, divide_exact, poly_gcd, poly_str
-from cremona.verify import on_variety
+from cremona.verify import compile_mod, eval_compiled, on_variety
 from helpers_bounded import bounded_python
-from helpers_reference import (reference_mul, reference_pow, reference_scalar_str,
-                               reference_substitute)
+from helpers_reference import (reference_eval_mod, reference_evaluate, reference_mul,
+                               reference_pow, reference_scalar_str, reference_substitute)
 
 V2 = ("x1", "x2")
 V3 = ("x1", "x2", "x3")
@@ -162,6 +162,54 @@ class TestEvaluation:
     def test_pole(self):
         with pytest.raises(ZeroDivisionError):
             P("x1^-1", V2).evaluate([0, 1])
+
+    def test_contract(self, monkeypatch):
+        # a zero coordinate kills the terms it divides; a pole is raised
+        # before the kernel runs, here before 3^30000000 could be refused;
+        # a zero value over F_p stays in F_p
+        assert P("x1^2*x2 + 3*x2^-1", V2).evaluate([0, 3]) == 1
+        with pytest.raises(ValueError, match="point length mismatch"):
+            P("x1", V2).evaluate([1])
+        zero = P("x1 - x2", V2).reduce_mod(7).evaluate([FpElem(7, 3), FpElem(7, 3)])
+        assert type(zero) is FpElem and zero == FpElem(7, 0)
+        monkeypatch.setattr(poly, "_expand", None)
+        with pytest.raises(ZeroDivisionError, match="pole at zero coordinate x1"):
+            P("x2^30000000 + x1^-1*x2", V2).evaluate([0, 3])
+
+    def test_evaluate_and_specialize_run_on_the_kernel(self, monkeypatch):
+        calls = []
+        expand = poly._expand
+
+        def counted(*args):
+            calls.append(args[2])
+            return expand(*args)
+
+        monkeypatch.setattr(poly, "_expand", counted)
+        assert P("x1^2*x2^-1 + 3", V2).evaluate([2, 4]) == 4
+        assert () in calls
+        calls.clear()
+        c = next(iter(P("(t1^2 - t1*t2)*x1", V2, ("t1", "t2")).terms.values()))
+        assert specialize(c, {"t1": 3, "t2": Fraction(1, 2)}) == Fraction(15, 2)
+        assert () in calls
+
+    def test_evaluation_and_specialization_are_bounded(self):
+        # each took about 14 s as a loop of coefficient products; the kernel
+        # refuses both before any product, on the bits 3^30000000 would need
+        code = ("import time\n"
+                "from cremona.lang import parse_poly\n"
+                "from cremona.poly import BudgetError\n"
+                "f = parse_poly('x1^30000000 + x2', ('x1', 'x2'))\n"
+                "g = parse_poly('t1^30000000*x1 + x2', ('x1', 'x2'), ('t1',))\n"
+                "for run in (lambda: f.evaluate([3, 1]),\n"
+                "            lambda: g.specialize_params({'t1': 3})):\n"
+                "    t0 = time.perf_counter()\n"
+                "    try:\n"
+                "        run()\n"
+                "        print('ran')\n"
+                "    except BudgetError as exc:\n"
+                "        print('bits' in str(exc), time.perf_counter() - t0 < 0.5)\n")
+        done = bounded_python(["-c", code])
+        assert done.stdout.splitlines() == ["True True"] * 2, done.stderr
 
 
 class TestMonomialContent:
@@ -491,6 +539,53 @@ def test_substitute_shared_factors(domain, data):
     outer, inner = substitute_kinds(F, images)
     for c in got.terms.values():
         assert type(c) is outer and inner_kinds(c) == inner
+
+
+@pytest.mark.parametrize("domain", SHARED_COEFFS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_the_term_loop(domain, data):
+    # Laurent polynomials at nonzero points: the kernel's value is the term
+    # loop's, of its type when nonzero; less a new term of that value, F
+    # evaluates to a zero of its domain, FpElem(7, 0) over F_7
+    F = LaurentPoly(V2, data.draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), SHARED_COEFFS[domain], max_size=5)))
+    if domain == "F_7":
+        values = st.integers(1, 6).map(lambda v: FpElem(7, v))
+    else:
+        values = st.one_of(st.integers(-3, 3), small_fractions,
+                           *([cyclotomics(3)] if "zeta3" in domain else [])).filter(bool)
+    pt = [data.draw(values), data.draw(values)]
+    want = reference_evaluate(F, pt)
+    got = F.evaluate(pt)
+    assert got == want
+    if want:
+        assert type(got) is type(want)
+        zero = (F - LaurentPoly.monomial(V2, (4, 0), want / pt[0] ** 4)).evaluate(pt)
+        assert zero == 0
+        if domain == "F_7":
+            assert type(zero) is FpElem and zero == FpElem(7, 0)
+
+
+@pytest.mark.parametrize("domain", ["Q", "Q(zeta3)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_mod_p_matches_the_compiled_evaluator(domain, data):
+    # the kernel over F_p, the generated straight-line program and the
+    # per-term pow loop agree at torus points, Laurent exponents included
+    p = data.draw(st.sampled_from([7, 13]))
+    F = LaurentPoly(V3, data.draw(st.dictionaries(
+        st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 3)),
+        RING_COEFFS[domain], max_size=6)))
+    pt = tuple(data.draw(st.integers(1, p - 1)) for _ in V3)
+    Fp = F.reduce_mod(p)
+    got = Fp.evaluate([FpElem(p, x) for x in pt])
+    want = eval_compiled(compile_mod(F, p), pt, p)
+    assert want == reference_eval_mod(F, pt, p)
+    if Fp.terms:
+        assert type(got) is FpElem and got == FpElem(p, want)
+    else:
+        assert got == want == 0
 
 
 def cyclotomics(e: int):

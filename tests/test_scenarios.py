@@ -39,6 +39,6 @@ def test_roundtrip_rate_respects_enumeration_guard(monkeypatch):
         raise AssertionError("code was generated")
 
     monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 100)
-    monkeypatch.setattr("cremona.scenarios.compile_enumeration", generated)
+    monkeypatch.setattr("cremona.verify._define", generated)
     with pytest.raises(ValueError, match="enumeration guard"):
         _roundtrip_rate(RationalMap.identity(X5), 1, 7)

@@ -298,11 +298,12 @@ class TestGeneratedEnumerations:
 
     @staticmethod
     def no_generated_code(monkeypatch):
+        # every generated program, enumeration or straight-line, is compiled
+        # by _define; compile_enumeration itself makes both refusals first
         def generated(*args, **kwargs):
             raise AssertionError("code was generated")
 
-        monkeypatch.setattr("cremona.verify.compile_enumeration", generated)
-        monkeypatch.setattr("cremona.verify.compile_mod", generated)
+        monkeypatch.setattr("cremona.verify._define", generated)
 
     @pytest.mark.parametrize("run", CHECKS.values(), ids=CHECKS)
     def test_guard_comes_before_any_generated_code(self, monkeypatch, run):
@@ -319,6 +320,23 @@ class TestGeneratedEnumerations:
         self.no_generated_code(monkeypatch)
         with pytest.raises(Refusal, match=rf"^p = {p} is not a prime"):
             run(p)
+
+    @pytest.mark.parametrize("zeros", [[], [P("x1^2 - x2*x3", V3)]], ids=["points", "zeros"])
+    def test_enumeration_refuses_a_composite_p_itself(self, monkeypatch, zeros):
+        # 9 is refused as composite before any point is enumerated or any
+        # coefficient is reduced mod it
+        self.no_generated_code(monkeypatch)
+        with pytest.raises(Refusal, match=r"^p = 9 is not a prime below "):
+            compile_enumeration(3, 9, zeros=zeros)
+
+    def test_enumeration_checks_the_guard_itself(self, monkeypatch):
+        monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 56)
+        self.no_generated_code(monkeypatch)
+        with pytest.raises(Refusal, match=r"enumeration guard exceeded: \|P\^2\(F_7\)\| = 57"):
+            compile_enumeration(3, 7, images=[P("x1", V3)] * 3)
+        monkeypatch.setattr("cremona.verify.ENUMERATION_GUARD", 57)
+        with pytest.raises(AssertionError, match="code was generated"):
+            compile_enumeration(3, 7, images=[P("x1", V3)] * 3)
 
 
 # ---------------------------------------------------------------------------
