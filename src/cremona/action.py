@@ -1,10 +1,10 @@
 """Diagonal finite abelian group actions on projective space.
 
 A generator of order e with weight row w scales coordinate j by the e-th
-root of unity raised to w[j].  The convention throughout: at least one
-coordinate carries weight 0 for every generator, so the matrix group and its
-image in PGL have the same order and quotient degrees stay honest.  The
-constructor rejects generator sets violating this.
+root of unity raised to w[j].  On projective space a weight row matters only
+up to multiples of (1, ..., 1): at a chart c characters are read on degree-0
+monomials x^a / x_c^|a|, through w - w_c, so every order, invariant lattice
+and subgroup index below is the projective group's, whatever the presentation.
 """
 from __future__ import annotations
 
@@ -30,10 +30,6 @@ class DiagonalAction:
                     f"weight row has length {len(weights)}, expected {self.n_vars}")
             gens.append((order, tuple(w % order for w in weights)))
         object.__setattr__(self, "generators", tuple(gens))
-        if not self.trivial_coordinates():
-            raise ValueError(
-                "no coordinate has trivial character for every generator; "
-                "rescale the generators so a fixed coordinate hyperplane exists")
         object.__setattr__(self, "_order", lattice.lattice_index(self.invariant_lattice())
                            if self.generators else 1)
 
@@ -42,7 +38,7 @@ class DiagonalAction:
         return cls(n_vars, ())
 
     def is_trivial(self) -> bool:
-        return all(all(w == 0 for w in row) for _, row in self.generators)
+        return self.group_order() == 1
 
     # -- characters ---------------------------------------------------------
 
@@ -51,16 +47,17 @@ class DiagonalAction:
                      if all(row[j] == 0 for _, row in self.generators))
 
     def default_chart(self) -> int:
-        return self.trivial_coordinates()[-1]
+        """The last coordinate of weight 0 under every generator, else the last."""
+        return max(self.trivial_coordinates(), default=self.n_vars - 1)
 
     def character(self, exps: tuple[int, ...], chart: int | None = None) -> tuple[int, ...]:
         """Character of a (Laurent) monomial: one residue per generator.
 
         ``exps`` has length n_vars, or n_vars - 1 with the chart coordinate
-        omitted (its weight is zero anyway).
+        omitted: then it names the degree-0 monomial x^exps / x_chart^|exps|.
         """
         if chart is not None and len(exps) == self.n_vars - 1:
-            exps = exps[:chart] + (0,) + exps[chart:]
+            exps = exps[:chart] + (-sum(exps),) + exps[chart:]
         if len(exps) != self.n_vars:
             raise ValueError("exponent vector length mismatch")
         return tuple(sum(w * k for w, k in zip(row, exps)) % order
@@ -78,16 +75,14 @@ class DiagonalAction:
     # -- invariant lattice ----------------------------------------------------
 
     def invariant_lattice(self, chart: int | None = None) -> tuple[tuple[int, ...], ...]:
-        """HNF basis of the lattice of invariant Laurent monomials in the
-        non-chart coordinates."""
+        """HNF basis of the lattice of invariant degree-0 monomials
+        x^a / x_chart^|a|, as exponent vectors a in the non-chart coordinates."""
         c = self.default_chart() if chart is None else chart
         if not 0 <= c < self.n_vars:
             raise ValueError(f"chart {c} out of range for {self.n_vars} coordinates")
-        if any(row[c] for _, row in self.generators):
-            raise ValueError(f"coordinate {c} does not have trivial character")
         if not self.generators:
             return lattice.identity(self.n_vars - 1)
-        W = tuple(tuple(w for j, w in enumerate(row) if j != c)
+        W = tuple(tuple(w - row[c] for j, w in enumerate(row) if j != c)
                   for _, row in self.generators)
         orders = tuple(order for order, _ in self.generators)
         return lattice.congruence_kernel(W, orders)
@@ -98,10 +93,9 @@ class DiagonalAction:
 
 
 def common_chart(a: DiagonalAction, b: DiagonalAction) -> int:
+    """The last coordinate both actions give weight 0, else the last."""
     shared = set(a.trivial_coordinates()) & set(b.trivial_coordinates())
-    if not shared:
-        raise ValueError("actions share no coordinate of trivial character")
-    return max(shared)
+    return max(shared, default=a.n_vars - 1)
 
 
 def subgroup_index(action: DiagonalAction, subaction: DiagonalAction) -> int:

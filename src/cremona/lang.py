@@ -432,9 +432,10 @@ def parse_input(text: str) -> ProblemSpec:
         elif kw == "group":
             line.expect("e")
             line.expect("=")
+            k = line.i
             order = line.integer()
             if order < 1:
-                raise ParseError(ln, 1, "generator order must be positive")
+                raise line.error(k, "generator order must be positive")
             line.expect("gen")
             line.expect("[")
             row = line.integer_list()

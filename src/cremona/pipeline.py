@@ -237,20 +237,17 @@ def residual_action(parent: DiagonalAction, sub: DiagonalAction,
                     basis: MonomialBasis, chart: int) -> DiagonalAction:
     """The induced action of parent/sub on the output coordinates.
 
-    Output coordinate j transforms by the parent-character of basis row j,
-    whose x_i / x_chart carries the weight of x_i less the chart's; the
-    chart slot is fixed.  The result's order equals [parent : sub].
+    Output coordinate j transforms by the parent-character of basis row j
+    at the chart; the chart slot is fixed.  The result's order equals
+    [parent : sub].
     """
     idx = subgroup_index(parent, sub)
     diag = validate_basis(sub, chart, basis)
     if not diag.ok:
         raise ValueError(f"basis invalid for the subgroup: {diag.reason}")
-    gens = []
-    for order, row in parent.generators:
-        rest = tuple(w - row[chart] for w in row[:chart] + row[chart + 1:])
-        w = tuple(sum(a * b for a, b in zip(rest, brow)) % order for brow in basis.rows)
-        if any(w):
-            gens.append((order, w[:chart] + (0,) + w[chart:]))
+    chis = zip(*(parent.character(row, chart=chart) for row in basis.rows))
+    gens = [(order, w[:chart] + (0,) + w[chart:])
+            for (order, _), w in zip(parent.generators, chis) if any(w)]
     out = DiagonalAction(parent.n_vars, tuple(gens))
     if out.group_order() != idx:
         raise ArithmeticError(
@@ -278,13 +275,15 @@ class CremonaStep:
 
 
 def _check_chart(X: InvariantHypersurface, chart: int) -> None:
-    """The chart checks of a step: the chart coordinate is in range, fixed by
-    the action and no factor of F, and F is not a monomial."""
+    """The chart checks of a step: the chart is in range, F / x_chart^d is
+    invariant, x_chart is no factor of F, and F is not a monomial."""
     F = X.F
     if not 0 <= chart < X.action.n_vars:
         raise ValueError(f"chart index {chart} out of range")
-    if chart not in X.action.trivial_coordinates():
-        raise ValueError(f"coordinate {F.vars[chart]} is not fixed by the action")
+    d = X.degree
+    if any(chi := X.action.character(tuple(d * (j == chart) for j in range(F.n_vars)))):
+        raise ValueError(f"F / {F.vars[chart]}^{d} is not invariant: {F.vars[chart]}^{d} "
+                         f"has character {chi}; choose a different chart")
     if F.min_deg_in_var(chart) > 0:
         raise ValueError(
             f"defining polynomial is divisible by the chart variable {F.vars[chart]}; "
@@ -308,7 +307,8 @@ def cremona_step(X: InvariantHypersurface, chart: int,
                  parent_action: DiagonalAction | None = None) -> CremonaStep:
     """Transform X into a hypersurface birational to X/G.
 
-    The chart coordinate must carry trivial character and must not divide F.
+    The chart coordinate x_c must not divide F, and d * w_c must be 0 mod e
+    for every generator, so that F / x_c^d is invariant.
     ``parent_action``, when given, is a larger group containing X.action; the
     induced action of the quotient on the output coordinates is recorded so
     steps can be chained.
@@ -441,7 +441,7 @@ def _same_group(a: DiagonalAction, b: DiagonalAction) -> bool:
     subgroup of a of index 1."""
     try:
         return subgroup_index(a, b) == 1
-    except ValueError:  # other ambient, no common fixed coordinate, or b not in a
+    except ValueError:  # other ambient, or b not in a
         return False
 
 

@@ -630,7 +630,8 @@ class QuotientFiberReport:
 
 
 def group_elements_mod_p(action, p: int) -> list[tuple[int, ...]]:
-    """All elements of the acting matrix group embedded in (F_p*)^n."""
+    """All elements of the presented matrix group embedded in (F_p*)^n; those
+    that differ by a scalar are one element of the projective group."""
     n = action.n_vars
     gens = []
     for order, row in action.generators:
@@ -681,10 +682,9 @@ def map_fiber_orbit_check(F: LaurentPoly, action, forward: RationalMap,
             raise ValueError(f"root of order {order} unavailable in F_{p}")
     n = action.n_vars
     _check_enumeration_guard(n, p)
-    elements = group_elements_mod_p(action, p)
-    if len(elements) != action.group_order():
+    scaled = sorted({normalize_point(g, p) for g in group_elements_mod_p(action, p)})
+    if len(scaled) != action.group_order():
         raise ArithmeticError("embedded group order mismatch")
-    scaled = sorted({normalize_point(g, p) for g in elements})
     on_F = compile_enumeration(n, p, zeros=[F], images=forward.components, torus=True,
                                elements=scaled)
     target_mod = compile_mod(target, p)

@@ -326,7 +326,7 @@ def reference_map_fiber_orbit_check(F: LaurentPoly, action, forward, target: Lau
     comps = forward.components
 
     elements = group_elements_mod_p(action, p)
-    if len(elements) != action.group_order():
+    if len({normalize_point(g, p) for g in elements}) != action.group_order():
         raise ArithmeticError("embedded group order mismatch")
 
     fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -432,7 +432,7 @@ def reference_solve(B, target):
 
 def reference_subgroup_index(action, subaction):
     """``action.subgroup_index`` as it was before it tested containment by
-    characters: both invariant lattices on a common fixed coordinate, one
+    characters: both invariant lattices at ``common_chart``, one
     lattice solve per row of the action's, and the index as the quotient of
     the two lattice indices."""
     if action.n_vars != subaction.n_vars:
@@ -446,13 +446,10 @@ def reference_subgroup_index(action, subaction):
 
 def reference_same_group(a, b):
     """``pipeline._same_group`` as it was before it read the subgroup index:
-    equal HNFs of the invariant lattices on a coordinate both fix."""
+    equal HNFs of the invariant lattices at ``common_chart``."""
     if a.n_vars != b.n_vars:
         return False
-    try:
-        c = common_chart(a, b)
-    except ValueError:
-        return False
+    c = common_chart(a, b)
     return spans_same_lattice(a.invariant_lattice(c), b.invariant_lattice(c))
 
 

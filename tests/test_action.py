@@ -11,6 +11,7 @@ from cremona.lang import parse_poly
 from cremona.lattice import (lattice_contains, lattice_index, smith_normal_form,
                              spans_same_lattice)
 from cremona.pipeline import _same_group
+from cremona.scenarios import C3C3_ACTION, MAIN_G, MAIN_G1
 from helpers_reference import reference_same_group, reference_subgroup_index
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
@@ -28,9 +29,14 @@ class TestConstruction:
         a = DiagonalAction(3, ((3, (4, -1, 0)),))
         assert a.generators == ((3, (1, 2, 0)),)
 
-    def test_requires_fixed_coordinate(self):
-        with pytest.raises(ValueError):
-            DiagonalAction(3, ((3, (1, 1, 1)),))
+    def test_no_fixed_coordinate_required(self):
+        # a scalar matrix is the identity of PGL: the presentation is
+        # accepted, its projective group has order 1, and with no coordinate
+        # of weight 0 the default chart is the last one
+        a = DiagonalAction(3, ((3, (1, 1, 1)),))
+        assert a.trivial_coordinates() == () and a.default_chart() == 2
+        assert a.group_order() == 1 and a.is_trivial()
+        assert not DiagonalAction(3, ((3, (1, 1, 0)),)).is_trivial()
 
     def test_trivial(self):
         t = DiagonalAction.trivial(4)
@@ -51,6 +57,11 @@ class TestCharacter:
 
     def test_reduced_form(self):
         assert EX1.character((1, 1, 0, 0), chart=4) == (0,)
+
+    def test_reduced_form_divides_by_the_chart(self):
+        # (1, 0, 0, 0) at chart x2 is x1 / x2, of weight 1 - 2
+        assert EX1.character((1, 0, 0, 0), chart=1) == (2,)
+        assert EX1.character((0, 1, 1, 0), chart=0) == (1,)  # x3*x4 / x1^2
 
     def test_additive(self):
         rng = random.Random(2)
@@ -111,8 +122,13 @@ class TestInvariantLattice:
                 assert not any(action.character(row, chart=chart))
 
     def test_invalid_chart(self):
-        with pytest.raises(ValueError):
-            EX1.invariant_lattice(chart=0)
+        # x1 moves under EX1, yet it is a chart: the lattice of x^a / x1^|a|
+        # is read through the weights less x1's, (1, -1, -1, -1) mod 3
+        L = EX1.invariant_lattice(chart=0)
+        assert spans_same_lattice(
+            L, ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (3, 0, 0, 0)))
+        assert lattice_index(L) == EX1.group_order() == 3
+        assert not any(any(EX1.character(row, chart=0)) for row in L)
 
     @pytest.mark.parametrize("chart", [-1, 5, 6])
     def test_chart_out_of_range(self, chart):
@@ -184,10 +200,20 @@ class TestSubgroups:
             subgroup_index(other, EX1)
 
     def test_no_common_chart(self):
+        # no coordinate has weight 0 under both, yet b's row is a's plus
+        # (2, 2, 2): one projective group, compared at the last chart
         a = DiagonalAction(3, ((3, (1, 2, 0)),))
         b = DiagonalAction(3, ((3, (0, 1, 2)),))
-        with pytest.raises(ValueError):
-            common_chart(a, b)
+        assert common_chart(a, b) == 2 and common_chart(a, DiagonalAction.trivial(3)) == 2
+        assert common_chart(EX1, C3C3) == 4
+        assert subgroup_index(a, b) == subgroup_index(b, a) == 1
+        assert _same_group(a, b) and _same_group(b, a)
+
+    def test_presentations_of_the_main_group(self):
+        # MAIN_G's second generator is the square of C3C3_ACTION's second,
+        # shifted by (1, 1, 1, 1, 1)
+        assert subgroup_index(MAIN_G, C3C3_ACTION) == subgroup_index(C3C3_ACTION, MAIN_G) == 1
+        assert subgroup_index(MAIN_G, MAIN_G1) == 3
 
 
 def _outcome(f, *args):
@@ -199,14 +225,35 @@ def _outcome(f, *args):
 
 @st.composite
 def _diagonal_actions(draw, n_vars):
-    """One to three generators of order 2..5 that all fix one coordinate."""
-    fixed = draw(st.integers(0, n_vars - 1))
+    """One to three generators of order 2..5, which all fix one coordinate
+    or, as often, need not."""
+    fixed = draw(st.one_of(st.none(), st.integers(0, n_vars - 1)))
     gens = []
     for order in draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)):
         row = draw(st.lists(st.integers(0, order - 1), min_size=n_vars, max_size=n_vars))
-        row[fixed] = 0
+        if fixed is not None:
+            row[fixed] = 0
         gens.append((order, tuple(row)))
     return DiagonalAction(n_vars, tuple(gens))
+
+
+def shifted(action, ks):
+    """The action with generator i's row shifted by ks[i] * (1, ..., 1)."""
+    return DiagonalAction(action.n_vars, tuple(
+        (e, tuple(w + k for w in row)) for (e, row), k in zip(action.generators, ks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(_diagonal_actions), st.lists(st.integers(0, 4), min_size=3))
+@example(C3C3, [1, 1])
+def test_shift_keeps_the_projective_group(a, ks):
+    b = shifted(a, ks)
+    assert a.group_order() == b.group_order()
+    assert a.is_trivial() == b.is_trivial() == (a.group_order() == 1)
+    for c in range(a.n_vars):
+        assert a.invariant_lattice(c) == b.invariant_lattice(c)
+    assert subgroup_index(a, b) == subgroup_index(b, a) == 1
+    assert _same_group(a, b)
 
 
 @st.composite

@@ -67,6 +67,17 @@ class TestTransform:
         payload = json.loads(capsys.readouterr().out)
         assert payload["chart"] == "x5"
 
+    def test_chart_moved_by_the_group(self, tmp_path, capsys):
+        # x1 has weight 1 under the first generator, and 3 * 1 = 0 mod 3
+        f = tmp_path / "c3c3.crm"
+        f.write_text("vars x1 x2 x3 x4 x5\ngroup e=3 gen [1,0,2,0,0]\n"
+                     "group e=3 gen [0,1,2,2,0]\n"
+                     "poly F = x1^3 + x2^3 + x3^3 + x4^3 + x5^3 + x1*x2*x3 + x2*x4*x5\n"
+                     "chart x1\n")
+        assert main(["--json", "transform", str(f)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["chart"] == "x1" and payload["group_order"] == 9
+
 
 class TestInvariants:
     def test_lattice_printed(self, ex1_file, capsys):
@@ -357,7 +368,8 @@ class TestErrors:
         f = tmp_path / "nochart.crm"
         f.write_text("vars x1 x2\ngroup e=3 gen [1,0]\npoly F = x2*x1^3\nchart x1\n")
         assert main(["transform", str(f)]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and "F / x1^4 is not invariant" in err
 
 
 class TestChain:
@@ -392,13 +404,15 @@ class TestChain:
 
     def test_trivial_group_spelled_out_continues_the_chain(self, tmp_path, capsys):
         # the recorded residual is the trivial action with no generators; a
-        # generator of weight 0 everywhere presents the same group
+        # generator of weight 0 everywhere, or a scalar one, presents the
+        # same projective group
         a = tmp_path / "a.crm"
         a.write_text("vars x1 x2 x3\ngroup e=3 gen [1,2,0]\npoly F = x1^3 + x2^3 + x3^3\n")
         b = tmp_path / "b.crm"
-        b.write_text("vars x1 x2 x3\ngroup e=3 gen [0,0,0]\n")
-        assert main(["chain", str(a), str(b)]) == 0
-        assert "accumulated quotient order: 3" in capsys.readouterr().out
+        for row in ("0,0,0", "1,1,1"):
+            b.write_text(f"vars x1 x2 x3\ngroup e=3 gen [{row}]\n")
+            assert main(["chain", str(a), str(b)]) == 0
+            assert "accumulated quotient order: 3" in capsys.readouterr().out
 
     def test_group_not_fixing_the_image_breaks_the_chain(self, tmp_path, capsys):
         # x1 -> -x1 does not fix the image x1*x3^2 + x2^3 + x3^3; the link is

@@ -144,6 +144,12 @@ class TestParseInput:
         assert (exc.value.line, exc.value.col) == (2, 8)
         assert exc.value.message == "cyclotomic order must be positive"
 
+    def test_zero_generator_order_is_refused_at_its_token(self):
+        with pytest.raises(ParseError) as exc:
+            parse_input("vars x1 x2\ngroup e=0 gen [1,0]\npoly F = x1^2\n")
+        assert (exc.value.line, exc.value.col) == (2, 9)
+        assert exc.value.message == "generator order must be positive"
+
     def test_only_ascii_digits(self):
         # U+0663 is a decimal digit to str.isdigit and to the re module's \d
         with pytest.raises(ParseError) as exc:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -144,9 +145,18 @@ class TestRewriteInvariant:
 
 class TestCremonaStep:
     def test_chart_must_be_fixed(self):
-        X = InvariantHypersurface(ex1_family(), EX1_ACTION)
-        with pytest.raises(ValueError):
-            cremona_step(X, 0, EX1_BASIS)
+        # x_c^d must be fixed, so that F / x_c^d is invariant: x1 and x2
+        # have weights 1 and 2 under the group, and F has degree 4
+        X = InvariantHypersurface(P("x1^2*x2^2 + x1^3*x3 + x2^3*x3 + x3^4", V3),
+                                  DiagonalAction(3, ((3, (1, 2, 0)),)))
+        for chart, chi in ((0, 1), (1, 2)):
+            x = X.F.vars[chart]
+            with pytest.raises(ValueError) as info:
+                cremona_step(X, chart)
+            assert str(info.value) == (f"F / {x}^4 is not invariant: {x}^4 has character "
+                                       f"({chi},); choose a different chart")
+        step = cremona_step(X, 2)
+        assert step.group_order == 3 and step.image == P("x1^3 + x1^2*x2 + x2^2*x3 + x2*x3^2", V3)
 
     def test_chart_must_not_divide(self):
         F = P("x1^3 + x2^3 + x5^3") * P("x5")
@@ -262,6 +272,12 @@ class TestResidualAction:
                 assert forward(act(g, x)) in orbit
                 pairs += 1
         assert pairs == 243 * 9  # torus points of X(F_7) times the parent's elements
+
+    @pytest.mark.parametrize("chart", range(5))
+    def test_main_subgroup_residual_at_every_chart(self, chart):
+        # MAIN_G1 moves x1, x3, x4 and x5, MAIN_G every coordinate but x2
+        res = residual_action(MAIN_G, MAIN_G1, hnf_basis_for(MAIN_G1, chart), chart)
+        assert res.group_order() == 3 and res.generators[0][1][chart] == 0
 
     def test_containment_checked(self):
         other = DiagonalAction(5, ((3, (0, 0, 1, 2, 0)),))
@@ -405,6 +421,17 @@ class TestChain:
             CremonaChain.check_link(step1, step1.image, other)
         with pytest.raises(ValueError, match="step action differs"):
             CremonaChain.check_link(step1, step1.image, DiagonalAction.trivial(5))
+
+    def test_link_accepts_a_shifted_presentation(self):
+        # the residual is (1, 2, 0); (0, 1, 2) is that row plus (2, 2, 2),
+        # so no coordinate has weight 0 under both, yet they are one group
+        a = DiagonalAction(3, ((3, (1, 2, 0)),))
+        X = InvariantHypersurface(P("x1^3 + x2^3 + x3^3", V3), DiagonalAction.trivial(3))
+        step = cremona_step(X, 2, parent_action=a)
+        assert step.residual == a
+        CremonaChain.check_link(step, step.image, DiagonalAction(3, ((3, (0, 1, 2)),)))
+        with pytest.raises(ValueError, match="step action differs"):
+            CremonaChain.check_link(step, step.image, DiagonalAction(3, ((3, (0, 1, 1)),)))
 
     def test_one_coordinate_actions_compare_as_groups(self):
         # on one coordinate every action is the trivial projective group:
@@ -641,19 +668,20 @@ class TestSearchBasis:
         assert steps == [(X, 4, basis)]
         assert built == [basis] and step.basis == basis
 
-    # The message of each invalid input a search can reach.  A
-    # chart out of range or with a nontrivial character is refused while
-    # the start basis is computed; F divisible by the chart and a monomial F
-    # by the chart checks, before any term is rewritten; a term outside the
-    # lattice (an F that skipped InvariantHypersurface's invariance check)
-    # by the rewrite of the start's chart equation.
+    # The message of each invalid input a search can reach.  A chart out of
+    # range is refused while the start basis is computed; a chart whose
+    # F / x_c^d has a nontrivial character, F divisible by the chart and a
+    # monomial F by the chart checks, before any term is rewritten; a term
+    # outside the lattice (an F that skipped InvariantHypersurface's
+    # invariance check) by the rewrite of the start's chart equation.
     @pytest.mark.parametrize("X,chart,message,rewrites", [
         (InvariantHypersurface(ex1_family(), EX1_ACTION), 5,
          "chart 5 out of range for 5 coordinates", 0),
         (InvariantHypersurface(ex1_family(), EX1_ACTION), -1,
          "chart -1 out of range for 5 coordinates", 0),
-        (InvariantHypersurface(c3c3_family(), C3C3_ACTION), 0,
-         "coordinate 0 does not have trivial character", 0),
+        (InvariantHypersurface(P("x1^2*x2^2 + x1^3*x3 + x2^3*x3 + x3^4", V3),
+                               DiagonalAction(3, ((3, (1, 2, 0)),))), 0,
+         "F / x1^4 is not invariant: x1^4 has character (1,); choose a different chart", 0),
         (InvariantHypersurface(P("x1^2*x3 + x2^2*x3", V3), DiagonalAction(3, ((2, (1, 0, 0)),))),
          2, "defining polynomial is divisible by the chart variable x3; choose a different chart",
          0),
@@ -708,3 +736,43 @@ def test_step_refuses_a_changed_coefficient(monkeypatch):
     monkeypatch.setattr(cremona.pipeline, "rewrite_invariant", altered)
     with pytest.raises(ArithmeticError, match="coefficient preservation violated"):
         cremona_step(X, 4, EX1_BASIS)
+
+
+@st.composite
+def shifted_hypersurfaces(draw):
+    """F of degree d, invariant under an action on 3 or 4 coordinates, and
+    the action with generator i's row shifted by k_i * (1, ..., 1), where
+    d * k_i = 0 mod e_i, so that F is invariant under both presentations."""
+    n, d = draw(st.integers(3, 4)), draw(st.integers(2, 4))
+    gens = tuple((e, tuple(draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))))
+                 for e in draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))
+    a = DiagonalAction(n, gens)
+    monomials = [tuple(c.count(j) for j in range(n))
+                 for c in itertools.combinations_with_replacement(range(n), d)]
+    invariant = [m for m in monomials if not any(a.character(m))]
+    terms = draw(st.lists(st.sampled_from(invariant), min_size=2, max_size=6, unique=True)
+                 if len(invariant) > 1 else st.nothing())
+    F = LaurentPoly(V5[:n], {m: draw(st.integers(1, 5)) for m in terms})
+    shifts = [draw(st.integers(0, 3)) * e // math.gcd(d, e) for e, _ in gens]
+    b = DiagonalAction(n, tuple((e, tuple(w + k for w in row))
+                                for (e, row), k in zip(gens, shifts)))
+    return F, a, b
+
+
+def _step_or_refusal(X, chart):
+    try:
+        step = cremona_step(X, chart)
+    except ValueError as exc:
+        return str(exc)
+    return step.basis, step.image, step.group_order
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_hypersurfaces())
+def test_shift_keeps_every_step(case):
+    # a shifted presentation is the same projective group: at every chart
+    # the step refuses with the same message or builds the same image
+    F, a, b = case
+    Xa, Xb = InvariantHypersurface(F, a), InvariantHypersurface(F, b)
+    for chart in range(a.n_vars):
+        assert _step_or_refusal(Xa, chart) == _step_or_refusal(Xb, chart)

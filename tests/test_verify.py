@@ -214,8 +214,7 @@ def orbit_case(draw):
     p, n = draw(prime_and_dimension(lambda n, p: (p - 1) ** (n - 1)))
     variables = names("x", n)
     orders = [e for e in range(2, 7) if (p - 1) % e == 0]
-    gens = tuple((e, (0,) + tuple(draw(st.lists(st.integers(0, e - 1), min_size=n - 1,
-                                                 max_size=n - 1))))
+    gens = tuple((e, tuple(draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))))
                  for e in draw(st.lists(st.sampled_from(orders), max_size=2)))
     action = DiagonalAction(n, gens)
     F = draw(homogeneous(variables, p, draw(st.integers(-2, p + 3))))
@@ -671,6 +670,18 @@ class TestQuotientFibers:
         step = cremona_step(X, 2)
         with pytest.raises(ValueError):
             quotient_fiber_check(X, step, 5)
+
+    # the c3c3 family at unit parameters, as written and with the scalar
+    # matrix (z, z, z, z, z) as a third generator, which makes 27 matrices
+    # of the 9 projective elements; every chart steps, since 3 * w = 0 mod 3
+    @pytest.mark.parametrize("scalar", [(), ((3, (1, 1, 1, 1, 1)),)], ids=["written", "scalar"])
+    @pytest.mark.parametrize("chart", range(5))
+    def test_c3c3_quotient_at_every_chart(self, chart, scalar):
+        F = c3c3_family().specialize_params({t: 1 for t in C7_PARAMS})
+        action = DiagonalAction(5, C3C3_ACTION.generators + scalar)
+        X = InvariantHypersurface(F, action)
+        rep = quotient_fiber_check(X, cremona_step(X, chart), 7)
+        assert rep.ok and rep.generic_fiber == rep.group_order == 9
 
     def test_fiber_sizes_divide_group_order(self):
         action = DiagonalAction(3, ((3, (1, 2, 0)),))
