@@ -116,7 +116,7 @@ def subgroup_index(action: DiagonalAction, subaction: DiagonalAction) -> int:
 
 @dataclass(frozen=True)
 class InvariantHypersurface:
-    """A homogeneous hypersurface of degree >= 2 preserved by a diagonal action."""
+    """A homogeneous hypersurface of degree >= 2 whose terms share one character."""
 
     F: LaurentPoly
     action: DiagonalAction
@@ -131,9 +131,12 @@ class InvariantHypersurface:
             raise ValueError("hypersurface degree must be at least 2")
         if not self.F.is_polynomial():
             raise ValueError("defining polynomial must have nonnegative exponents")
-        ok, offender = self.action.is_invariant(self.F)
-        if not ok:
-            raise ValueError(f"polynomial is not invariant; offending exponent {offender}")
+        (lead, _), *rest = self.F.sorted_terms()
+        chi = self.action.character(lead)
+        for e, _ in rest:
+            if self.action.character(e) != chi:
+                kind = f"semi-invariant (leading character {chi})" if any(chi) else "invariant"
+                raise ValueError(f"polynomial is not {kind}; offending exponent {e}")
 
     @property
     def degree(self) -> int:

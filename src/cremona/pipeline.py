@@ -1,9 +1,9 @@
 """The quotient-to-hypersurface transformation pipeline.
 
-One step takes an invariant hypersurface X = {F = 0}, a chart coordinate
-fixed by the group, and a square basis of invariant Laurent monomials.  The
-chart equation is rewritten in the basis monomials, cleared to a coprime
-fraction p/q with q a monomial, and p is rehomogenized.  The output
+One step takes a hypersurface X = {F = 0} whose terms share one character,
+a chart coordinate, and a square basis of invariant Laurent monomials.  The
+invariant chart equation is rewritten in the basis monomials, cleared to a
+coprime fraction p/q with q a monomial, and p is rehomogenized.  The output
 hypersurface is birational to X/G; the forward monomial map, the degree, and
 the residual action of a larger group are recorded for chaining.
 
@@ -22,7 +22,7 @@ from operator import add, mul, sub
 from . import lattice
 from .action import DiagonalAction, InvariantHypersurface, subgroup_index
 from .coeffs import ParamCoeff
-from .poly import LaurentPoly, divide_exact, poly_gcd, poly_str
+from .poly import LaurentPoly, divide_exact, poly_gcd, poly_str, term_key
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +275,11 @@ class CremonaStep:
 
 
 def _check_chart(X: InvariantHypersurface, chart: int) -> None:
-    """The chart checks of a step: the chart is in range, F / x_chart^d is
-    invariant, x_chart is no factor of F, and F is not a monomial."""
+    """The chart checks of a step: the chart is in range, x_chart is no
+    factor of F, and F is not a monomial."""
     F = X.F
     if not 0 <= chart < X.action.n_vars:
         raise ValueError(f"chart index {chart} out of range")
-    d = X.degree
-    if any(chi := X.action.character(tuple(d * (j == chart) for j in range(F.n_vars)))):
-        raise ValueError(f"F / {F.vars[chart]}^{d} is not invariant: {F.vars[chart]}^{d} "
-                         f"has character {chi}; choose a different chart")
     if F.min_deg_in_var(chart) > 0:
         raise ValueError(
             f"defining polynomial is divisible by the chart variable {F.vars[chart]}; "
@@ -293,12 +289,17 @@ def _check_chart(X: InvariantHypersurface, chart: int) -> None:
 
 
 def _chart_equation(X: InvariantHypersurface, chart: int, basis: MonomialBasis):
-    """The chart equation of a step: ``validate_basis``, then the dehomogenized
-    F rewritten in the basis.  Returns (group order, p, q)."""
+    """The chart equation of a step: ``validate_basis``, then F / x_chart^d,
+    or F / x^m0 where x_chart^d has not the character of F's leading term
+    x^m0, rewritten in the basis.  Returns (group order, p, q)."""
     diag = validate_basis(X.action, chart, basis)
     if not diag.ok:
         raise ValueError(f"invalid basis: {diag.reason}")
-    p, q = rewrite_invariant(X.F.dehomogenize(chart), chart, basis)
+    F, m0 = X.F, max(X.F.terms, key=term_key)
+    if any(X.action.character(m0[:chart] + m0[chart + 1:], chart=chart)):
+        # a term of F leaves p no monomial content; _raw keeps F's coefficients
+        F = LaurentPoly._raw(F.vars, {tuple(map(sub, e, m0)): c for e, c in F.terms.items()})
+    p, q = rewrite_invariant(F.dehomogenize(chart), chart, basis)
     return diag.group_order, p, q
 
 
@@ -307,11 +308,11 @@ def cremona_step(X: InvariantHypersurface, chart: int,
                  parent_action: DiagonalAction | None = None) -> CremonaStep:
     """Transform X into a hypersurface birational to X/G.
 
-    The chart coordinate x_c must not divide F, and d * w_c must be 0 mod e
-    for every generator, so that F / x_c^d is invariant.
-    ``parent_action``, when given, is a larger group containing X.action; the
-    induced action of the quotient on the output coordinates is recorded so
-    steps can be chained.
+    The chart coordinate x_c must not divide F; the group need not fix it
+    (see ``_chart_equation``).  ``parent_action``, when given, is a larger
+    group containing X.action that also preserves X; the induced action of
+    the quotient on the output coordinates is recorded so steps can be
+    chained, and the image is semi-invariant under it.
 
     A step runs the chart checks, the chart equation, and then its
     bookkeeping: the image with its coefficient check, the forward map and
@@ -319,6 +320,8 @@ def cremona_step(X: InvariantHypersurface, chart: int,
     start basis, so a search builds one step: its winner's.
     """
     _check_chart(X, chart)
+    if parent_action is not None:  # the parent must preserve X too
+        InvariantHypersurface(X.F, parent_action)
     if basis is None:
         basis = hnf_basis_for(X.action, chart)
     order, p_u, q_u = _chart_equation(X, chart, basis)
@@ -337,12 +340,6 @@ def cremona_step(X: InvariantHypersurface, chart: int,
     forward = forward_monomial_map(F.vars, chart, basis)
     if parent_action is not None:
         residual = residual_action(parent_action, X.action, basis, chart)
-        ok, offender = residual.is_invariant(image)
-        if not ok:
-            raise ValueError(
-                "output is only semi-invariant under the residual action "
-                f"(offending exponent {offender}); pick basis monomials whose "
-                "clearing monomial has trivial parent character")
     else:
         residual = DiagonalAction.trivial(F.n_vars)
     return CremonaStep(

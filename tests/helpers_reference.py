@@ -5,11 +5,12 @@ and ``__add__``, evaluation as a loop over terms and powers, reduction
 into F_p by ``FpElem`` arithmetic, evaluation mod p by a per-term ``pow``
 loop, the F_p enumerations as per-point loops over ``proj_points`` or the
 torus, the default prime as a walk over every integer, a basis search that
-solves every candidate in the lattice again, subgroup containment and group equality
-as lattice solves and HNF comparisons, a recursive-descent expression parser
-over token objects, the bit bounds that parser checked itself before the
-expansion kernel did, and a coefficient renderer that builds each Cyclotomic
-sum by hand, and a lattice solve by Gaussian elimination over Q."""
+solves every candidate in the lattice again, a step's image divided by each
+term of F in turn, subgroup containment and group equality as lattice solves
+and HNF comparisons, a recursive-descent expression parser over token
+objects, the bit bounds that parser checked itself before the expansion
+kernel did, and a coefficient renderer that builds each Cyclotomic sum by
+hand, and a lattice solve by Gaussian elimination over Q."""
 import itertools
 import math
 import re
@@ -406,6 +407,27 @@ def reference_search_basis(X, chart, width=8, depth=6):
         if candidates[0][0] < best_score:
             best_score, best_basis = candidates[0]
     return best_basis, cremona_step(X, chart, best_basis)
+
+
+def reference_chart_images(X, chart, basis):
+    """The image of a step at the chart, once for each term x^m of F, in
+    F's canonical order: every term of F / x^m has degree 0, so its
+    exponents less the chart's are solved in the basis by
+    ``reference_solve``; the solutions are shifted to least entry 0 in each
+    coordinate, placed in the non-chart slots and homogenized with the
+    chart variable.  ``cremona_step`` takes one such m, or x_chart^d."""
+    F = X.F
+    images = []
+    for m, _ in F.sorted_terms():
+        sols = {reference_solve(basis.rows, tuple(a - b for j, (a, b) in enumerate(zip(e, m))
+                                                  if j != chart)): c
+                for e, c in F.terms.items()}
+        low = tuple(map(min, zip(*sols)))
+        terms = {tuple(k - lo for k, lo in zip(sol, low)): c for sol, c in sols.items()}
+        d = max(map(sum, terms))
+        images.append(LaurentPoly(F.vars, {t[:chart] + (d - sum(t),) + t[chart:]: c
+                                           for t, c in terms.items()}))
+    return images
 
 
 def reference_solve(B, target):

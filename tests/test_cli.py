@@ -78,6 +78,29 @@ class TestTransform:
         payload = json.loads(capsys.readouterr().out)
         assert payload["chart"] == "x1" and payload["group_order"] == 9
 
+    def test_default_chart_need_not_be_fixed(self, tmp_path, capsys):
+        # no coordinate has weight 0, so the default chart is the last, x3;
+        # x3^2 has character 2, and the step divides F by its leading term
+        f = tmp_path / "nofixed.crm"
+        f.write_text("vars x1 x2 x3\ngroup e=4 gen [2,1,3]\npoly F = x1^2 + x2*x3\n")
+        assert main(["transform", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("chart: x3\n") and "image = x2 + x3\n" in out
+
+    def test_klein_cubic_under_both_presentations(self, tmp_path, capsys):
+        # Klein's cubic threefold: F has character 0 in the first
+        # presentation, 7 in the second, and x_c^3 has it at no chart
+        outs = []
+        for row in ("1,9,4,3,5", "7,4,10,9,0"):
+            f = tmp_path / "klein.crm"
+            f.write_text(f"vars x1 x2 x3 x4 x5\ngroup e=11 gen [{row}]\n"
+                         "poly F = x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1\n")
+            assert main(["transform", str(f)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("chart: x5\n") and "degree = 2\n" in outs[0]
+        assert "image = x1*x2 + x2*x5 + x3*x4 + x4^2 + x4*x5\n" in outs[0]
+
 
 class TestInvariants:
     def test_lattice_printed(self, ex1_file, capsys):
@@ -365,11 +388,13 @@ class TestErrors:
         assert "parse error: line 2" in capsys.readouterr().err
 
     def test_engine_error_exit_code(self, tmp_path, capsys):
+        # x1^4 has character 1, which is no reason to refuse chart x1; x1
+        # dividing F is
         f = tmp_path / "nochart.crm"
         f.write_text("vars x1 x2\ngroup e=3 gen [1,0]\npoly F = x2*x1^3\nchart x1\n")
         assert main(["transform", str(f)]) == 1
         err = capsys.readouterr().err
-        assert "error" in err and "F / x1^4 is not invariant" in err
+        assert "error" in err and "divisible by the chart variable x1" in err
 
 
 class TestChain:

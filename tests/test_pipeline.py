@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -20,8 +19,9 @@ from cremona.scenarios import (C3C3_ACTION, C3C3_BASIS, EX1_ACTION, EX1_BASIS,
                                EX1_PARAMS, EX3_BASIS, FERMAT, MAIN_G, MAIN_G1, PAIR_ACTION,
                                X5, c3c3_family, ex1_family, ex3_family)
 from cremona.verify import (compile_mod, eval_compiled, group_elements_mod_p, normalize_point,
-                            on_variety)
+                            on_variety, quotient_fiber_check)
 from helpers_random import random_cyclic_case
+from helpers_reference import reference_chart_images
 
 V5 = ("x1", "x2", "x3", "x4", "x5")
 V3 = ("x1", "x2", "x3")
@@ -145,18 +145,17 @@ class TestRewriteInvariant:
 
 class TestCremonaStep:
     def test_chart_must_be_fixed(self):
-        # x_c^d must be fixed, so that F / x_c^d is invariant: x1 and x2
-        # have weights 1 and 2 under the group, and F has degree 4
+        # the chart need not be fixed: x1 and x2 have weights 1 and 2 and F
+        # degree 4, so F / x_c^4 is not invariant there, and the step divides
+        # by F's leading term x1^2*x2^2 instead; x3 is fixed and keeps x3^4
         X = InvariantHypersurface(P("x1^2*x2^2 + x1^3*x3 + x2^3*x3 + x3^4", V3),
                                   DiagonalAction(3, ((3, (1, 2, 0)),)))
-        for chart, chi in ((0, 1), (1, 2)):
-            x = X.F.vars[chart]
-            with pytest.raises(ValueError) as info:
-                cremona_step(X, chart)
-            assert str(info.value) == (f"F / {x}^4 is not invariant: {x}^4 has character "
-                                       f"({chi},); choose a different chart")
-        step = cremona_step(X, 2)
-        assert step.group_order == 3 and step.image == P("x1^3 + x1^2*x2 + x2^2*x3 + x2*x3^2", V3)
+        images = ("x1^2*x3 + x1*x2^2 + x1*x3^2 + x2^3", "x1^3 + x1^2*x2 + x2^2*x3 + x2*x3^2",
+                  "x1^3 + x1^2*x2 + x2^2*x3 + x2*x3^2")
+        for chart, image in enumerate(images):
+            step = cremona_step(X, chart)
+            assert step.group_order == 3 and step.image == P(image, V3)
+            assert reference_chart_images(X, chart, step.basis) == [step.image] * 4
 
     def test_chart_must_not_divide(self):
         F = P("x1^3 + x2^3 + x5^3") * P("x5")
@@ -287,14 +286,62 @@ class TestResidualAction:
 
     def test_semi_invariant_output_rejected(self):
         # the clearing monomial here carries a nontrivial parent character, so
-        # the output is only semi-invariant under the residual action
+        # the output is only semi-invariant under the residual action: the
+        # step is accepted, and every term of its image has one residual
+        # character, so the image is the next step's hypersurface
         V4 = ("x1", "x2", "x3", "x4")
         parent = DiagonalAction(4, ((3, (0, 1, 2, 0)),))
         F = P("x1^2*x2*x3 + x2^3*x4 + x3^3*x4", V4)
         X = InvariantHypersurface(F, DiagonalAction.trivial(4))
         basis = MonomialBasis(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-        with pytest.raises(ValueError, match="semi-invariant"):
-            cremona_step(X, 3, basis, parent_action=parent)
+        step = cremona_step(X, 3, basis, parent_action=parent)
+        assert step.image == P("x1^2*x3*x4 + x2^4 + x2*x3^3", V4)
+        assert {step.residual.character(e) for e in step.image.terms} == {(1,)}
+        assert step.output_hypersurface().F == step.image
+
+    def test_parent_must_preserve_x(self, monkeypatch):
+        # the parent contains X's trivial group but moves x1^2*x2 and
+        # x2^2*x3 apart, so it does not preserve X: refused before the chart
+        # equation or any residual work
+        import cremona.pipeline
+        F = P("x1^2*x2 + x2^2*x3 + x3^3", V3)
+        X = InvariantHypersurface(F, DiagonalAction.trivial(3))
+        parent = DiagonalAction(3, ((3, (0, 1, 0)),))
+
+        def untouched(*args):
+            raise AssertionError("no step work before the parent is checked")
+
+        for name in ("_chart_equation", "residual_action", "subgroup_index"):
+            monkeypatch.setattr(cremona.pipeline, name, untouched)
+        with pytest.raises(ValueError) as info:
+            cremona_step(X, 2, parent_action=parent)
+        assert str(info.value) == ("polynomial is not semi-invariant (leading character (1,)); "
+                                   "offending exponent (0, 2, 1)")
+
+
+class TestKleinCubic:
+    # Klein's cubic threefold and its order-11 action, in two presentations
+    # of one projective group: no coordinate has weight 0 in the first, and
+    # F has character 7 in the second.  At no chart has x_c^3 F's character,
+    # so every step divides by F's leading term x1^2*x2.
+    F = P("x1^2*x2 + x2^2*x3 + x3^2*x4 + x4^2*x5 + x5^2*x1")
+    PRESENTATIONS = [(1, 9, 4, 3, 5), (7, 4, 10, 9, 0)]
+
+    @pytest.mark.parametrize("weights", PRESENTATIONS)
+    @pytest.mark.parametrize("chart", range(5))
+    def test_steps_at_every_chart(self, weights, chart):
+        X = InvariantHypersurface(self.F, DiagonalAction(5, ((11, weights),)))
+        step = cremona_step(X, chart)
+        assert X.action.group_order() == step.group_order == 11
+        assert step.image == reference_chart_images(X, chart, step.basis)[0]
+        report = quotient_fiber_check(X, step, 23)
+        assert report.ok and report.fiber_sizes == {11: 1020}
+
+    def test_presentations_give_one_image(self):
+        a, b = (InvariantHypersurface(self.F, DiagonalAction(5, ((11, w),)))
+                for w in self.PRESENTATIONS)
+        for chart in range(5):
+            assert _step_or_refusal(a, chart) == _step_or_refusal(b, chart)
 
 
 class TestLinearWitness:
@@ -669,9 +716,9 @@ class TestSearchBasis:
         assert built == [basis] and step.basis == basis
 
     # The message of each invalid input a search can reach.  A chart out of
-    # range is refused while the start basis is computed; a chart whose
-    # F / x_c^d has a nontrivial character, F divisible by the chart and a
-    # monomial F by the chart checks, before any term is rewritten; a term
+    # range is refused while the start basis is computed; F divisible by the
+    # chart, also where F is semi-invariant and x_c^d has another character,
+    # and a monomial F by the chart checks, before any term is rewritten; a term
     # outside the lattice (an F that skipped InvariantHypersurface's
     # invariance check) by the rewrite of the start's chart equation.
     @pytest.mark.parametrize("X,chart,message,rewrites", [
@@ -679,9 +726,9 @@ class TestSearchBasis:
          "chart 5 out of range for 5 coordinates", 0),
         (InvariantHypersurface(ex1_family(), EX1_ACTION), -1,
          "chart -1 out of range for 5 coordinates", 0),
-        (InvariantHypersurface(P("x1^2*x2^2 + x1^3*x3 + x2^3*x3 + x3^4", V3),
-                               DiagonalAction(3, ((3, (1, 2, 0)),))), 0,
-         "F / x1^4 is not invariant: x1^4 has character (1,); choose a different chart", 0),
+        (InvariantHypersurface(P("x1^2*x3 + x1*x2^2", V3), DiagonalAction(3, ((3, (1, 2, 0)),))),
+         0, "defining polynomial is divisible by the chart variable x1; choose a different chart",
+         0),
         (InvariantHypersurface(P("x1^2*x3 + x2^2*x3", V3), DiagonalAction(3, ((2, (1, 0, 0)),))),
          2, "defining polynomial is divisible by the chart variable x3; choose a different chart",
          0),
@@ -740,20 +787,22 @@ def test_step_refuses_a_changed_coefficient(monkeypatch):
 
 @st.composite
 def shifted_hypersurfaces(draw):
-    """F of degree d, invariant under an action on 3 or 4 coordinates, and
-    the action with generator i's row shifted by k_i * (1, ..., 1), where
-    d * k_i = 0 mod e_i, so that F is invariant under both presentations."""
+    """F of degree d, its terms drawn from one character class of an action
+    on 3 or 4 coordinates, and the action with generator i's row shifted by
+    any k_i * (1, ..., 1).  F is semi-invariant under both presentations,
+    with characters that differ by d * k_i."""
     n, d = draw(st.integers(3, 4)), draw(st.integers(2, 4))
     gens = tuple((e, tuple(draw(st.lists(st.integers(0, e - 1), min_size=n, max_size=n))))
                  for e in draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))
     a = DiagonalAction(n, gens)
     monomials = [tuple(c.count(j) for j in range(n))
                  for c in itertools.combinations_with_replacement(range(n), d)]
-    invariant = [m for m in monomials if not any(a.character(m))]
-    terms = draw(st.lists(st.sampled_from(invariant), min_size=2, max_size=6, unique=True)
-                 if len(invariant) > 1 else st.nothing())
+    chi = a.character(draw(st.sampled_from(monomials)))
+    same = [m for m in monomials if a.character(m) == chi]
+    terms = draw(st.lists(st.sampled_from(same), min_size=2, max_size=6, unique=True)
+                 if len(same) > 1 else st.nothing())
     F = LaurentPoly(V5[:n], {m: draw(st.integers(1, 5)) for m in terms})
-    shifts = [draw(st.integers(0, 3)) * e // math.gcd(d, e) for e, _ in gens]
+    shifts = [draw(st.integers(0, e - 1)) for e, _ in gens]
     b = DiagonalAction(n, tuple((e, tuple(w + k for w in row))
                                 for (e, row), k in zip(gens, shifts)))
     return F, a, b
@@ -776,3 +825,25 @@ def test_shift_keeps_every_step(case):
     Xa, Xb = InvariantHypersurface(F, a), InvariantHypersurface(F, b)
     for chart in range(a.n_vars):
         assert _step_or_refusal(Xa, chart) == _step_or_refusal(Xb, chart)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_hypersurfaces())
+def test_every_term_gives_the_step_image(case):
+    # F / x^m gives one image for every term x^m of F.  Where x_c^d has
+    # another character than F, the step divides by a term of F and its
+    # image is that one; elsewhere it divides by x_c^d, whose image is that
+    # one times a monomial
+    F, a, _ = case
+    X = InvariantHypersurface(F, a)
+    d = X.degree
+    for chart in range(a.n_vars):
+        try:
+            step = cremona_step(X, chart)
+        except ValueError:
+            continue
+        images = reference_chart_images(X, chart, step.basis)
+        assert images == [step.image.monomial_content()[1]] * len(F.terms)
+        if a.character(tuple(d * (j == chart) for j in range(a.n_vars))) != \
+                a.character(next(iter(F.terms))):
+            assert step.image == images[0]
